@@ -68,12 +68,17 @@ def halved_cyclotomic(n: int) -> NgonPolynomial:
 
     Sums 1 + sum_{k=1}^{(n-1)/2} (z^k + z^-k) expressed in t, i.e. the
     symmetrized (z^n - 1)/(z - 1); monic.  Only odd n >= 3 is supported.
+    The terms are those of `chebyshev_term`, taken from one running
+    recurrence, so the sum costs O(n^2) rather than O(n^3).
     """
     if n < 3 or n % 2 == 0:
         raise InvalidN(f"need odd n >= 3, got {n}")
-    acc = RatPoly.of(1)
-    for k in range(1, (n - 1) // 2 + 1):
-        acc = acc + chebyshev_term(k)
+    t = RatPoly.of(0, 1)
+    prev, cur = RatPoly.of(2), t
+    acc = RatPoly.of(1) + cur
+    for _ in range((n - 1) // 2 - 1):
+        prev, cur = cur, t * cur - prev
+        acc = acc + cur
     return NgonPolynomial(n, acc.monic())
 
 

@@ -2,12 +2,17 @@
 
 Coefficients are `fractions.Fraction`, stored in ascending degree order, so
 every ring operation and the whole Sturm machinery is exact.  Real roots are
-isolated into rational intervals certified by Sturm sign-variation counts,
-then refined by exact bisection with a short float Newton tail.
+isolated into rational intervals certified by Sturm sign-variation counts.
+Refinement finds the dyadic cell of width <= tol that exact bisection of the
+interval would end in: a float Newton guess, certified by a gallop and binary
+search of exact sign tests, then a short float Newton tail.  The result is
+bit-identical to bisection's.  Every exact sign test clears denominators once
+and evaluates in integers (`_sign_at`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -292,17 +297,44 @@ def sturm_chain(p: RatPoly) -> list:
     return [q for q in chain if not q.is_zero]
 
 
-def _variations(values: Sequence[Fraction]) -> int:
+def _integer_coeffs(p: RatPoly) -> tuple:
+    """p's coefficients times the lcm of their denominators.
+
+    The scale is positive, so the integer polynomial has p's sign everywhere.
+    """
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    return tuple(c.numerator * (scale // c.denominator) for c in p.coeffs)
+
+
+def _sign_at(int_coeffs: Sequence[int], x: Fraction) -> int:
+    """Sign (-1, 0 or 1) of the integer polynomial at the rational x.
+
+    With x = N/D and D > 0, D**d * p(x) = sum c_i * N**i * D**(d-i) has the
+    sign of p(x); Horner on that homogeneous form needs no gcd at any step.
+    """
+    num, den = x.numerator, x.denominator
+    acc, den_power = 0, 1
+    for c in reversed(int_coeffs):
+        acc = acc * num + c * den_power
+        den_power *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _integer_sturm_chain(g: RatPoly) -> list:
+    return [_integer_coeffs(q) for q in sturm_chain(g)]
+
+
+def _variations(values: Sequence[int]) -> int:
     signs = [1 if v > 0 else -1 for v in values if v != 0]
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
-def _variations_at(chain, x: Fraction) -> int:
-    return _variations([q(x) for q in chain])
+def _variations_at(int_chain, x: Fraction) -> int:
+    return _variations([_sign_at(q, x) for q in int_chain])
 
 
-def _variations_at_inf(chain, sign: int) -> int:
-    return _variations([q.lc * (sign ** q.degree) for q in chain])
+def _variations_at_inf(int_chain, sign: int) -> int:
+    return _variations([q[-1] * sign ** (len(q) - 1) for q in int_chain])
 
 
 def count_real_roots(p: RatPoly, lo=None, hi=None) -> int:
@@ -310,7 +342,7 @@ def count_real_roots(p: RatPoly, lo=None, hi=None) -> int:
     g = p.square_free_part()
     if g.degree <= 0:
         return 0
-    chain = sturm_chain(g)
+    chain = _integer_sturm_chain(g)
     va = _variations_at_inf(chain, -1) if lo is None else _variations_at(chain, Fraction(lo))
     vb = _variations_at_inf(chain, 1) if hi is None else _variations_at(chain, Fraction(hi))
     return va - vb
@@ -323,14 +355,14 @@ def root_bound(p: RatPoly) -> Fraction:
     return 1 + max(abs(c / p.lc) for c in p.coeffs[:-1]) + 1
 
 
-def _nonroot_between(g: RatPoly, lo: Fraction, hi: Fraction) -> Fraction:
+def _nonroot_between(g_ints, lo: Fraction, hi: Fraction) -> Fraction:
     mid = (lo + hi) / 2
-    if g(mid) != 0:
+    if _sign_at(g_ints, mid) != 0:
         return mid
     width, k = hi - lo, 4
     while True:
         for cand in (mid + width / k, mid - width / k):
-            if lo < cand < hi and g(cand) != 0:
+            if lo < cand < hi and _sign_at(g_ints, cand) != 0:
                 return cand
         k *= 2
 
@@ -347,7 +379,7 @@ def isolate_real_roots(p: RatPoly) -> list:
     multiplicity_free = g.degree == p.degree
     if g.degree <= 0:
         return []
-    chain = sturm_chain(g)
+    chain = _integer_sturm_chain(g)
     bound = root_bound(g)
     out = []
     stack = [(-bound, bound,
@@ -360,7 +392,7 @@ def isolate_real_roots(p: RatPoly) -> list:
         if k == 1:
             out.append(RootInterval(lo, hi, multiplicity_free))
             continue
-        mid = _nonroot_between(g, lo, hi)
+        mid = _nonroot_between(chain[0], lo, hi)
         vmid = _variations_at(chain, mid)
         stack.append((lo, mid, vlo, vmid))
         stack.append((mid, hi, vmid, vhi))
@@ -368,30 +400,86 @@ def isolate_real_roots(p: RatPoly) -> list:
     return out
 
 
+def _horner(coeffs: Sequence[float], x: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _float_root_guess(g: RatPoly, lo: float, hi: float, left_sign: int,
+                      resolution: float) -> float:
+    """Float estimate of g's root in [lo, hi]; no precision is promised.
+
+    Newton steps that would leave the bracket are replaced by bisection, and
+    the bracket follows the float signs of g, which may be wrong near the
+    root.  The step count is capped because the caller certifies and, if
+    need be, corrects the estimate with exact sign tests.
+    """
+    fc = [float(c) for c in g.coeffs]
+    dfc = [k * c for k, c in enumerate(fc)][1:]
+    x = (lo + hi) / 2
+    for _ in range(64):
+        fx = _horner(fc, x)
+        if fx == 0:
+            break
+        if (fx > 0) == (left_sign > 0):
+            lo = x
+        else:
+            hi = x
+        dfx = _horner(dfc, x)
+        nx = x - fx / dfx if dfx else math.nan
+        if not lo < nx < hi:
+            nx = (lo + hi) / 2
+        done = abs(nx - x) <= resolution
+        x = nx
+        if done:
+            break
+    return x
+
+
 def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float:
     """Refine an isolated root to a float within tol of the true root.
 
-    Exact bisection narrows the certified bracket below tol (guaranteed),
-    then at most three float Newton steps polish the midpoint; any Newton
-    step that leaves the bracket or fails to shrink |p| is rejected.
+    Exact bisection of (lo, hi) would stop at the first level k at which the
+    dyadic cells lo + [i, i+1] * (hi - lo) / 2**k are no wider than tol, in
+    the cell holding the root, or earlier at a grid point that is the root,
+    returned as is.  This finds that cell directly: a float Newton guess of
+    its index, then a gallop outward and a binary search, each probe an exact
+    sign test.  The result is therefore bit-identical to exact bisection's,
+    and the bracket it polishes in is certified.  At most three float Newton
+    steps then polish the cell midpoint; any Newton step that leaves the cell
+    or fails to shrink |p| is rejected.
     """
-    if tol <= 0:
+    if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive")
-    g = p.square_free_part().monic()
+    # for a square-free p, p.square_free_part() is p itself
+    g = p.monic() if interval.multiplicity_free else p.square_free_part().monic()
+    ints = _integer_coeffs(g)
     lo, hi = interval.lo, interval.hi
-    flo, fhi = g(lo), g(hi)
-    if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+    slo, shi = _sign_at(ints, lo), _sign_at(ints, hi)
+    if not lo < hi or slo == 0 or shi == 0 or slo == shi:
         raise ValueError(f"{interval} does not bracket a simple root of {p!r}")
-    width_goal = Fraction(tol)
-    while hi - lo > width_goal:
-        mid = (lo + hi) / 2
-        fmid = g(mid)
-        if fmid == 0:
-            return float(mid)
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+    cells = 1 << (math.ceil((hi - lo) / Fraction(tol)) - 1).bit_length()
+    h = (hi - lo) / cells
+    guess = _float_root_guess(g, float(lo), float(hi), slo, float(h))
+    # grid point lo + a*h lies left of the root and lo + b*h right of it;
+    # probes gallop away from the guess with doubling steps, then bisect
+    a, b = 0, cells
+    j, step = min(max(math.floor((Fraction(guess) - lo) / h), 1), cells - 1), 1
+    while b - a > 1:
+        x = lo + j * h
+        s = _sign_at(ints, x)
+        if s == 0:
+            return float(x)
+        if s == slo:
+            a, j = j, j + step
         else:
-            hi, fhi = mid, fmid
+            b, j = j, j - step
+        step *= 2
+        if not a < j < b:
+            j = (a + b) // 2
+    lo, hi = lo + a * h, lo + b * h
     x = float((lo + hi) / 2)
     lo_f, hi_f = float(lo), float(hi)
     dg = g.derivative()

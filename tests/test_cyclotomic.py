@@ -51,6 +51,14 @@ def test_halved_cyclotomic_7():
     assert halved_cyclotomic(7).poly == RatPoly.of(-1, -2, 1, 1)
 
 
+@pytest.mark.parametrize("n", range(3, 62, 2))
+def test_halved_cyclotomic_equals_sum_of_chebyshev_terms(n):
+    acc = RatPoly.of(1)
+    for k in range(1, (n - 1) // 2 + 1):
+        acc = acc + chebyshev_term(k)
+    assert halved_cyclotomic(n).poly == acc.monic()
+
+
 def test_halved_cyclotomic_rejects_even_and_small():
     for bad in (2, 4, 1, 0, -5):
         with pytest.raises(InvalidN):

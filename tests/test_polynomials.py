@@ -4,11 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hendecafold.cyclotomic import halved_cyclotomic
 from hendecafold.polynomials import (
     IdenticallyZeroDenominator,
     RatFunc,
     RatPoly,
+    RootInterval,
     X,
+    _integer_coeffs,
+    _sign_at,
     count_real_roots,
     isolate_real_roots,
     poly_gcd,
@@ -34,6 +38,44 @@ def bisect_oracle(f, lo, hi, tol=1e-12):
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def bisection_refine_root(p, interval, tol=1e-12):
+    """The exact-bisection refine_root that the cell search replaced.
+
+    Bisects the bracket in Fraction arithmetic until it is no wider than tol,
+    then applies the same three-step float Newton polish.
+    """
+    g = p.square_free_part().monic()
+    lo, hi = interval.lo, interval.hi
+    flo = g(lo)
+    width_goal = Fraction(tol)
+    while hi - lo > width_goal:
+        mid = (lo + hi) / 2
+        fmid = g(mid)
+        if fmid == 0:
+            return float(mid)
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    x = float((lo + hi) / 2)
+    lo_f, hi_f = float(lo), float(hi)
+    dg = g.derivative()
+    for _ in range(3):
+        fx, dfx = g(x), dg(x)
+        if dfx == 0.0:
+            break
+        nx = x - fx / dfx
+        if not (lo_f <= nx <= hi_f) or abs(g(nx)) >= abs(fx):
+            break
+        x = nx
+    return min(max(x, lo_f), hi_f)
+
+
+def assert_refines_like_bisection(p, tol):
+    for iv in isolate_real_roots(p):
+        assert refine_root(p, iv, tol).hex() == bisection_refine_root(p, iv, tol).hex()
 
 
 # -- ring arithmetic ------------------------------------------------------
@@ -267,3 +309,78 @@ def test_isolation_intervals_disjoint_and_certified():
         for iv in ivs:
             assert count_real_roots(p, iv.lo, iv.hi) == 1
             assert p(iv.lo) != 0 and p(iv.hi) != 0
+
+
+# -- exact sign kernel and refinement against exact bisection ----------------
+
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+                max_size=7),
+       st.one_of(st.just(Fraction(0)),
+                 st.fractions(min_value=-20, max_value=20),
+                 st.fractions(min_value=-3, max_value=3,
+                              max_denominator=10**30)))
+def test_sign_kernel_matches_exact_evaluation(coeffs, x):
+    p = RatPoly(coeffs)
+    value = p(x)
+    assert _sign_at(_integer_coeffs(p), x) == (value > 0) - (value < 0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_refine_root_rejects_bad_tol(tol):
+    (iv,) = isolate_real_roots(RatPoly.of(-2, 1))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        refine_root(RatPoly.of(-2, 1), iv, tol)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=2),
+       st.fractions(min_value=-3, max_value=3, max_denominator=7),
+       st.sampled_from([1e-9, 1e-12, 1e-13, 1e-15]))
+def test_refine_root_matches_exact_bisection(roots, repeats, shift, tol):
+    # repeated factors exercise the square-free path; a constant shift
+    # moves the roots off the rationals
+    p = RatPoly.of(1)
+    for r in roots + roots[:repeats]:
+        p = p * RatPoly.of(-r, 1)
+    p = p + shift
+    if p.degree < 1:
+        return
+    assert_refines_like_bisection(p, tol)
+
+
+@pytest.mark.parametrize("n", range(3, 82, 2))
+def test_refine_root_matches_exact_bisection_on_ngon_roots(n):
+    assert_refines_like_bisection(halved_cyclotomic(n).poly, 1e-12)
+
+
+def test_refine_root_matches_exact_bisection_on_hendecagon_quintic():
+    for tol in (1e-9, 1e-12, 1e-13, 1e-15):
+        assert_refines_like_bisection(QUINTIC, tol)
+
+
+@pytest.mark.parametrize("root, tol", [
+    # with (lo, hi) = (0, 1) the last bisection level is 40 at tol 1e-12;
+    # an odd numerator over 2**40 is a grid point of that level only
+    (Fraction(0x5555555555, 2**40), 1e-12),
+    # at tol 0.3 the cells are quarters; three Newton steps from the
+    # midpoint of the cell right of 3/4 cannot reach the root
+    (Fraction(3, 4), 0.3),
+])
+def test_root_on_a_grid_point_is_returned_exactly(root, tol):
+    steep = RatPoly.of(1)
+    for _ in range(12):
+        steep = steep * RatPoly.of(-2, 1)
+    p = RatPoly.of(-root, 1) * (steep + 1)
+    iv = RootInterval(Fraction(0), Fraction(1), True)
+    assert refine_root(p, iv, tol) == float(root)
+    assert bisection_refine_root(p, iv, tol) == float(root)
+
+
+def test_clustered_pair_matches_exact_bisection():
+    third = Fraction(1, 3)
+    p = (RatPoly.of(-third, 1) * RatPoly.of(-third - Fraction(1, 10**12), 1)
+         * RatPoly.of(5, 0, 1))
+    assert len(isolate_real_roots(p)) == 2
+    assert_refines_like_bisection(p, 1e-15)
