@@ -9,7 +9,7 @@ from pathlib import Path
 from .construction import StepFailed, UnknownLandmark, hendecagon_script, run_script, verify_hendecagon
 from .cyclotomic import InvalidN, classify_constructible, halved_cyclotomic
 from .folds import TwoFoldConfig, solve_two_fold
-from .geometry import Line, Point
+from .geometry import DEFAULT_TOL, Line, Point
 from .render import DiagramSpec, IoFailure, emit_svg, write_svgs
 from .scriptio import FormatError, decode_script, decode_two_fold_config, encode_number
 from .verification import run_all
@@ -75,7 +75,7 @@ def _cmd_solve(args) -> int:
     if args.config:
         try:
             config = decode_two_fold_config(Path(args.config).read_text())
-        except (OSError, FormatError) as exc:
+        except (OSError, UnicodeDecodeError, FormatError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
@@ -105,7 +105,7 @@ def _cmd_construct(args) -> int:
     if args.script:
         try:
             script = decode_script(Path(args.script).read_text())
-        except (OSError, FormatError) as exc:
+        except (OSError, UnicodeDecodeError, FormatError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
@@ -169,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve the two-simultaneous-fold alignment")
     p.add_argument("--config", help="two-fold-config file (default: built-in instance)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("construct", help="run a fold script and render SVG diagrams")
     p.add_argument("--script", help="fold-script file (default: built-in hendecagon)")
     p.add_argument("--out", default="out", help="output directory (default: ./out)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

@@ -19,22 +19,12 @@ vertices around the circle by repeated reflection folds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Union
 
-from .folds import (
-    FoldThroughTwoPoints,
-    LineOntoLine,
-    PointOntoLinePerpendicularTo,
-    PointOntoLineThroughPoint,
-    PointOntoPoint,
-    ThroughPointPerpendicularTo,
-    TwoFoldConfig,
-    TwoPointsOntoTwoLines,
-    solve_single_fold,
-    solve_two_fold,
-)
+from .folds import SINGLE_FOLDS, TwoFoldConfig, solve_single_fold, solve_two_fold
 from .geometry import (
+    DEFAULT_TOL,
     Line,
     Point,
     Scalar,
@@ -47,21 +37,34 @@ from .geometry import (
 
 Landmark = Union[Point, Line]
 
-DEFAULT_TOL = 1e-9
-
 VERTEX_IDS = tuple(f"z{k}" for k in range(11))
 
 
-class StepFailed(RuntimeError):
+class StepFailed(ValueError):
+    """A step could not be carried out (residual inf) or missed an
+    expectation by `residual`."""
+
     def __init__(self, step_id: str, residual: float, detail: str = ""):
         self.step_id = step_id
         self.residual = residual
-        message = f"step {step_id!r} missed an expectation by {residual:.3e}"
+        if residual == math.inf:
+            message = f"step {step_id!r} failed"
+        else:
+            message = f"step {step_id!r} missed an expectation by {residual:.3e}"
         super().__init__(message + (f" ({detail})" if detail else ""))
 
 
 class UnknownLandmark(KeyError):
     """A step referenced a landmark that no earlier step produced."""
+
+    def __init__(self, ref: str, step_id: str = None):
+        super().__init__(ref)
+        self.ref = ref
+        self.step_id = step_id
+
+    def __str__(self) -> str:
+        where = f"step {self.step_id!r}: " if self.step_id else ""
+        return f"{where}unknown landmark {self.ref!r}"
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,6 @@ class FoldStep:
 class FoldScript:
     steps: tuple
     frame: Sheet
-    version: int = 1
 
     def up_to_figure(self, figure: int) -> "FoldScript":
         kept = tuple(s for s in self.steps if min(s.figures) <= figure)
@@ -141,7 +143,6 @@ class ConstructionState:
     landmarks: dict
     residual_log: list
     script: FoldScript
-    mode: str = "float"
 
     @property
     def sheet(self) -> Sheet:
@@ -151,34 +152,12 @@ class ConstructionState:
         return max((r for _, r in self.residual_log), default=0.0)
 
 
-_SINGLE_FOLD_VARIANTS = {
-    "through_two_points": (
-        FoldThroughTwoPoints, (("p", Point), ("q", Point))),
-    "point_onto_point": (
-        PointOntoPoint, (("moving", Point), ("target", Point))),
-    "line_onto_line": (
-        LineOntoLine, (("moving", Line), ("target", Line))),
-    "perpendicular": (
-        ThroughPointPerpendicularTo, (("through", Point), ("to", Line))),
-    "point_onto_line_through_point": (
-        PointOntoLineThroughPoint,
-        (("moving", Point), ("target", Line), ("pivot", Point))),
-    "two_points_onto_two_lines": (
-        TwoPointsOntoTwoLines,
-        (("moving1", Point), ("target1", Line),
-         ("moving2", Point), ("target2", Line))),
-    "point_onto_line_perpendicular_to": (
-        PointOntoLinePerpendicularTo,
-        (("moving", Point), ("target", Line), ("perpendicular_to", Line))),
-}
-
-
-def rotate_length(center: Point, frm: Point, fold_axis: Line) -> Point:
+def rotate_length(frm: Point, fold_axis: Line) -> Point:
     """Carry a length by folding: reflect `frm` across the crease.
 
-    When the crease passes through `center` (as in every script use), the
-    distance from `center` is preserved, which is what transports a radius
-    to the next polygon vertex.
+    A crease through a center (as in every script use) preserves the
+    distance from that center, which is what transports a radius to the
+    next polygon vertex.
     """
     return reflect_point(frm, fold_axis)
 
@@ -195,11 +174,32 @@ def expected_vertices(center: Point, radius: Scalar, phase: float = 0.0) -> list
     ]
 
 
-def _resolve(landmarks: dict, ref: str, want: type) -> Landmark:
+def landmark_params(kind: str, args: Mapping) -> dict:
+    """The landmark arguments a step reads: argument name -> Point or Line.
+
+    Raises ValueError for an unknown step kind or single-fold variant.
+    """
+    if kind == "single_fold":
+        variant = args.get("variant")
+        if not isinstance(variant, str) or variant not in SINGLE_FOLDS:
+            raise ValueError(f"unknown single_fold variant {variant!r}")
+        return {f.name: f.type for f in fields(SINGLE_FOLDS[variant][0])}
+    if kind == "two_fold":
+        return {f.name: f.type for f in fields(TwoFoldConfig)}
+    if kind == "mark_point":
+        return {"l1": Line, "l2": Line}
+    if kind == "crease_segment":
+        return {"along": Line} if "along" in args else {"p": Point, "q": Point}
+    if kind == "rotate_length":
+        return {"center": Point, "frm": Point, "axis": Line}
+    raise ValueError(f"unknown step kind {kind!r}")
+
+
+def _resolve(landmarks: dict, step_id: str, ref: str, want: type) -> Landmark:
     try:
         value = landmarks[ref]
     except KeyError:
-        raise UnknownLandmark(ref) from None
+        raise UnknownLandmark(ref, step_id) from None
     if not isinstance(value, want):
         raise TypeError(f"landmark {ref!r} is {type(value).__name__}, "
                         f"expected {want.__name__}")
@@ -208,57 +208,42 @@ def _resolve(landmarks: dict, ref: str, want: type) -> Landmark:
 
 def _execute_step(step: FoldStep, landmarks: dict, tol: float) -> dict:
     kind, args = step.kind, step.args
+    refs = {name: _resolve(landmarks, step.id, args[name], want)
+            for name, want in landmark_params(kind, args).items()}
     if kind == "single_fold":
-        cls, fields = _SINGLE_FOLD_VARIANTS[args["variant"]]
-        refs = {name: _resolve(landmarks, args[name], want)
-                for name, want in fields}
+        cls, _ = SINGLE_FOLDS[args["variant"]]
         folds = solve_single_fold(cls(**refs))
         select = args.get("select")
         if select is not None:
             if select >= len(folds):
-                raise StepFailed(step.id, float("inf"),
+                raise StepFailed(step.id, math.inf,
                                  f"wanted solution {select}, found {len(folds)}")
             folds = [folds[select]]
         if len(folds) != len(step.outputs):
-            raise StepFailed(step.id, float("inf"),
+            raise StepFailed(step.id, math.inf,
                              f"{len(folds)} creases for {len(step.outputs)} outputs")
         return dict(zip(step.outputs, folds))
     if kind == "two_fold":
-        config = TwoFoldConfig(
-            P=_resolve(landmarks, args["P"], Point),
-            Q=_resolve(landmarks, args["Q"], Point),
-            ell=_resolve(landmarks, args["ell"], Line),
-            m=_resolve(landmarks, args["m"], Line),
-            n=_resolve(landmarks, args["n"], Line),
-        )
-        solutions = solve_two_fold(config, tol)
+        solutions = solve_two_fold(TwoFoldConfig(**refs), tol)
         index = args.get("select", 0)
         if not 0 <= index < len(solutions):
-            raise StepFailed(step.id, float("inf"),
+            raise StepFailed(step.id, math.inf,
                              f"wanted solution {index}, found {len(solutions)}")
         chosen = solutions[index]
         return dict(zip(step.outputs, (chosen.gamma, chosen.delta)))
     if kind == "mark_point":
-        l1 = _resolve(landmarks, args["l1"], Line)
-        l2 = _resolve(landmarks, args["l2"], Line)
-        return {step.outputs[0]: intersect(l1, l2)}
+        return {step.outputs[0]: intersect(refs["l1"], refs["l2"])}
     if kind == "crease_segment":
-        if "along" in args:
-            value = _resolve(landmarks, args["along"], Line)
-        else:
-            value = line_through(_resolve(landmarks, args["p"], Point),
-                                 _resolve(landmarks, args["q"], Point))
-        return {step.outputs[0]: value}
-    if kind == "rotate_length":
-        center = _resolve(landmarks, args["center"], Point)
-        frm = _resolve(landmarks, args["frm"], Point)
-        axis = _resolve(landmarks, args["axis"], Line)
-        image = rotate_length(center, frm, axis)
-        drift = abs(point_distance(image, center) - point_distance(frm, center))
-        if drift > tol:
-            raise StepFailed(step.id, drift, "rotation changed the radius")
-        return {step.outputs[0]: image}
-    raise ValueError(f"unknown step kind {kind!r}")
+        if "along" in refs:
+            return {step.outputs[0]: refs["along"]}
+        return {step.outputs[0]: line_through(refs["p"], refs["q"])}
+    # rotate_length
+    center, frm = refs["center"], refs["frm"]
+    image = rotate_length(frm, refs["axis"])
+    drift = abs(point_distance(image, center) - point_distance(frm, center))
+    if drift > tol:
+        raise StepFailed(step.id, drift, "rotation changed the radius")
+    return {step.outputs[0]: image}
 
 
 def _expectation_residual(value: Landmark, expected: Landmark) -> float:
@@ -272,26 +257,33 @@ def _expectation_residual(value: Landmark, expected: Landmark) -> float:
 def run_script(script: FoldScript, tol: float = DEFAULT_TOL) -> ConstructionState:
     """Execute every step in order, checking declared expectations.
 
-    Raises StepFailed on the first expectation violated beyond tol and
-    UnknownLandmark on a dangling reference.  Landmarks are float mode and
-    never overwritten, so a truncated script yields a prefix of the full
-    run's registry, bit for bit.
+    Raises UnknownLandmark on a dangling reference and StepFailed on any
+    other failing step: an expectation violated beyond tol, a landmark of
+    the wrong kind, a degenerate fold or a rebound landmark.  Landmarks are
+    float mode and never overwritten, so a truncated script yields a prefix
+    of the full run's registry, bit for bit.
     """
     landmarks = dict(script.frame.edge_lines())
     residual_log = []
     for step in script.steps:
-        produced = _execute_step(step, landmarks, tol)
-        for out_id, value in produced.items():
-            if out_id in landmarks:
-                raise ValueError(f"step {step.id!r} rebinds landmark {out_id!r}")
-            landmarks[out_id] = value
-        for out_id, expected in step.expect.items():
-            if out_id not in landmarks:
-                raise UnknownLandmark(out_id)
-            residual = _expectation_residual(landmarks[out_id], expected)
-            residual_log.append((f"{step.id}/{out_id}", residual))
-            if residual > tol:
-                raise StepFailed(step.id, residual, f"landmark {out_id!r}")
+        try:
+            produced = _execute_step(step, landmarks, tol)
+            for out_id, value in produced.items():
+                if out_id in landmarks:
+                    raise StepFailed(step.id, math.inf, f"rebinds landmark {out_id!r}")
+                landmarks[out_id] = value
+            for out_id, expected in step.expect.items():
+                if out_id not in landmarks:
+                    raise UnknownLandmark(out_id, step.id)
+                residual = _expectation_residual(landmarks[out_id], expected)
+                residual_log.append((f"{step.id}/{out_id}", residual))
+                if residual > tol:
+                    raise StepFailed(step.id, residual, f"landmark {out_id!r}")
+        except StepFailed:
+            raise
+        except (TypeError, ValueError) as exc:
+            # a landmark of the wrong kind or a degenerate fold
+            raise StepFailed(step.id, math.inf, str(exc)) from exc
     return ConstructionState(landmarks=landmarks, residual_log=residual_log,
                              script=script)
 

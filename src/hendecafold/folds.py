@@ -14,21 +14,21 @@ solved by certified root isolation; every real root yields a crease pair
 whose three alignment residuals are verified numerically.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
 
 from .geometry import (
+    DEFAULT_TOL,
     EXACT,
     Line,
     ParallelLines,
     Point,
     Scalar,
     distance,
+    incident,
     intersect,
     line_defect,
     line_residual,
@@ -73,6 +73,9 @@ _COINCIDENT = 1e-12
 # ----------------------------------------------------------------------
 # Single-fold alignment problems
 # ----------------------------------------------------------------------
+# Field annotations are evaluated (no postponed annotations in this module),
+# so `dataclasses.fields` gives each argument's name and its kind, Point or
+# Line; solvers take the fields in declaration order.
 
 @dataclass(frozen=True)
 class FoldThroughTwoPoints:
@@ -118,17 +121,6 @@ class PointOntoLinePerpendicularTo:
     moving: Point
     target: Line
     perpendicular_to: Line
-
-
-SingleFoldProblem = Union[
-    FoldThroughTwoPoints,
-    PointOntoPoint,
-    LineOntoLine,
-    ThroughPointPerpendicularTo,
-    PointOntoLineThroughPoint,
-    TwoPointsOntoTwoLines,
-    PointOntoLinePerpendicularTo,
-]
 
 
 def _close(p: Point, q: Point) -> bool:
@@ -248,6 +240,27 @@ def _fold_point_onto_line_perpendicular_to(a: Point, l1: Line, l2: Line) -> list
     return [perpendicular_bisector(a, image)]
 
 
+#: Script variant name -> (problem dataclass, solver).  The only description
+#: of the seven single-fold alignments: the solver dispatch, the script
+#: runner and the script decoder all read it.
+SINGLE_FOLDS = {
+    "through_two_points": (FoldThroughTwoPoints, _fold_two_points),
+    "point_onto_point": (PointOntoPoint, _fold_point_onto_point),
+    "line_onto_line": (LineOntoLine, _fold_line_onto_line),
+    "perpendicular": (ThroughPointPerpendicularTo, _fold_perpendicular),
+    "point_onto_line_through_point": (
+        PointOntoLineThroughPoint, _fold_point_onto_line_through_point),
+    "two_points_onto_two_lines": (
+        TwoPointsOntoTwoLines, _fold_two_points_onto_two_lines),
+    "point_onto_line_perpendicular_to": (
+        PointOntoLinePerpendicularTo, _fold_point_onto_line_perpendicular_to),
+}
+
+SingleFoldProblem = Union[tuple(cls for cls, _ in SINGLE_FOLDS.values())]
+
+_SOLVERS = dict(SINGLE_FOLDS.values())
+
+
 def solve_single_fold(problem: SingleFoldProblem) -> list:
     """All crease lines achieving the alignment, as float-mode lines.
 
@@ -255,31 +268,10 @@ def solve_single_fold(problem: SingleFoldProblem) -> list:
     is deterministic.  Exact inputs are accepted and converted; outputs are
     float because several variants have irrational creases.
     """
-    if isinstance(problem, FoldThroughTwoPoints):
-        folds = _fold_two_points(problem.p.to_float(), problem.q.to_float())
-    elif isinstance(problem, PointOntoPoint):
-        folds = _fold_point_onto_point(problem.moving.to_float(),
-                                       problem.target.to_float())
-    elif isinstance(problem, LineOntoLine):
-        folds = _fold_line_onto_line(problem.moving.to_float(),
-                                     problem.target.to_float())
-    elif isinstance(problem, ThroughPointPerpendicularTo):
-        folds = _fold_perpendicular(problem.through.to_float(),
-                                    problem.to.to_float())
-    elif isinstance(problem, PointOntoLineThroughPoint):
-        folds = _fold_point_onto_line_through_point(
-            problem.moving.to_float(), problem.target.to_float(),
-            problem.pivot.to_float())
-    elif isinstance(problem, TwoPointsOntoTwoLines):
-        folds = _fold_two_points_onto_two_lines(
-            problem.moving1.to_float(), problem.target1.to_float(),
-            problem.moving2.to_float(), problem.target2.to_float())
-    elif isinstance(problem, PointOntoLinePerpendicularTo):
-        folds = _fold_point_onto_line_perpendicular_to(
-            problem.moving.to_float(), problem.target.to_float(),
-            problem.perpendicular_to.to_float())
-    else:
+    solve = _SOLVERS.get(type(problem))
+    if solve is None:
         raise TypeError(f"not a single-fold problem: {problem!r}")
+    folds = solve(*(getattr(problem, f.name).to_float() for f in fields(problem)))
     return sorted(folds, key=lambda l: (l.a, l.b, l.c))
 
 
@@ -337,9 +329,9 @@ class TwoFoldConfig:
     n: Line
 
     def __post_init__(self) -> None:
-        if incident_any(self.P, self.m):
+        if _on_line(self.P, self.m):
             raise DegenerateProblem("P lies on m; the gamma fold degenerates")
-        if incident_any(self.Q, self.n):
+        if _on_line(self.Q, self.n):
             raise DegenerateProblem("Q lies on n; the delta fold degenerates")
 
     @classmethod
@@ -377,17 +369,10 @@ class TwoFoldConfig:
         return p.x, p.y, mx
 
 
-def incident_any(p: Point, l: Line, tol: float = 1e-12) -> bool:
-    """Mode-agnostic incidence used for config validation."""
-    if p.mode == l.mode:
-        return incident_exact_or_float(p, l, tol)
-    return incident_exact_or_float(p.to_float(), l.to_float(), tol)
-
-
-def incident_exact_or_float(p: Point, l: Line, tol: float) -> bool:
-    if p.mode == EXACT:
-        return line_residual(p, l) == 0
-    return distance(p, l) <= tol
+def _on_line(p: Point, l: Line) -> bool:
+    if p.mode != l.mode:
+        p, l = p.to_float(), l.to_float()
+    return incident(p, l, _COINCIDENT)
 
 
 def _exact_point(p: Point) -> Point:
@@ -444,7 +429,7 @@ class TwoFoldSolution:
         return max(self.residuals.values())
 
 
-def solve_two_fold(config: TwoFoldConfig, tol: float = 1e-9) -> list:
+def solve_two_fold(config: TwoFoldConfig, tol: float = DEFAULT_TOL) -> list:
     """One verified solution per real root of the quintic, descending in t.
 
     Roots at the singular parameters {0, 1, -1} (where the gamma coupling

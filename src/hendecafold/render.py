@@ -10,7 +10,7 @@ drawn in registry order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -22,30 +22,21 @@ class IoFailure(OSError):
     """Could not write a diagram to disk."""
 
 
-@dataclass(frozen=True)
-class Style:
-    mountain_dash: str = "0.45 0.12 0.1 0.12"
-    valley_dash: str = "0.3 0.18"
-    crease_dash: str = "0.1 0.16"
-    crease_color: str = "#8a8a8a"
-    fold_color: str = "#1f4f8f"
-    highlight_color: str = "#c22a1d"
-    side_color: str = "#111111"
-    point_color: str = "#111111"
-    label_points: bool = True
-    label_lines: bool = True
-    stroke_width: float = 0.035
+# blank border around the sheet, world units
+MARGIN = 0.75
+STROKE_WIDTH = 0.035
+DASHES = {"mountain": "0.45 0.12 0.1 0.12", "valley": "0.3 0.18", "crease": "0.1 0.16"}
+CREASE_COLOR = "#8a8a8a"
+FOLD_COLOR = "#1f4f8f"
+HIGHLIGHT_COLOR = "#c22a1d"
+INK_COLOR = "#111111"
 
 
 @dataclass(frozen=True)
 class DiagramSpec:
-    """Which figures to draw, where, and how."""
+    """Which figures to draw."""
 
     figures: tuple = None          # None means every figure plus the final plate
-    viewport: tuple = None         # (xmin, ymin, xmax, ymax), world units
-    style: Style = field(default_factory=Style)
-    out_dir: Path = None
-    margin: float = 0.75
 
 
 def _fmt(v: float) -> str:
@@ -53,16 +44,9 @@ def _fmt(v: float) -> str:
     return "0.0000" if s == "-0.0000" else s
 
 
-def _viewport(spec: DiagramSpec, sheet: Sheet) -> tuple:
-    # the viewport always contains the whole sheet
-    m = spec.margin
-    xmin, ymin = sheet.xmin - m, sheet.ymin - m
-    xmax, ymax = sheet.xmax + m, sheet.ymax + m
-    if spec.viewport is not None:
-        vx0, vy0, vx1, vy1 = spec.viewport
-        xmin, ymin = min(xmin, vx0), min(ymin, vy0)
-        xmax, ymax = max(xmax, vx1), max(ymax, vy1)
-    return xmin, ymin, xmax, ymax
+def _viewport(sheet: Sheet) -> tuple:
+    return (sheet.xmin - MARGIN, sheet.ymin - MARGIN,
+            sheet.xmax + MARGIN, sheet.ymax + MARGIN)
 
 
 def _clip_line(l: Line, box: tuple):
@@ -97,10 +81,10 @@ def _svg_line(p1, p2, color, width, dash="", cls="") -> str:
             f'stroke="{color}" stroke-width="{_fmt(width)}"{dash_attr} />')
 
 
-def _svg_point(p: Point, color: str, label: str, style: Style) -> list:
+def _svg_point(p: Point, color: str, label: str) -> list:
     parts = [f'<circle cx="{_fmt(p.x)}" cy="{_fmt(-p.y)}" r="0.07" '
              f'fill="{color}" />']
-    if style.label_points and label:
+    if label:
         parts.append(
             f'<text x="{_fmt(p.x + 0.12)}" y="{_fmt(-p.y - 0.12)}" '
             f'font-family="sans-serif" font-size="0.3" fill="{color}">'
@@ -134,18 +118,11 @@ def _segment_endpoints(state: ConstructionState) -> dict:
     return segments
 
 
-def _dash_for(mv: str, style: Style) -> str:
-    return {"mountain": style.mountain_dash,
-            "valley": style.valley_dash}.get(mv, style.crease_dash)
-
-
 def _landmark_mv(steps) -> dict:
     return {out: step.mv for step in steps for out in step.outputs}
 
 
-def _figure_doc(state: ConstructionState, spec: DiagramSpec, figure: int,
-                box: tuple) -> str:
-    style = spec.style
+def _figure_doc(state: ConstructionState, figure: int, box: tuple) -> str:
     steps = state.script.steps
     first = _landmark_figures(steps)
     mv = _landmark_mv(steps)
@@ -160,10 +137,10 @@ def _figure_doc(state: ConstructionState, spec: DiagramSpec, figure: int,
             continue
         new = shown == figure
         if isinstance(value, Line):
-            color = style.highlight_color if new else (
-                style.crease_color if mv.get(name) == "crease" else style.fold_color)
-            width = style.stroke_width * (1.8 if new else 1.0)
-            dash = _dash_for(mv.get(name, "crease"), style)
+            color = HIGHLIGHT_COLOR if new else (
+                CREASE_COLOR if mv.get(name) == "crease" else FOLD_COLOR)
+            width = STROKE_WIDTH * (1.8 if new else 1.0)
+            dash = DASHES.get(mv.get(name), DASHES["crease"])
             if name in segments:
                 p, q = segments[name]
                 body.append(_svg_line((p.x, p.y), (q.x, q.y), color, width,
@@ -172,11 +149,11 @@ def _figure_doc(state: ConstructionState, spec: DiagramSpec, figure: int,
                 clipped = _clip_line(value, box)
                 if clipped:
                     body.append(_svg_line(*clipped, color, width, dash, cls="crease"))
-            if style.label_lines and new:
+            if new:
                 body.extend(_line_label(value, name, box, color))
         else:
-            color = style.highlight_color if new else style.point_color
-            body.extend(_svg_point(value, color, name, style))
+            color = HIGHLIGHT_COLOR if new else INK_COLOR
+            body.extend(_svg_point(value, color, name))
     title = f"Figure {figure}"
     caption = " ".join(captions)
     return _document(title, caption, body, box)
@@ -199,8 +176,7 @@ def _sheet_rect(sheet: Sheet) -> str:
             f'fill="#fdfbf4" stroke="#555555" stroke-width="0.04" />')
 
 
-def _final_doc(state: ConstructionState, spec: DiagramSpec, box: tuple) -> str:
-    style = spec.style
+def _final_doc(state: ConstructionState, box: tuple) -> str:
     body = [_sheet_rect(state.sheet)]
     vertices = [state.landmarks.get(v) for v in VERTEX_IDS]
     for k, v in enumerate(vertices):
@@ -208,14 +184,14 @@ def _final_doc(state: ConstructionState, spec: DiagramSpec, box: tuple) -> str:
             continue
         w = vertices[(k + 1) % 11]
         if w is not None:
-            body.append(_svg_line((v.x, v.y), (w.x, w.y), style.side_color,
-                                  style.stroke_width * 1.8, cls="side"))
+            body.append(_svg_line((v.x, v.y), (w.x, w.y), INK_COLOR,
+                                  STROKE_WIDTH * 1.8, cls="side"))
     center = state.landmarks.get("center")
     if isinstance(center, Point):
-        body.extend(_svg_point(center, style.point_color, "center", style))
+        body.extend(_svg_point(center, INK_COLOR, "center"))
     for k, v in enumerate(vertices):
         if v is not None:
-            body.extend(_svg_point(v, style.point_color, f"z{k}", style))
+            body.extend(_svg_point(v, INK_COLOR, f"z{k}"))
     return _document("Finished polygon", "The regular hendecagon, radius 4.",
                      body, box)
 
@@ -245,17 +221,17 @@ def emit_svg(state: ConstructionState, spec: DiagramSpec = None) -> list:
     included and the state has vertices).
     """
     spec = spec or DiagramSpec()
-    box = _viewport(spec, state.sheet)
+    box = _viewport(state.sheet)
     last = state.script.max_figure()
     figures = spec.figures
     if figures is None:
         figures = tuple(range(1, last + 1))
     docs = []
     for figure in sorted(set(figures)):
-        docs.append((f"step_{figure:02d}", _figure_doc(state, spec, figure, box)))
+        docs.append((f"step_{figure:02d}", _figure_doc(state, figure, box)))
     if figures and max(figures) >= last and \
             all(v in state.landmarks for v in VERTEX_IDS):
-        docs.append(("final", _final_doc(state, spec, box)))
+        docs.append(("final", _final_doc(state, box)))
     return docs
 
 

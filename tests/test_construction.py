@@ -26,7 +26,7 @@ from hendecafold.scriptio import (
     encode_script,
     encode_two_fold_config,
 )
-from hendecafold.folds import TwoFoldConfig
+from hendecafold.folds import SINGLE_FOLDS, TwoFoldConfig, solve_single_fold
 
 T11 = 2 * math.cos(2 * math.pi / 11)
 
@@ -53,7 +53,7 @@ def test_script_covers_twenty_figures():
 
 def test_run_succeeds_within_tolerance(state):
     assert state.max_residual() <= 1e-9
-    assert state.mode == "float"
+    assert all(value.mode == "float" for value in state.landmarks.values())
     assert len(state.residual_log) > 30
 
 
@@ -135,7 +135,7 @@ def test_rotate_length_reaches_next_vertex():
     center = Point(0.0, -1.0)
     verts = expected_vertices(center, 4.0)
     axis = line_through(center, verts[1])
-    image = rotate_length(center, verts[0], axis)
+    image = rotate_length(verts[0], axis)
     assert point_distance(image, verts[2]) < 1e-12
 
 
@@ -143,14 +143,14 @@ def test_rotate_length_fixes_points_on_axis():
     center = Point(0.0, -1.0)
     frm = Point(3.0, -1.0)
     axis = line_through(center, frm)
-    assert rotate_length(center, frm, axis) == frm
+    assert rotate_length(frm, axis) == frm
 
 
 def test_rotate_length_preserves_radius():
     center = Point(0.25, -0.5)
     frm = Point(3.0, 1.0)
     axis = line_through(center, Point(-1.0, 2.0))
-    image = rotate_length(center, frm, axis)
+    image = rotate_length(frm, axis)
     assert abs(point_distance(image, center) - point_distance(frm, center)) < 1e-12
 
 
@@ -243,3 +243,50 @@ def test_two_fold_config_roundtrip():
     assert decode_two_fold_config(text) == config
     with pytest.raises(FormatError):
         decode_two_fold_config('{"format": "fold-script", "version": 1}')
+
+
+# -- every single-fold variant through the script runner ---------------------
+
+CORNERS = {
+    "c_ll": ("sheet_left", "sheet_bottom"),
+    "c_lr": ("sheet_right", "sheet_bottom"),
+    "c_ur": ("sheet_right", "sheet_top"),
+    "c_ul": ("sheet_left", "sheet_top"),
+}
+
+VARIANT_ARGS = {
+    "through_two_points": {"p": "c_ll", "q": "c_ur"},
+    "point_onto_point": {"moving": "c_ll", "target": "c_ur"},
+    "line_onto_line": {"moving": "sheet_left", "target": "sheet_bottom"},
+    "perpendicular": {"through": "c_ll", "to": "sheet_top"},
+    "point_onto_line_through_point": {
+        "moving": "c_lr", "target": "sheet_top", "pivot": "c_ul"},
+    "two_points_onto_two_lines": {
+        "moving1": "c_ll", "target1": "sheet_top",
+        "moving2": "c_lr", "target2": "sheet_left"},
+    "point_onto_line_perpendicular_to": {
+        "moving": "c_ll", "target": "sheet_top", "perpendicular_to": "sheet_left"},
+}
+
+
+def test_variant_args_cover_the_table():
+    assert set(VARIANT_ARGS) == set(SINGLE_FOLDS)
+
+
+@pytest.mark.parametrize("variant", sorted(SINGLE_FOLDS))
+def test_runner_solves_every_single_fold_variant(variant):
+    frame = Sheet(center=Point(0.0, -1.0), side=8.0)
+    corners = tuple(
+        FoldStep(id=f"mark_{name}", kind="mark_point", args={"l1": l1, "l2": l2},
+                 outputs=(name,), figures=(1,))
+        for name, (l1, l2) in CORNERS.items())
+    marked = run_script(FoldScript(steps=corners, frame=frame)).landmarks
+    refs = VARIANT_ARGS[variant]
+    cls, _ = SINGLE_FOLDS[variant]
+    expected = solve_single_fold(cls(**{name: marked[ref] for name, ref in refs.items()}))
+    assert expected
+    outputs = tuple(f"crease{k}" for k in range(len(expected)))
+    step = FoldStep(id="fold", kind="single_fold", args={"variant": variant, **refs},
+                    outputs=outputs, figures=(2,))
+    state = run_script(FoldScript(steps=corners + (step,), frame=frame))
+    assert [state.landmarks[out] for out in outputs] == expected

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +137,20 @@ def test_cli_construct_writes_outputs(tmp_path, capsys):
     assert len(list((tmp_path / "d").glob("step_*.svg"))) == 20
 
 
+def test_cli_construct_matches_golden_digest(tmp_path, capsys):
+    # sha256 over sorted file names and bytes, as the benchmark's oracle
+    # hashes the 21 plates and residuals.txt
+    out = tmp_path / "golden"
+    assert main(["construct", "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    golden = Path(__file__).parents[1] / "perfbench" / "data" / "construct.sha256"
+    assert h.hexdigest() == golden.read_text().split()[0]
+
+
 def test_cli_construct_custom_script(tmp_path, capsys):
     script_path = tmp_path / "script.json"
     script_path.write_text(encode_script(hendecagon_script().up_to_figure(7)))
@@ -165,3 +182,95 @@ def test_cli_verify_reports_six_of_seven(capsys):
     assert len(failed) == 1
     assert failed[0].startswith("FAIL gamma_parameterization_identity:")
     assert lines[-1] == "6/7 criteria passed"
+
+
+# -- malformed input exits 2, failing runs exit 1, each with one line ----------
+
+def _script_doc():
+    return json.loads(encode_script(hendecagon_script()))
+
+
+def _config_doc():
+    return json.loads(encode_two_fold_config(TwoFoldConfig.hendecagon()))
+
+
+def _step(doc, step_id):
+    return next(s for s in doc["steps"] if s["id"] == step_id)
+
+
+def _edit_step(step_id, edit):
+    def apply(doc):
+        edit(_step(doc, step_id))
+        return doc
+    return apply
+
+
+def _drop_step(step_id):
+    def edit(doc):
+        doc["steps"] = [s for s in doc["steps"] if s["id"] != step_id]
+        return doc
+    return edit
+
+
+def _edit_config(**changes):
+    def edit(doc):
+        doc.update(changes)
+        return doc
+    return edit
+
+
+BAD_INPUTS = [
+    # (case, "script" or "config", edit of the document, exit code, message part)
+    ("script_not_utf8", "script", lambda doc: b"\xff", 2, "can't decode byte 0xff"),
+    ("script_array", "script", lambda doc: [doc], 2, "not a fold-script document"),
+    ("config_array", "config", lambda doc: [doc], 2, "not a two-fold-config document"),
+    ("missing_frame", "script", lambda doc: {k: v for k, v in doc.items() if k != "frame"},
+     2, "missing field 'frame'"),
+    ("missing_variant", "script",
+     _edit_step("fold_ell", lambda s: s["args"].pop("variant")),
+     2, "unknown single_fold variant None"),
+    ("unknown_variant", "script",
+     _edit_step("fold_ell", lambda s: s["args"].update(variant="fold_twice")),
+     2, "unknown single_fold variant 'fold_twice'"),
+    ("unknown_kind", "script",
+     _edit_step("mark_center", lambda s: s.update(kind="crumple")),
+     2, "unknown step kind 'crumple'"),
+    ("select_string", "script",
+     _edit_step("twofold", lambda s: s["args"].update(select="0")),
+     2, "select must be a nonnegative integer"),
+    ("short_point", "config", _edit_config(P={"point": ["1"]}),
+     2, "a point needs a list of 2 numbers"),
+    ("config_P_is_line", "config", _edit_config(P={"line": ["1", "0", "0"]}),
+     2, "config P must be a point"),
+    ("config_P_on_m", "config", _edit_config(P={"point": ["-3/2", "-3"]}),
+     2, "P lies on m"),
+    ("wrong_landmark_kind", "script",
+     _edit_step("mark_Q", lambda s: s["args"].update(l2="center")),
+     1, "step 'mark_Q' failed (landmark 'center' is Point, expected Line)"),
+    ("line_onto_itself", "script",
+     _edit_step("fold_ell", lambda s: s["args"].update(target="sheet_left")),
+     1, "step 'fold_ell' failed (line onto itself"),
+    ("rebinds_landmark", "script",
+     _edit_step("fold_n", lambda s: s.update(outputs=["ell"])),
+     1, "step 'fold_n' failed (rebinds landmark 'ell')"),
+    ("dangling_reference", "script", _drop_step("fold_ell"),
+     1, "step 'mark_center': unknown landmark 'ell'"),
+]
+
+
+@pytest.mark.parametrize("case, kind, edit, code, message", BAD_INPUTS,
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_cli_bad_input_is_one_line_and_exit_code(tmp_path, capsys, case, kind,
+                                                 edit, code, message):
+    doc = edit(_script_doc() if kind == "script" else _config_doc())
+    path = tmp_path / f"{case}.json"
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    if kind == "script":
+        argv = ["construct", "--script", str(path), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["solve", "--config", str(path)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
