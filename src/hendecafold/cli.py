@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
-from .construction import StepFailed, UnknownLandmark, hendecagon_script, run_script, verify_hendecagon
+from .construction import (
+    VERTEX_IDS,
+    StepFailed,
+    UnknownLandmark,
+    WrongLandmarkKind,
+    hendecagon_script,
+    run_script,
+    verify_hendecagon,
+)
 from .cyclotomic import InvalidN, classify_constructible, halved_cyclotomic
 from .folds import TwoFoldConfig, solve_two_fold
 from .geometry import DEFAULT_TOL, Line, Point
@@ -127,9 +136,12 @@ def _cmd_construct(args) -> int:
     print(f"steps executed: {len(script.steps)}")
     print(f"max residual: {_fmt(state.max_residual())}")
     print(f"diagrams written: {len(paths)} to {out_dir}")
-    if all(v in state.landmarks for v in
-           (f"z{k}" for k in range(11))):
-        report = verify_hendecagon(state, args.tol)
+    if all(v in state.landmarks for v in VERTEX_IDS):
+        try:
+            report = verify_hendecagon(state, args.tol)
+        except WrongLandmarkKind as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         for check in report.checks:
             status = "ok" if check.passed else "FAILED"
             print(f"check {check.name}: {status} (worst {check.worst:.3e}, "
@@ -149,8 +161,25 @@ def _cmd_verify(_args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one stderr line and exit status 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hendecafold",
         description="Origami fold constructions: quintic-solving double folds, "
                     "single-fold axioms, and the verified hendecagon script.")
@@ -169,13 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve the two-simultaneous-fold alignment")
     p.add_argument("--config", help="two-fold-config file (default: built-in instance)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("construct", help="run a fold script and render SVG diagrams")
     p.add_argument("--script", help="fold-script file (default: built-in hendecagon)")
     p.add_argument("--out", default="out", help="output directory (default: ./out)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

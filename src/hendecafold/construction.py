@@ -54,6 +54,10 @@ class StepFailed(ValueError):
         super().__init__(message + (f" ({detail})" if detail else ""))
 
 
+class WrongLandmarkKind(TypeError):
+    """A landmark is a Point where a Line is needed, or the other way round."""
+
+
 class UnknownLandmark(KeyError):
     """A step referenced a landmark that no earlier step produced."""
 
@@ -201,8 +205,8 @@ def _resolve(landmarks: dict, step_id: str, ref: str, want: type) -> Landmark:
     except KeyError:
         raise UnknownLandmark(ref, step_id) from None
     if not isinstance(value, want):
-        raise TypeError(f"landmark {ref!r} is {type(value).__name__}, "
-                        f"expected {want.__name__}")
+        raise WrongLandmarkKind(f"landmark {ref!r} is {type(value).__name__}, "
+                                f"expected {want.__name__}")
     return value
 
 
@@ -482,14 +486,14 @@ def verify_hendecagon(state: ConstructionState, tol: float = DEFAULT_TOL) -> Ver
 
     Verifies vertex positions, the eleven side lengths against the chord
     2 * r * sin(pi / 11), and every radius; also flags landmarks that left
-    the sheet (informational, never failing).
+    the sheet (informational, never failing).  Raises UnknownLandmark for a
+    missing vertex and WrongLandmarkKind for a vertex or center that is not
+    a point.
     """
     sheet = state.sheet
-    center = state.landmarks.get("center", sheet.center)
-    try:
-        vertices = [state.landmarks[v] for v in VERTEX_IDS]
-    except KeyError as missing:
-        raise UnknownLandmark(str(missing)) from None
+    center = _resolve(state.landmarks, None, "center", Point) \
+        if "center" in state.landmarks else sheet.center
+    vertices = [_resolve(state.landmarks, None, v, Point) for v in VERTEX_IDS]
 
     expected = expected_vertices(center, 4.0)
     vertex_worst = max(point_distance(v, e) for v, e in zip(vertices, expected))

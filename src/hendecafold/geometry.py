@@ -144,9 +144,11 @@ class Line:
 
         Float canonicalization divides by a computed norm, which may move a
         stored canonical triple by an ulp; deserialization must not re-run
-        it.  Non-canonical input falls back to normal construction.
+        it.  Input that is not canonical, or not all float, falls back to
+        normal construction, which rejects mixed modes.
         """
-        if scalar_mode(a) == FLOAT and abs(math.hypot(a, b) - 1.0) <= 1e-12 \
+        if all(isinstance(v, float) for v in (a, b, c)) \
+                and abs(math.hypot(a, b) - 1.0) <= 1e-12 \
                 and not (a < 0.0 or (a == 0.0 and b < 0.0)):
             self = object.__new__(cls)
             object.__setattr__(self, "a", a)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -54,12 +55,17 @@ class RatPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    @cached_property
+    def _float_coeffs_desc(self) -> tuple:
+        """float(c) for each coefficient, leading one first; built once."""
+        return tuple(float(c) for c in reversed(self.coeffs))
+
     def __call__(self, x):
         """Horner evaluation; float input switches to float arithmetic."""
         if isinstance(x, float):
             acc = 0.0
-            for c in reversed(self.coeffs):
-                acc = acc * x + float(c)
+            for c in self._float_coeffs_desc:
+                acc = acc * x + c
             return acc
         acc = Fraction(0)
         for c in reversed(self.coeffs):

@@ -178,7 +178,9 @@ def _sheet_rect(sheet: Sheet) -> str:
 
 def _final_doc(state: ConstructionState, box: tuple) -> str:
     body = [_sheet_rect(state.sheet)]
-    vertices = [state.landmarks.get(v) for v in VERTEX_IDS]
+    # a vertex id bound to a line is no vertex
+    vertices = [v if isinstance(v, Point) else None
+                for v in map(state.landmarks.get, VERTEX_IDS)]
     for k, v in enumerate(vertices):
         if v is None:
             continue

@@ -273,40 +273,38 @@ def oracle_count_point_onto_line_through_point(
     return crossings
 
 
-def _o6_residual(u, base, direction, p1, p2, l2):
-    """Alignment miss of the second point for image parameter u, directly."""
-    dxp = base[0] + u * direction[0]
-    dyp = base[1] + u * direction[1]
-    ax, ay = dxp - p1[0], dyp - p1[1]
-    c = (p1[0] ** 2 + p1[1] ** 2 - dxp ** 2 - dyp ** 2) / 2.0
-    norm = ax * ax + ay * ay
-    d = (ax * p2[0] + ay * p2[1] + c) / norm
-    rx, ry = p2[0] - 2 * ax * d, p2[1] - 2 * ay * d
-    return l2[0] * rx + l2[1] * ry + l2[2]
-
-
 def oracle_count_two_points_onto_two_lines(problem: TwoPointsOntoTwoLines,
                                            span: float = 45.0,
                                            samples: int = 9001):
     """Sign-scan count of valid creases within the parameter window.
 
+    Samples, directly, the alignment miss of the second point when the
+    first point's image sits at parameter u along its target line.
     Returns (count, trustworthy): not trustworthy when a crossing hugs the
     window edge, two crossings share a grid cell neighborhood, or the
     residual dips near zero without crossing (tangency risk).
     """
     l1 = problem.target1.to_float()
-    l2l = problem.target2.to_float()
-    p1 = (float(problem.moving1.x), float(problem.moving1.y))
-    p2 = (float(problem.moving2.x), float(problem.moving2.y))
-    base = (-l1.a * l1.c, -l1.b * l1.c)
-    direction = (-l1.b, l1.a)
-    l2 = (l2l.a, l2l.b, l2l.c)
+    l2 = problem.target2.to_float()
+    p1x, p1y = float(problem.moving1.x), float(problem.moving1.y)
+    p2x, p2y = float(problem.moving2.x), float(problem.moving2.y)
+    bx, by = -l1.a * l1.c, -l1.b * l1.c
+    vx, vy = -l1.b, l1.a
+    la, lb, lc = l2.a, l2.b, l2.c
+    p1_sq = p1x ** 2 + p1y ** 2
 
     lo, hi = -span - 2.0, span + 2.0
     step = (hi - lo) / (samples - 1)
-    values = [_o6_residual(lo + i * step, base, direction, p1, p2, l2)
-              for i in range(samples)]
-    crossings, prev, last_cross = [], None, -10
+    values = []
+    for i in range(samples):
+        u = lo + i * step
+        dxp = bx + u * vx
+        dyp = by + u * vy
+        ax, ay = dxp - p1x, dyp - p1y
+        c = (p1_sq - dxp ** 2 - dyp ** 2) / 2.0
+        d = (ax * p2x + ay * p2y + c) / (ax * ax + ay * ay)
+        values.append(la * (p2x - 2 * ax * d) + lb * (p2y - 2 * ay * d) + lc)
+    crossings, prev = [], None
     for i, v in enumerate(values):
         if v == 0.0:
             crossings.append(i)
@@ -323,12 +321,10 @@ def oracle_count_two_points_onto_two_lines(problem: TwoPointsOntoTwoLines,
     for i1, i2 in zip(crossings, crossings[1:]):
         if i2 - i1 < 5:
             trustworthy = False
-    scale = max(abs(v) for v in values) or 1.0
-    for i in range(1, samples - 1):
-        near_zero = abs(values[i]) < 1e-4 * scale
-        if near_zero and not any(abs(i - c) <= 3 for c in crossings):
-            trustworthy = False
-            break
+    near = 1e-4 * (max(map(abs, values)) or 1.0)
+    covered = {j for idx in crossings for j in range(idx - 3, idx + 4)}
+    if any(abs(values[i]) < near and i not in covered for i in range(1, samples - 1)):
+        trustworthy = False
     return len(crossings), trustworthy
 
 

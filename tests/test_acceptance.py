@@ -14,23 +14,27 @@ import random
 from fractions import Fraction
 
 from hendecafold.cyclotomic import classify_constructible, halved_cyclotomic
+from hendecafold import verification
 from hendecafold.folds import (
     TwoFoldConfig,
+    TwoPointsOntoTwoLines,
     eliminate_to_quintic,
     gamma_line_from_s,
     gamma_line_from_t,
     s_from_t,
     solve_two_fold,
 )
-from hendecafold.geometry import line_defect
+from hendecafold.geometry import Line, Point, line_defect, line_residual
 from hendecafold.polynomials import RatPoly, isolate_real_roots, refine_root
 from hendecafold.verification import (
+    SEED,
     check_constructibility_table,
     check_end_to_end_construction,
     check_exact_quintic,
     check_property_suites,
     check_root_census,
     check_two_fold_residuals,
+    single_fold_count_suite,
 )
 
 QUINTIC = RatPoly.of(1, 3, -3, -4, 1, 1)
@@ -108,3 +112,125 @@ def test_criterion_6_end_to_end_construction():
 
 def test_criterion_7_property_suites():
     assert _report(check_property_suites()).passed
+
+
+# -- the two-points-onto-two-lines oracle against its plain reference ---------
+
+def _reference_o6_residual(u, base, direction, p1, p2, l2):
+    dxp = base[0] + u * direction[0]
+    dyp = base[1] + u * direction[1]
+    ax, ay = dxp - p1[0], dyp - p1[1]
+    c = (p1[0] ** 2 + p1[1] ** 2 - dxp ** 2 - dyp ** 2) / 2.0
+    norm = ax * ax + ay * ay
+    d = (ax * p2[0] + ay * p2[1] + c) / norm
+    rx, ry = p2[0] - 2 * ax * d, p2[1] - 2 * ay * d
+    return l2[0] * rx + l2[1] * ry + l2[2]
+
+
+def _reference_oracle_count(problem, span=45.0, samples=9001):
+    """The oracle as first written: one helper call per sample."""
+    l1 = problem.target1.to_float()
+    l2l = problem.target2.to_float()
+    p1 = (float(problem.moving1.x), float(problem.moving1.y))
+    p2 = (float(problem.moving2.x), float(problem.moving2.y))
+    base = (-l1.a * l1.c, -l1.b * l1.c)
+    direction = (-l1.b, l1.a)
+    l2 = (l2l.a, l2l.b, l2l.c)
+    lo, hi = -span - 2.0, span + 2.0
+    step = (hi - lo) / (samples - 1)
+    values = [_reference_o6_residual(lo + i * step, base, direction, p1, p2, l2)
+              for i in range(samples)]
+    crossings, prev = [], None
+    for i, v in enumerate(values):
+        if v == 0.0:
+            crossings.append(i)
+            prev = None
+            continue
+        sign = v > 0
+        if prev is not None and sign != prev:
+            crossings.append(i)
+        prev = sign
+    trustworthy = True
+    for idx in crossings:
+        if not (abs(lo + idx * step) <= span):
+            trustworthy = False
+    for i1, i2 in zip(crossings, crossings[1:]):
+        if i2 - i1 < 5:
+            trustworthy = False
+    scale = max(abs(v) for v in values) or 1.0
+    for i in range(1, samples - 1):
+        near_zero = abs(values[i]) < 1e-4 * scale
+        if near_zero and not any(abs(i - c) <= 3 for c in crossings):
+            trustworthy = False
+            break
+    return len(crossings), trustworthy
+
+
+def _random_o6_problem(rng):
+    while True:
+        p1 = Point(rng.uniform(-6, 6), rng.uniform(-6, 6))
+        p2 = Point(rng.uniform(-6, 6), rng.uniform(-6, 6))
+        normals = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
+        if min(math.hypot(a, b) for a, b in normals) < 0.05:
+            continue
+        l1, l2 = (Line(a, b, rng.uniform(-6, 6)) for a, b in normals)
+        if line_residual(p1, l1) != 0.0:  # p1 on l1 puts a 0/0 at one sample
+            return TwoPointsOntoTwoLines(p1, l1, p2, l2)
+
+
+def test_o6_oracle_matches_reference_on_suite_instances(monkeypatch):
+    # the exact problems criterion 7 hands to the oracle, trusted or not
+    oracle = verification.oracle_count_two_points_onto_two_lines
+    seen = []
+
+    def recording(problem):
+        seen.append(problem)
+        return oracle(problem)
+
+    monkeypatch.setattr(verification, "oracle_count_two_points_onto_two_lines", recording)
+    assert single_fold_count_suite(random.Random(SEED + 2)) == ""
+    assert len(seen) >= 50
+    for problem in seen:
+        assert oracle(problem) == _reference_oracle_count(problem), problem
+
+
+def _tangent_o6_problem(rng):
+    """A random problem with target2 shifted so that the residual turns at
+    a grid point 1e-7..1e-3 of its scale away from zero: a near-tangency,
+    where the close-crossing and near-zero rules decide trust."""
+    lo, step = -47.0, 94.0 / 9000
+    while True:
+        problem = _random_o6_problem(rng)
+        p1, l1, p2, l2 = (problem.moving1, problem.target1, problem.moving2,
+                          problem.target2)
+        base, direction = (-l1.a * l1.c, -l1.b * l1.c), (-l1.b, l1.a)
+        miss = [_reference_o6_residual(lo + i * step, base, direction, (p1.x, p1.y),
+                                       (p2.x, p2.y), (l2.a, l2.b, 0.0))
+                for i in range(9001)]
+        turns = [i for i in range(1, 9000)
+                 if (miss[i] - miss[i - 1]) * (miss[i + 1] - miss[i]) < 0]
+        if turns:
+            gap = rng.choice((-1, 1)) * max(map(abs, miss)) * 10 ** rng.uniform(-7, -3)
+            c = gap - miss[rng.choice(turns)]
+            return TwoPointsOntoTwoLines(p1, l1, p2, Line(l2.a, l2.b, c))
+
+
+def test_o6_oracle_matches_reference_on_random_instances():
+    rng = random.Random(6)
+    outcomes = set()
+    for _ in range(300):
+        problem = _random_o6_problem(rng)
+        got = verification.oracle_count_two_points_onto_two_lines(problem)
+        assert got == _reference_oracle_count(problem), problem
+        outcomes.add(got)
+    # the instances reach several counts and both trust verdicts
+    assert {count for count, _ in outcomes} >= {1, 3}
+    assert {trust for _, trust in outcomes} == {True, False}
+
+
+def test_o6_oracle_matches_reference_near_tangency():
+    rng = random.Random(11)
+    for _ in range(100):
+        problem = _tangent_o6_problem(rng)
+        assert (verification.oracle_count_two_points_onto_two_lines(problem)
+                == _reference_oracle_count(problem)), problem

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from hendecafold.construction import (
     StepFailed,
     UnknownLandmark,
     VERTEX_IDS,
+    WrongLandmarkKind,
     expected_vertices,
     hendecagon_script,
     rotate_length,
@@ -194,6 +196,15 @@ def test_verify_detects_perturbed_vertex(state):
     assert "side_lengths" in failed and "vertex_positions" in failed
 
 
+@pytest.mark.parametrize("name", ["z4", "center"])
+def test_verify_names_a_landmark_that_is_not_a_point(state, name):
+    landmarks = dict(state.landmarks, **{name: state.landmarks["ell"]})
+    fake = ConstructionState(landmarks=landmarks, residual_log=[],
+                             script=state.script)
+    with pytest.raises(WrongLandmarkKind, match=f"landmark '{name}' is Line"):
+        verify_hendecagon(fake)
+
+
 def test_verify_needs_all_vertices(state):
     landmarks = {k: v for k, v in state.landmarks.items() if k != "z5"}
     fake = ConstructionState(landmarks=landmarks, residual_log=[],
@@ -235,6 +246,13 @@ def test_script_format_guards():
         decode_script('{"format": "something-else", "version": 1}')
     with pytest.raises(FormatError):
         decode_script('{"format": "fold-script", "version": 99}')
+
+
+def test_decoded_line_must_not_mix_modes():
+    doc = json.loads(encode_script(hendecagon_script()))
+    doc["steps"][0]["expect"] = {"ell": {"line": ["1.0", "0", "0"]}}
+    with pytest.raises(FormatError, match="mixed numeric modes"):
+        decode_script(json.dumps(doc))
 
 
 def test_two_fold_config_roundtrip():

@@ -76,6 +76,15 @@ def test_proportional_triples_are_equal(triple, k):
     assert Line(a, b, c) == Line(-a * k, -b * k, -c * k)
 
 
+def test_from_canonical_keeps_a_float_triple_and_rejects_mixed_modes():
+    line = Line.from_canonical(1.0, 0.0, -2.5)
+    assert (line.a, line.b, line.c) == (1.0, 0.0, -2.5)
+    for triple in ((1.0, Fraction(0), Fraction(0)), (1.0, 0.0, Fraction(1)),
+                   (Fraction(1), 0.0, 0.0)):
+        with pytest.raises(MixedModes):
+            Line.from_canonical(*triple)
+
+
 def test_degenerate_line_rejected():
     with pytest.raises(ValueError):
         Line(0, 0, 3)

@@ -122,6 +122,26 @@ def test_mul_matches_pointwise_eval(ca, cb):
         assert prod(x) == a(x) * b(x)
 
 
+def _uncached_float_horner(p, x):
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * x + float(c)
+    return acc
+
+
+@given(st.lists(st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**3),
+                max_size=10),
+       st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=4))
+def test_float_eval_is_bit_identical_to_uncached_horner(coeffs, xs):
+    p = RatPoly(coeffs)
+    for x in xs:
+        assert p(x).hex() == _uncached_float_horner(p, x).hex()
+    # the float cache is not part of the value
+    fresh = RatPoly(coeffs)
+    assert p == fresh and hash(p) == hash(fresh)
+    assert {p: 1}[fresh] == 1
+
+
 def test_gcd_of_shared_factor():
     shared = RatPoly.of(-1, 1)          # x - 1
     a = shared * RatPoly.of(2, 0, 1)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hendecafold.cli import main
-from hendecafold.construction import hendecagon_script, run_script
+from hendecafold.construction import VERTEX_IDS, hendecagon_script, run_script
 from hendecafold.render import DiagramSpec, IoFailure, emit_svg, write_svgs
 from hendecafold.scriptio import encode_script, encode_two_fold_config
 from hendecafold.folds import TwoFoldConfig
@@ -255,13 +255,38 @@ BAD_INPUTS = [
      1, "step 'fold_n' failed (rebinds landmark 'ell')"),
     ("dangling_reference", "script", _drop_step("fold_ell"),
      1, "step 'mark_center': unknown landmark 'ell'"),
+    ("expect_line_mixed_modes", "script",
+     _edit_step("fold_ell", lambda s: s["expect"].update(ell={"line": ["1.0", "0", "0"]})),
+     2, "mixed numeric modes"),
+    ("vertices_are_lines", "script",
+     lambda doc: {**doc, "steps": [
+         {"id": f"bind_{z}", "kind": "crease_segment", "args": {"along": "sheet_left"},
+          "outputs": [z], "figures": [1]} for z in VERTEX_IDS]},
+     1, "landmark 'z0' is Line, expected Point"),
 ]
 
+# (case, kind, --tol value): a tolerance must be finite and positive
+BAD_TOLS = [(f"{command}_tol_{tol}", kind, tol)
+            for kind, command in (("script", "construct"), ("config", "solve"))
+            for tol in ("0", "-1", "nan", "inf")]
 
-@pytest.mark.parametrize("case, kind, edit, code, message", BAD_INPUTS,
-                         ids=[case[0] for case in BAD_INPUTS])
+BAD_ARGV = [(case, kind, edit, code, message, ()) for case, kind, edit, code, message
+            in BAD_INPUTS] + [
+    (case, kind, lambda doc: doc, 2, f"argument --tol: must be a positive finite "
+     f"number, got '{tol}'", ("--tol", tol)) for case, kind, tol in BAD_TOLS]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("case, kind, edit, code, message, extra", BAD_ARGV,
+                         ids=[case[0] for case in BAD_ARGV])
 def test_cli_bad_input_is_one_line_and_exit_code(tmp_path, capsys, case, kind,
-                                                 edit, code, message):
+                                                 edit, code, message, extra):
     doc = edit(_script_doc() if kind == "script" else _config_doc())
     path = tmp_path / f"{case}.json"
     path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
@@ -269,7 +294,7 @@ def test_cli_bad_input_is_one_line_and_exit_code(tmp_path, capsys, case, kind,
         argv = ["construct", "--script", str(path), "--out", str(tmp_path / "out")]
     else:
         argv = ["solve", "--config", str(path)]
-    assert main(argv) == code
+    assert _exit_code(argv + list(extra)) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
