@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+import warnings
 from pathlib import Path
 
 from .construction import (
@@ -91,10 +93,14 @@ def _cmd_solve(args) -> int:
         config = TwoFoldConfig.hendecagon()
     sheet = hendecagon_script().frame
     try:
-        solutions = solve_two_fold(config, args.tol)
+        with warnings.catch_warnings(record=True) as skipped:
+            warnings.simplefilter("always")
+            solutions = solve_two_fold(config, args.tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for warning in skipped:
+        print(f"warning: {warning.message}", file=sys.stderr)
     print(f"solutions: {len(solutions)}")
     for k, sol in enumerate(solutions):
         print(f"solution {k}:")
@@ -214,8 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): stop with no message, and
+        # point stdout at devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

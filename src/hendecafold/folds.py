@@ -5,13 +5,17 @@ A single fold is a straight crease achieving a small set of incidences
 every crease line realizing the alignment; the count varies from zero to
 three depending on the variant and the configuration.
 
-The two-simultaneous-fold operation couples two creases: gamma places P onto
-the vertical line m while delta places Q onto the horizontal line n and
-simultaneously reflects the vertical axis onto gamma.  In the canonical
-frame (Q at (0, 1), the moving axis x = 0, n at y = -1, m vertical, P free)
-the coupling eliminates to a quintic in the x-intercept t of delta, which is
-solved by certified root isolation; every real root yields a crease pair
-whose three alignment residuals are verified numerically.
+The two-simultaneous-fold operation couples two creases: gamma carries P
+onto line m while delta carries Q onto line n and reflects line ell onto
+gamma.  Any non-degenerate configuration is accepted.  Q's image
+Q' = foot + u*dir runs along n from the foot of Q, with dir = 2*(n.b, -n.a);
+delta bisects Q and Q', gamma is ell reflected across delta, and gamma
+carrying P onto m is a polynomial of degree at most five in u, built from
+the same crease family as the O6 solver's cubic.  Every certified real root
+is realized as a crease pair whose alignment residuals are verified.  A
+solution reports u as `t`, and half the coordinate of P' along m's unit
+direction (-m.b, m.a) as `s`: in the paper's frame (Q = (0, 1), ell: x = 0,
+n: y = -1, m vertical) these are its t, the x-intercept of delta, and s.
 """
 
 import math
@@ -23,6 +27,7 @@ from typing import Union
 from .geometry import (
     DEFAULT_TOL,
     EXACT,
+    CoincidentPoints,
     Line,
     ParallelLines,
     Point,
@@ -40,14 +45,7 @@ from .geometry import (
     reflect_point,
     scalar_mode,
 )
-from .polynomials import (
-    RatFunc,
-    RatPoly,
-    X,
-    isolate_real_roots,
-    poly_on_ratfunc,
-    refine_root,
-)
+from .polynomials import RatPoly, isolate_real_roots, refine_root
 
 
 class DegenerateParameter(ValueError):
@@ -56,10 +54,6 @@ class DegenerateParameter(ValueError):
 
 class DegenerateProblem(ValueError):
     """Alignment problem with no well-posed finite solution set."""
-
-
-class UnsupportedConfiguration(ValueError):
-    """Two-fold instance outside the canonical symbolic family."""
 
 
 class NoRealSolutions(ValueError):
@@ -193,6 +187,32 @@ def _fold_point_onto_line_through_point(a: Point, l: Line, b: Point) -> list:
     return folds
 
 
+def _exact(obj) -> tuple:
+    """A point's or line's coordinates as exact rationals, not rescaled."""
+    return tuple(Fraction(getattr(obj, f.name)) for f in fields(obj))
+
+
+def _bisector_family(p: tuple, base: tuple, dir: tuple) -> tuple:
+    """(A, B, C), polynomials in u: A*x + B*y + C = 0 is the crease that
+    carries p onto D(u) = base + u*dir, the perpendicular bisector of p and
+    D, with A = Dx - px, B = Dy - py and C = (|p|^2 - |D|^2) / 2."""
+    (px, py), (bx, by), (dx, dy) = p, base, dir
+    return (
+        RatPoly.of(bx - px, dx),
+        RatPoly.of(by - py, dy),
+        RatPoly.of((px * px + py * py - bx * bx - by * by) / 2,
+                   -(bx * dx + by * dy), -(dx * dx + dy * dy) / 2),
+    )
+
+
+def _lands_on(point: tuple, crease: tuple, target: tuple) -> RatPoly:
+    """Zero exactly where the crease family (A, B, C) reflects point onto
+    the target line (a, b, c): (A^2+B^2)*target(point) - 2*crease(point)*(A*a + B*b)."""
+    (x, y), (A, B, C), (a, b, c) = point, crease, target
+    return ((A * A + B * B) * (a * x + b * y + c)
+            - 2 * (A * x + B * y + C) * (A * a + B * b))
+
+
 def _fold_two_points_onto_two_lines(p1: Point, l1: Line, p2: Point, l2: Line) -> list:
     if abs(line_residual(p1, l1)) <= _COINCIDENT or \
             abs(line_residual(p2, l2)) <= _COINCIDENT:
@@ -201,25 +221,14 @@ def _fold_two_points_onto_two_lines(p1: Point, l1: Line, p2: Point, l2: Line) ->
     # l1; requiring that the same crease carries p2 onto l2 is a cubic in u,
     # assembled exactly from the (dyadic-rational) float inputs
     base, (ex, ey) = _line_param(l1)
-    d0x, d0y = Fraction(base.x), Fraction(base.y)
-    ex, ey = Fraction(ex), Fraction(ey)
-    f1x, f1y = Fraction(p1.x), Fraction(p1.y)
-    p2x, p2y = Fraction(p2.x), Fraction(p2.y)
-    a2, b2, c2 = Fraction(l2.a), Fraction(l2.b), Fraction(l2.c)
-
-    A = RatPoly.of(d0x - f1x, ex)
-    B = RatPoly.of(d0y - f1y, ey)
-    C = (RatPoly.of(f1x * f1x + f1y * f1y)
-         - RatPoly.of(d0x, ex) * RatPoly.of(d0x, ex)
-         - RatPoly.of(d0y, ey) * RatPoly.of(d0y, ey)) * Fraction(1, 2)
-    k2 = a2 * p2x + b2 * p2y + c2
-    poly = (A * A + B * B) * k2 - 2 * (A * p2x + B * p2y + C) * (A * a2 + B * b2)
+    crease = _bisector_family(_exact(p1), _exact(base), (Fraction(ex), Fraction(ey)))
+    poly = _lands_on(_exact(p2), crease, _exact(l2))
     if poly.is_zero:
         raise DegenerateProblem("every crease along the family works")
     folds = []
     for iv in isolate_real_roots(poly):
         u = refine_root(poly, iv, 1e-13)
-        image = Point(float(d0x) + u * float(ex), float(d0y) + u * float(ey))
+        image = Point(base.x + u * ex, base.y + u * ey)
         folds.append(perpendicular_bisector(p1, image))
     return folds
 
@@ -345,29 +354,6 @@ class TwoFoldConfig:
             n=Line(0, 1, 1),
         )
 
-    def canonical_family_params(self):
-        """(px, py, mx) as exact rationals, after validating the family.
-
-        The symbolic elimination assumes ell: x = 0, n: y = -1, Q = (0, 1)
-        and m vertical; float configs are accepted since every float is an
-        exact rational.
-        """
-        ell = _exact_line(self.ell)
-        n = _exact_line(self.n)
-        q = _exact_point(self.Q)
-        m = _exact_line(self.m)
-        p = _exact_point(self.P)
-        if ell != Line(1, 0, 0):
-            raise UnsupportedConfiguration(f"ell must be x = 0, got {self.ell}")
-        if n != Line(0, 1, 1):
-            raise UnsupportedConfiguration(f"n must be y = -1, got {self.n}")
-        if q != Point(0, 1):
-            raise UnsupportedConfiguration(f"Q must be (0, 1), got {self.Q}")
-        if m.b != 0:
-            raise UnsupportedConfiguration(f"m must be vertical, got {self.m}")
-        mx = -m.c / m.a
-        return p.x, p.y, mx
-
 
 def _on_line(p: Point, l: Line) -> bool:
     if p.mode != l.mode:
@@ -375,34 +361,33 @@ def _on_line(p: Point, l: Line) -> bool:
     return incident(p, l, _COINCIDENT)
 
 
-def _exact_point(p: Point) -> Point:
-    return p if p.mode == EXACT else Point(Fraction(p.x), Fraction(p.y))
-
-
-def _exact_line(l: Line) -> Line:
-    return l if l.mode == EXACT else Line(Fraction(l.a), Fraction(l.b), Fraction(l.c))
+def _image_track(q: tuple, n: tuple) -> tuple:
+    """(foot, dir): the image Q'(u) = foot + u*dir of q runs along line n
+    from the foot of q, with dir = 2*(n.b, -n.a)."""
+    (qx, qy), (a, b, c) = q, n
+    k = (a * qx + b * qy + c) / (a * a + b * b)
+    return (qx - a * k, qy - b * k), (2 * b, -2 * a)
 
 
 def eliminate_to_quintic(config: TwoFoldConfig) -> RatPoly:
-    """Exact polynomial in the delta x-intercept t, monic.
+    """Exact monic polynomial in the delta parameter u, of degree at most 5.
 
-    Both creases must describe the same gamma line: equating slopes fixes
-    s as a rational function of t; substituting it into the offset equation
-    and clearing denominators leaves a degree-5 polynomial whose real roots
-    are exactly the valid fold parameters.
+    delta = (A, B, C) is the bisector family carrying Q onto Q'(u);
+    reflecting ell across it gives gamma = |n_delta|^2*ell
+    - 2*(n_delta . n_ell)*delta, and gamma carrying P onto m is the
+    eliminant, whose real roots are exactly the valid fold parameters.
+    Raises DegenerateProblem when it is constant or identically zero.
     """
-    px, py, mx = config.canonical_family_params()
-    a = mx - px
-    s_of_t = RatFunc(RatPoly.of(-py / 2, -a, py / 2), RatPoly.of(-1, 0, 1))
-    offset_coeff = RatPoly.of(-py, 2)                       # 2s - py
-    midpoint_coeff = RatPoly.of(py * py / 2 - (mx * mx - px * px) / 2, 0, -2)
-    equation = (poly_on_ratfunc(midpoint_coeff, s_of_t)
-                - RatFunc(X * X) * poly_on_ratfunc(offset_coeff, s_of_t))
-    quintic = equation.num
-    if quintic.degree != 5:
-        raise UnsupportedConfiguration(
-            f"elimination degenerated to degree {quintic.degree}")
-    return quintic.monic()
+    P, Q, ell, m, n = (_exact(getattr(config, f.name)) for f in fields(config))
+    A, B, C = _bisector_family(Q, *_image_track(Q, n))
+    norm = A * A + B * B
+    dot = 2 * (A * ell[0] + B * ell[1])
+    gamma = (norm * ell[0] - dot * A, norm * ell[1] - dot * B, norm * ell[2] - dot * C)
+    eliminant = _lands_on(P, gamma, m).monic()
+    if eliminant.degree <= 0:
+        raise DegenerateProblem(
+            f"two-fold elimination degenerated to degree {eliminant.degree}")
+    return eliminant
 
 
 @dataclass(frozen=True)
@@ -430,42 +415,43 @@ class TwoFoldSolution:
 
 
 def solve_two_fold(config: TwoFoldConfig, tol: float = DEFAULT_TOL) -> list:
-    """One verified solution per real root of the quintic, descending in t.
+    """One verified solution per real root of the eliminant, descending in t.
 
-    Roots at the singular parameters {0, 1, -1} (where the gamma coupling
-    divides by zero) are discarded with a warning; they never occur for the
-    hendecagon instance.
+    Each root is realized from geometry: delta is the bisector of Q and
+    Q'(t), P' is the projection onto m of P reflected across the image of
+    ell, and gamma is the bisector of P and P'.  A root whose realization
+    degenerates (delta parallel to ell, so S does not exist) is skipped with
+    a warning.
     """
-    quintic = eliminate_to_quintic(config)
-    px, py, mx = config.canonical_family_params()
-    P = Point(float(px), float(py))
-    Q = Point(0.0, 1.0)
-    ell = Line(1.0, 0.0, 0.0)
-    m = Line(1.0, 0.0, -float(mx))
-    n = Line(0.0, 1.0, 1.0)
-
-    singular = {v for v in (Fraction(0), Fraction(1), Fraction(-1))
-                if quintic(v) == 0}
+    eliminant = eliminate_to_quintic(config)
+    foot, dir = _image_track(_exact(config.Q), _exact(config.n))
+    fx, fy, dx, dy = (float(v) for v in (*foot, *dir))
+    P, Q, ell, m, n = (getattr(config, f.name).to_float() for f in fields(config))
     solutions = []
-    for interval in isolate_real_roots(quintic):
-        if any(interval.lo < v < interval.hi for v in singular):
-            warnings.warn(f"discarding singular fold parameter in {interval}")
+    for interval in isolate_real_roots(eliminant):
+        t = refine_root(eliminant, interval, 1e-13)
+        try:
+            delta = perpendicular_bisector(Q, Point(fx + t * dx, fy + t * dy))
+            ell_image = reflect_line(ell, delta)
+            image = reflect_point(P, ell_image)
+            h = line_residual(image, m)
+            on_m = Point(image.x - m.a * h, image.y - m.b * h)
+            gamma = perpendicular_bisector(P, on_m)
+            S = intersect(delta, ell)
+        except (CoincidentPoints, ParallelLines) as exc:
+            warnings.warn(f"skipping degenerate fold parameter t={t!r}: {exc}")
             continue
-        t = refine_root(quintic, interval, 1e-13)
-        s = float(py) / 2 - t * float(mx - px) / (t * t - 1.0)
-        delta = delta_line(t)
-        gamma = perpendicular_bisector(P, Point(float(mx), 2.0 * s))
         Qp = reflect_point(Q, delta)
         Pp = reflect_point(P, gamma)
         residuals = {
             "Q_onto_n": distance(Qp, n),
             "P_onto_m": distance(Pp, m),
-            "ell_onto_gamma": line_defect(reflect_line(ell, delta), gamma),
+            "ell_onto_gamma": line_defect(ell_image, gamma),
         }
         solution = TwoFoldSolution(
-            t=t, s=s, gamma=gamma, delta=delta,
+            t=t, s=(m.a * on_m.y - m.b * on_m.x) / 2, gamma=gamma, delta=delta,
             Qp=Qp, Pp=Pp,
-            R=midpoint(Q, Qp), S=intersect(delta, ell), T=midpoint(P, Pp),
+            R=midpoint(Q, Qp), S=S, T=midpoint(P, Pp),
             residuals=residuals,
         )
         if solution.max_residual > tol:

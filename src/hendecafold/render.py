@@ -12,10 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .construction import ConstructionState, Sheet, VERTEX_IDS
 from .geometry import Line, Point
+
+
+def escape(text: str) -> str:
+    """XML-escape &, < and > (ampersand first), as xml.sax.saxutils does;
+    that module's import pulls in urllib, http, email, ssl and socket."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 class IoFailure(OSError):

@@ -1,10 +1,12 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from hendecafold import folds
 from hendecafold.folds import (
     DegenerateParameter,
     DegenerateProblem,
@@ -16,7 +18,6 @@ from hendecafold.folds import (
     ThroughPointPerpendicularTo,
     TwoFoldConfig,
     TwoPointsOntoTwoLines,
-    UnsupportedConfiguration,
     delta_line,
     eliminate_to_quintic,
     gamma_line_from_s,
@@ -32,10 +33,18 @@ from hendecafold.geometry import (
     incident,
     line_defect,
     line_residual,
+    perpendicular_bisector,
     reflect_line,
     reflect_point,
 )
-from hendecafold.polynomials import RatPoly
+from hendecafold.polynomials import (
+    RatFunc,
+    RatPoly,
+    X,
+    isolate_real_roots,
+    poly_on_ratfunc,
+    refine_root,
+)
 
 QUINTIC = RatPoly.of(1, 3, -3, -4, 1, 1)
 ROOTS_11 = [2 * math.cos(2 * math.pi * k / 11) for k in range(1, 6)]
@@ -236,12 +245,15 @@ def test_elimination_degree_five_on_random_family_members():
         assert eliminate_to_quintic(config).degree == 5
 
 
-def test_unsupported_configuration_rejected():
+def test_tilted_configuration_solves():
+    # m: x + y + 3 = 0 is outside the paper's canonical frame
     tilted = TwoFoldConfig(
         P=Point(Fraction(-5, 2), -3), Q=Point(0, 1),
         ell=Line(1, 0, 0), m=Line(1, 1, 3), n=Line(0, 1, 1))
-    with pytest.raises(UnsupportedConfiguration):
-        eliminate_to_quintic(tilted)
+    solutions = solve_two_fold(tilted)
+    assert solutions
+    for sol in solutions:
+        assert max(_independent_misses(tilted, sol)) <= 1e-9
 
 
 def test_degenerate_config_rejected():
@@ -258,15 +270,208 @@ def test_float_config_is_accepted_exactly():
     assert eliminate_to_quintic(config) == QUINTIC
 
 
-def test_singular_root_discarded_with_warning():
-    # P.x = -m.x zeroes the constant term, making t = 0 a quintic root
+def test_root_at_t_zero_is_realized():
+    # m: x = -P.x makes t = 0 a root: delta is y = 0, which leaves ell in
+    # place, so gamma = ell carries P onto its mirror image on m
     config = TwoFoldConfig(P=Point(-2, Fraction(-3)), Q=Point(0, 1),
                            ell=Line(1, 0, 0), m=Line(1, 0, -2), n=Line(0, 1, 1))
     assert eliminate_to_quintic(config)(Fraction(0)) == 0
-    with pytest.warns(UserWarning, match="singular fold parameter"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         solutions = solve_two_fold(config)
-    assert all(abs(sol.t) > 1e-6 for sol in solutions)
+    [zero] = [sol for sol in solutions if sol.t == 0.0]
+    assert line_defect(zero.delta, Line(0.0, 1.0, 0.0)) <= 1e-12
+    assert line_defect(zero.gamma, Line(1.0, 0.0, 0.0)) <= 1e-12
     assert all(sol.max_residual <= 1e-9 for sol in solutions)
+
+
+def test_root_with_delta_parallel_to_ell_is_skipped_with_warning():
+    # Q = (1, 0) and n: x = 3 give delta x = 2 at t = 0, parallel to ell
+    # (x = 0), so S does not exist; gamma x = 4 takes P = (5, 1) onto m
+    config = TwoFoldConfig(P=Point(5, 1), Q=Point(1, 0), ell=Line(1, 0, 0),
+                           m=Line(1, -1, -2), n=Line(1, 0, -3))
+    assert eliminate_to_quintic(config)(Fraction(0)) == 0
+    with pytest.warns(UserWarning, match="skipping degenerate fold parameter t=0.0"):
+        solutions = solve_two_fold(config)
+    assert solutions and all(abs(sol.t) > 1e-6 for sol in solutions)
+    assert all(sol.max_residual <= 1e-9 for sol in solutions)
+
+
+def test_constant_eliminant_is_a_degenerate_problem(monkeypatch):
+    # no valid config is known to reach this guard, so the eliminant is
+    # replaced to drive it
+    monkeypatch.setattr(folds, "_lands_on", lambda point, crease, target: RatPoly.of(3))
+    with pytest.raises(DegenerateProblem, match="degenerated to degree 0"):
+        solve_two_fold(TwoFoldConfig.hendecagon())
+    monkeypatch.setattr(folds, "_lands_on", lambda point, crease, target: RatPoly())
+    with pytest.raises(DegenerateProblem, match="degenerated to degree -1"):
+        eliminate_to_quintic(TwoFoldConfig.hendecagon())
+
+
+# -- the general-position two-fold ---------------------------------------------
+
+def _reference_eliminant(px, py, mx):
+    """The canonical-frame elimination through rational functions: the
+    gamma slope fixes s(t), and the offset equation's numerator is the
+    quintic."""
+    a = mx - px
+    s_of_t = RatFunc(RatPoly.of(-py / 2, -a, py / 2), RatPoly.of(-1, 0, 1))
+    offset_coeff = RatPoly.of(-py, 2)
+    midpoint_coeff = RatPoly.of(py * py / 2 - (mx * mx - px * px) / 2, 0, -2)
+    equation = (poly_on_ratfunc(midpoint_coeff, s_of_t)
+                - RatFunc(X * X) * poly_on_ratfunc(offset_coeff, s_of_t))
+    return equation.num.monic()
+
+
+def test_eliminant_equals_the_ratfunc_elimination_on_canonical_configs():
+    rng = random.Random(606)
+    checked = 0
+    while checked < 200:
+        px, py, mx = (Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 8)))
+                      for _ in range(3))
+        if px == mx:
+            continue
+        config = TwoFoldConfig(P=Point(px, py), Q=Point(0, 1), ell=Line(1, 0, 0),
+                               m=Line(1, 0, -mx), n=Line(0, 1, 1))
+        if checked % 4 == 0:
+            # every float is an exact rational, so a float config eliminates too
+            config = TwoFoldConfig(*(getattr(config, name).to_float()
+                                     for name in ("P", "Q", "ell", "m", "n")))
+        P, m = config.P, config.m
+        assert eliminate_to_quintic(config) == _reference_eliminant(
+            Fraction(P.x), Fraction(P.y), -Fraction(m.c) / Fraction(m.a)), config
+        checked += 1
+
+
+def _independent_misses(config, sol):
+    """The three alignments of a crease pair, by plain float reflection."""
+    P, Q, ell, m, n = (v.to_float() for v in
+                       (config.P, config.Q, config.ell, config.m, config.n))
+
+    def reflect(x, y, l):
+        k = 2.0 * (l.a * x + l.b * y + l.c) / (l.a ** 2 + l.b ** 2)
+        return x - k * l.a, y - k * l.b
+
+    def off(point, l):
+        return abs(l.a * point[0] + l.b * point[1] + l.c) / math.hypot(l.a, l.b)
+
+    # two points of ell, mirrored across delta, must lie on gamma
+    e0 = (-ell.a * ell.c, -ell.b * ell.c)
+    e1 = (e0[0] - ell.b, e0[1] + ell.a)
+    return (off(reflect(Q.x, Q.y, sol.delta), n),
+            off(reflect(P.x, P.y, sol.gamma), m),
+            off(reflect(*e0, sol.delta), sol.gamma),
+            off(reflect(*e1, sol.delta), sol.gamma))
+
+
+def _pythagorean_motion(p, q, tx, ty):
+    """x -> R x + (tx, ty) with the rational rotation R of angle 2*atan(q/p)."""
+    r2 = p * p + q * q
+    c, s = Fraction(p * p - q * q, r2), Fraction(2 * p * q, r2)
+
+    def point(v):
+        return Point(c * v.x - s * v.y + tx, s * v.x + c * v.y + ty)
+
+    def line(l):
+        a, b = c * l.a - s * l.b, s * l.a + c * l.b
+        return Line(a, b, l.c - a * tx - b * ty)
+
+    def float_line(l):
+        a, b = float(c) * l.a - float(s) * l.b, float(s) * l.a + float(c) * l.b
+        return Line(a, b, l.c - a * float(tx) - b * float(ty))
+
+    return point, line, float_line
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 9), st.integers(-9, 9),
+       st.fractions(-5, 5, max_denominator=6), st.fractions(-5, 5, max_denominator=6))
+def test_rigid_motion_maps_hendecagon_solutions_onto_solutions(p, q, tx, ty):
+    # u is measured in units of n's coefficient triple, so t differs
+    # between frames; the crease lines themselves must correspond
+    point, line, float_line = _pythagorean_motion(p, q, tx, ty)
+    base = TwoFoldConfig.hendecagon()
+    moved = TwoFoldConfig(P=point(base.P), Q=point(base.Q), ell=line(base.ell),
+                          m=line(base.m), n=line(base.n))
+    expected = solve_two_fold(base)
+    got = solve_two_fold(moved)
+    assert len(got) == len(expected) == 5
+    for sol in expected:
+        gamma, delta = float_line(sol.gamma), float_line(sol.delta)
+        assert any(line_defect(g.gamma, gamma) <= 1e-9 and line_defect(g.delta, delta) <= 1e-9
+                   for g in got), sol.t
+
+
+def test_random_general_configs_solve_within_tolerance_or_raise():
+    rng = random.Random(2009)
+
+    def rational():
+        return Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3, 4)))
+
+    def line():
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        return Line(a or 1, b, rational())
+
+    solved = 0
+    for _ in range(150):
+        try:
+            config = TwoFoldConfig(P=Point(rational(), rational()),
+                                   Q=Point(rational(), rational()),
+                                   ell=line(), m=line(), n=line())
+        except DegenerateProblem:
+            continue
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                solutions = solve_two_fold(config, 1e-9)
+        except ValueError:
+            continue
+        solved += 1
+        m = config.m.to_float()
+        for sol in solutions:
+            assert max(_independent_misses(config, sol)) <= 1e-9, (config, sol.t)
+            # s is half the coordinate of P' along m's direction (-m.b, m.a)
+            assert abs(m.a * sol.Pp.y - m.b * sol.Pp.x - 2 * sol.s) <= 1e-9
+    assert solved >= 120
+
+
+def _reference_o6(p1, l1, p2, l2):
+    """The O6 creases from the cubic assembled term by term."""
+    p1, l1, p2, l2 = (v.to_float() for v in (p1, l1, p2, l2))
+    base = Point(-l1.a * l1.c, -l1.b * l1.c)
+    ex, ey = Fraction(-l1.b), Fraction(l1.a)
+    d0x, d0y = Fraction(base.x), Fraction(base.y)
+    f1x, f1y = Fraction(p1.x), Fraction(p1.y)
+    p2x, p2y = Fraction(p2.x), Fraction(p2.y)
+    a2, b2, c2 = Fraction(l2.a), Fraction(l2.b), Fraction(l2.c)
+    A = RatPoly.of(d0x - f1x, ex)
+    B = RatPoly.of(d0y - f1y, ey)
+    C = (RatPoly.of(f1x * f1x + f1y * f1y)
+         - RatPoly.of(d0x, ex) * RatPoly.of(d0x, ex)
+         - RatPoly.of(d0y, ey) * RatPoly.of(d0y, ey)) * Fraction(1, 2)
+    k2 = a2 * p2x + b2 * p2y + c2
+    poly = (A * A + B * B) * k2 - 2 * (A * p2x + B * p2y + C) * (A * a2 + B * b2)
+    folds = []
+    for iv in isolate_real_roots(poly):
+        u = refine_root(poly, iv, 1e-13)
+        image = Point(float(d0x) + u * float(ex), float(d0y) + u * float(ey))
+        folds.append(perpendicular_bisector(p1, image))
+    return sorted(folds, key=lambda l: (l.a, l.b, l.c))
+
+
+def test_o6_creases_unchanged_by_the_shared_crease_family():
+    rng = random.Random(66)
+    compared = 0
+    while compared < 60:
+        coords = [rng.uniform(-4, 4) for _ in range(10)]
+        p1, p2 = Point(*coords[0:2]), Point(*coords[2:4])
+        l1, l2 = Line(*coords[4:7]), Line(*coords[7:10])
+        try:
+            got = solve_single_fold(TwoPointsOntoTwoLines(p1, l1, p2, l2))
+        except DegenerateProblem:
+            continue
+        assert got == _reference_o6(p1, l1, p2, l2)
+        compared += 1
 
 
 # -- the two-fold solve --------------------------------------------------------

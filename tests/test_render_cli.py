@@ -1,14 +1,23 @@
+import contextlib
+import errno
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hendecafold
 from hendecafold.cli import main
 from hendecafold.construction import VERTEX_IDS, hendecagon_script, run_script
 from hendecafold.render import DiagramSpec, IoFailure, emit_svg, write_svgs
-from hendecafold.scriptio import encode_script, encode_two_fold_config
+from hendecafold.scriptio import encode_number, encode_script, encode_two_fold_config
 from hendecafold.folds import TwoFoldConfig
 
 
@@ -299,3 +308,124 @@ def test_cli_bad_input_is_one_line_and_exit_code(tmp_path, capsys, case, kind,
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and message in err
+
+
+# -- a closed stdout ends the run quietly with exit 1 ---------------------------
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: a write, or only the flush of what
+    was buffered, raises BrokenPipeError."""
+
+    def __init__(self, fd, buffered):
+        self._fd, self._buffered = fd, buffered
+
+    def fileno(self):
+        return self._fd
+
+    def write(self, text):
+        if not self._buffered:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["write", "flush"])
+@pytest.mark.parametrize("argv", [["poly", "11"], ["classify", "25"], ["solve"],
+                                  ["construct", "--out", "{tmp}"]],
+                         ids=["poly", "classify", "solve", "construct"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, capsys, monkeypatch, argv,
+                                                 buffered):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd, buffered))
+        assert main([a.format(tmp=tmp_path / "out") for a in argv]) == 1
+        # later writes and the flush at exit go to devnull
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_in_a_real_process_has_no_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(hendecafold.__file__).parents[1]))
+    try:
+        done = subprocess.run([sys.executable, "-m", "hendecafold.cli", "poly", "11"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+# -- fuzz: `solve --config` on geometry-aware configs -------------------------
+
+_RATIONALS = st.fractions(-6, 6, max_denominator=4)
+_CONFIG_CASES = ("random", "m_parallel_n", "ell_parallel_n", "ell_is_n",
+                 "m_is_n", "ell_is_m", "Q_on_n", "P_on_m")
+
+
+def _point_on(line, free):
+    a, b, c = line
+    if b != 0:
+        return [free, -(a * free + c) / b]
+    return [-c / a, free]
+
+
+@st.composite
+def _two_fold_configs(draw):
+    def line():
+        return [Fraction(draw(st.integers(-3, 3))), Fraction(draw(st.integers(-3, 3))),
+                draw(_RATIONALS)]
+
+    P, Q = [draw(_RATIONALS), draw(_RATIONALS)], [draw(_RATIONALS), draw(_RATIONALS)]
+    ell, m, n = line(), line(), line()
+    case = draw(st.sampled_from(_CONFIG_CASES))
+    if case.endswith("parallel_n"):
+        moved = [n[0], n[1], draw(_RATIONALS)]
+        ell, m = (moved, m) if case.startswith("ell") else (ell, moved)
+    elif case == "ell_is_n":
+        ell = list(n)
+    elif case == "m_is_n":
+        m = list(n)
+    elif case == "ell_is_m":
+        ell = list(m)
+    elif case == "Q_on_n" and any(n[:2]):
+        Q = _point_on(n, Q[0])
+    elif case == "P_on_m" and any(m[:2]):
+        P = _point_on(m, P[0])
+    enc = (lambda v: repr(float(v))) if draw(st.booleans()) else encode_number
+    return json.dumps({
+        "format": "two-fold-config", "version": 1,
+        "P": {"point": [enc(v) for v in P]}, "Q": {"point": [enc(v) for v in Q]},
+        "ell": {"line": [enc(v) for v in ell]}, "m": {"line": [enc(v) for v in m]},
+        "n": {"line": [enc(v) for v in n]},
+    })
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_two_fold_configs(), st.sampled_from(["1e-9", "1e-6"]))
+def test_cli_solve_fuzz_keeps_the_exit_contract(fuzz_dir, text, tol):
+    path = fuzz_dir / "config.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", "--config", str(path), "--tol", tol])
+    assert code in (0, 1, 2)
+    err_lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: "), err_lines
+        return
+    assert all(line.startswith("warning: ") for line in err_lines), err_lines
+    residuals = [float(line.rsplit(":", 1)[1]) for line in out.getvalue().splitlines()
+                 if line.startswith("  residual ")]
+    assert residuals and max(residuals) <= float(tol)
