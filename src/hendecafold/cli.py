@@ -153,6 +153,9 @@ def _cmd_construct(args) -> int:
             print(f"check {check.name}: {status} (worst {check.worst:.3e}, "
                   f"tol {check.tol:.1e})")
         if not report.passed:
+            failed = sum(not check.passed for check in report.checks)
+            print(f"error: {failed} of {len(report.checks)} polygon checks failed",
+                  file=sys.stderr)
             return 1
     return 0
 

@@ -69,17 +69,21 @@ def halved_cyclotomic(n: int) -> NgonPolynomial:
     Sums 1 + sum_{k=1}^{(n-1)/2} (z^k + z^-k) expressed in t, i.e. the
     symmetrized (z^n - 1)/(z - 1); monic.  Only odd n >= 3 is supported.
     The terms are those of `chebyshev_term`, taken from one running
-    recurrence, so the sum costs O(n^2) rather than O(n^3).
+    recurrence on integer coefficient lists, so the sum costs O(n^2) integer
+    operations rather than O(n^3), and one RatPoly is built at the end.
+    Every term from k = 1 on is monic, so the sum is monic as it stands.
     """
     if n < 3 or n % 2 == 0:
         raise InvalidN(f"need odd n >= 3, got {n}")
-    t = RatPoly.of(0, 1)
-    prev, cur = RatPoly.of(2), t
-    acc = RatPoly.of(1) + cur
+    prev, cur = [2], [0, 1]
+    acc = [1, 1]
     for _ in range((n - 1) // 2 - 1):
-        prev, cur = cur, t * cur - prev
-        acc = acc + cur
-    return NgonPolynomial(n, acc.monic())
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+        acc = [a + c for a, c in zip(acc + [0], cur)]
+    return NgonPolynomial(n, RatPoly(acc))
 
 
 def vertex_cosines(n: int) -> list:

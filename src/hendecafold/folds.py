@@ -356,9 +356,14 @@ class TwoFoldConfig:
 
 
 def _on_line(p: Point, l: Line) -> bool:
-    if p.mode != l.mode:
-        p, l = p.to_float(), l.to_float()
-    return incident(p, l, _COINCIDENT)
+    """Incidence within _COINCIDENT in floats, and exact incidence too.
+
+    Exact configs are realized in floats, so a point off its line by less
+    than float resolution degenerates there just as a float config does.
+    """
+    if p.mode == l.mode == EXACT and incident(p, l):
+        return True
+    return incident(p.to_float(), l.to_float(), _COINCIDENT)
 
 
 def _image_track(q: tuple, n: tuple) -> tuple:

@@ -1,13 +1,19 @@
 """Univariate polynomials and rational functions over exact rationals.
 
 Coefficients are `fractions.Fraction`, stored in ascending degree order, so
-every ring operation and the whole Sturm machinery is exact.  Real roots are
-isolated into rational intervals certified by Sturm sign-variation counts.
-Refinement finds the dyadic cell of width <= tol that exact bisection of the
-interval would end in: a float Newton guess, certified by a gallop and binary
-search of exact sign tests, then a short float Newton tail.  The result is
-bit-identical to bisection's.  Every exact sign test clears denominators once
-and evaluates in integers (`_sign_at`).
+every ring operation is exact.  The root pipeline runs on integers: a
+polynomial's coefficients times the lcm of their denominators (a positive
+scale, so every sign is kept) feed one primitive pseudo-remainder kernel,
+`_neg_prem`, which both the Sturm chain and the square-free gcd use.  Real
+roots are isolated into rational intervals certified by Sturm sign-variation
+counts, each exact sign test clearing denominators once and evaluating in
+integers (`_sign_at`).  Refinement finds the dyadic cell of width <= tol
+that exact bisection of the interval would end in: a float Newton guess,
+certified by a gallop and binary search of exact sign tests, then a short
+float Newton tail.  The result is bit-identical to bisection's.  The integer
+coefficients, float coefficients and derivative of a polynomial are built
+once and cached on it, so refining each root of one polynomial rebuilds none
+of them.
 """
 
 from __future__ import annotations
@@ -59,6 +65,17 @@ class RatPoly:
     def _float_coeffs_desc(self) -> tuple:
         """float(c) for each coefficient, leading one first; built once."""
         return tuple(float(c) for c in reversed(self.coeffs))
+
+    @cached_property
+    def _int_coeffs(self) -> tuple:
+        """The coefficients times the lcm of their denominators, a positive
+        scale, so the integer polynomial has self's sign everywhere."""
+        scale = math.lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (scale // c.denominator) for c in self.coeffs)
+
+    @cached_property
+    def _derivative(self) -> "RatPoly":
+        return RatPoly(k * c for k, c in enumerate(self.coeffs) if k > 0)
 
     def __call__(self, x):
         """Horner evaluation; float input switches to float arithmetic."""
@@ -131,7 +148,7 @@ class RatPoly:
         return divmod(self, other)[1]
 
     def derivative(self) -> "RatPoly":
-        return RatPoly(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        return self._derivative
 
     def compose(self, inner: "RatPoly") -> "RatPoly":
         """self(inner(x)), by Horner over the polynomial ring."""
@@ -141,17 +158,25 @@ class RatPoly:
         return acc
 
     def monic(self) -> "RatPoly":
-        if self.is_zero:
+        if self.is_zero or self.coeffs[-1] == 1:
             return self
         return self * (1 / self.lc)
 
     def square_free_part(self) -> "RatPoly":
+        """self divided by the monic gcd of self and self'.
+
+        The gcd is the last element of a primitive integer remainder
+        sequence (`_neg_prem`) on the integer forms of self and self'.  When
+        it is constant, self is square-free and is returned as is.
+        """
         if self.degree <= 0:
             return self
-        g = poly_gcd(self, self.derivative())
-        if g.degree <= 0:
+        a, b = self._int_coeffs, _int_derivative(self._int_coeffs)
+        while b:
+            a, b = b, _neg_prem(a, b)
+        if len(a) == 1:
             return self
-        return self // g
+        return self // RatPoly(a).monic()
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -291,25 +316,46 @@ class RootInterval:
 def sturm_chain(p: RatPoly) -> list:
     """Sturm sequence p, p', -rem(...), ... for a square-free polynomial.
 
-    Each element is rescaled by the positive constant 1/|lc|, which leaves
-    all sign variations unchanged while keeping coefficients small.
+    Each element is the `_integer_sturm_chain` element rescaled by the
+    positive constant 1/|lc|, which leaves all sign variations unchanged.
     """
-    chain = [p.monic(), p.derivative().monic()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        rem = -(chain[-2] % chain[-1])
-        if rem.is_zero:
-            break
-        chain.append(rem * (1 / abs(rem.lc)))
-    return [q for q in chain if not q.is_zero]
+    return [RatPoly(Fraction(c, abs(q[-1])) for c in q)
+            for q in _integer_sturm_chain(p)]
 
 
-def _integer_coeffs(p: RatPoly) -> tuple:
-    """p's coefficients times the lcm of their denominators.
+def _primitive(q: Sequence[int]) -> list:
+    """A nonzero integer polynomial divided by its positive content."""
+    g = math.gcd(*q)
+    return [c // g for c in q]
 
-    The scale is positive, so the integer polynomial has p's sign everywhere.
+
+def _int_derivative(q: Sequence[int]) -> list:
+    """The derivative of an integer polynomial, over its positive content."""
+    return _primitive([k * c for k, c in enumerate(q)][1:]) if len(q) > 1 else []
+
+
+def _neg_prem(a: Sequence[int], b: Sequence[int]) -> list:
+    """-|lc(b)|**k * (a mod b) over its positive content, k = deg a - deg b + 1.
+
+    The primitive pseudo-remainder of integer polynomials (Knuth, TAOCP
+    vol. 2, 4.6.1): scaling a by |lc(b)|**k makes every quotient
+    coefficient an integer, so the division needs no fractions.  The factor
+    in front of -(a mod b) is a positive constant, so the result has the
+    signs of the remainder a Sturm chain takes over Q.  Empty when b
+    divides a.
     """
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    return tuple(c.numerator * (scale // c.denominator) for c in p.coeffs)
+    db, lc = len(b) - 1, b[-1]
+    r = [c * abs(lc) ** (len(a) - db) for c in a]
+    for top in range(len(r) - 1, db - 1, -1):
+        q = r[top] // lc
+        if q:
+            base = top - db
+            for i, c in enumerate(b):
+                r[base + i] -= q * c
+    del r[db:]
+    while r and r[-1] == 0:
+        r.pop()
+    return [-c for c in _primitive(r)] if r else r
 
 
 def _sign_at(int_coeffs: Sequence[int], x: Fraction) -> int:
@@ -327,7 +373,26 @@ def _sign_at(int_coeffs: Sequence[int], x: Fraction) -> int:
 
 
 def _integer_sturm_chain(g: RatPoly) -> list:
-    return [_integer_coeffs(q) for q in sturm_chain(g)]
+    """Sturm chain of g in primitive integer polynomials.
+
+    It starts from g's integer form with a positive leading coefficient and
+    that form's derivative, then appends `_neg_prem` of the last two until a
+    constant or a zero remainder.  Each element is a positive multiple of
+    the `sturm_chain` element, so the sign variations are the same.
+    """
+    if g.is_zero:
+        return []
+    f = _primitive(g._int_coeffs)
+    chain = [f if f[-1] > 0 else [-c for c in f]]
+    df = _int_derivative(chain[0])
+    if df:
+        chain.append(df)
+    while len(chain[-1]) > 1:
+        rem = _neg_prem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(rem)
+    return chain
 
 
 def _variations(values: Sequence[int]) -> int:
@@ -406,9 +471,9 @@ def isolate_real_roots(p: RatPoly) -> list:
     return out
 
 
-def _horner(coeffs: Sequence[float], x: float) -> float:
+def _horner(coeffs_desc: Sequence[float], x: float) -> float:
     acc = 0.0
-    for c in reversed(coeffs):
+    for c in coeffs_desc:
         acc = acc * x + c
     return acc
 
@@ -422,8 +487,8 @@ def _float_root_guess(g: RatPoly, lo: float, hi: float, left_sign: int,
     root.  The step count is capped because the caller certifies and, if
     need be, corrects the estimate with exact sign tests.
     """
-    fc = [float(c) for c in g.coeffs]
-    dfc = [k * c for k, c in enumerate(fc)][1:]
+    fc = g._float_coeffs_desc
+    dfc = [k * c for k, c in zip(range(g.degree, 0, -1), fc)]
     x = (lo + hi) / 2
     for _ in range(64):
         fx = _horner(fc, x)
@@ -461,7 +526,7 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
         raise ValueError("tol must be positive")
     # for a square-free p, p.square_free_part() is p itself
     g = p.monic() if interval.multiplicity_free else p.square_free_part().monic()
-    ints = _integer_coeffs(g)
+    ints = g._int_coeffs
     lo, hi = interval.lo, interval.hi
     slo, shi = _sign_at(ints, lo), _sign_at(ints, hi)
     if not lo < hi or slo == 0 or shi == 0 or slo == shi:

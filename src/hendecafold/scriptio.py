@@ -39,13 +39,19 @@ def decode_number(text: str) -> Scalar:
         raise FormatError(f"numbers must be encoded as strings, got {text!r}")
     try:
         if "/" in text:
-            return Fraction(text)
-        if not any(ch in text for ch in ".eE"):
-            return Fraction(int(text))
-        value = float(text)
+            value = Fraction(text)
+        elif not any(ch in text for ch in ".eE"):
+            value = Fraction(int(text))
+        else:
+            value = float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"unreadable number {text!r}") from exc
-    if not math.isfinite(value):
+    try:
+        # an exact number must convert too: the solvers work in floats
+        in_range = math.isfinite(value)
+    except OverflowError:
+        in_range = False
+    if not in_range:
         raise FormatError(f"number out of range {text!r}")
     return value
 
@@ -177,8 +183,8 @@ def decode_script(text: str) -> FoldScript:
     if not side > 0:
         raise FormatError(f"frame side must be positive, got {side!r}")
     steps = _field(doc, "steps", "script")
-    if not isinstance(steps, list):
-        raise FormatError("steps must be a list")
+    if not (isinstance(steps, list) and steps):
+        raise FormatError("steps must be a nonempty list")
     return FoldScript(steps=tuple(_step_from_obj(o) for o in steps),
                       frame=Sheet(center=Point(float(cx), float(cy)), side=side))
 

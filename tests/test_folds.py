@@ -262,6 +262,20 @@ def test_degenerate_config_rejected():
                       ell=Line(1, 0, 0), m=Line(2, 0, 3), n=Line(0, 1, 1))
 
 
+def test_exact_config_within_float_resolution_of_degenerate_is_rejected():
+    # off m by 1e-20 exactly, but on m once realized in floats: the root
+    # where gamma passes through P would give an arbitrary bisector
+    tiny = Fraction(1, 10**20)
+    with pytest.raises(DegenerateProblem, match="P lies on m"):
+        solve_two_fold(TwoFoldConfig(P=Point(1 + tiny, 0), Q=Point(0, 1),
+                                     ell=Line(1, 0, 0), m=Line(1, 0, -1),
+                                     n=Line(0, 1, 1)))
+    with pytest.raises(DegenerateProblem, match="Q lies on n"):
+        solve_two_fold(TwoFoldConfig(P=Point(Fraction(-5, 2), -3), Q=Point(0, -1 - tiny),
+                                     ell=Line(1, 0, 0), m=Line(2, 0, 3),
+                                     n=Line(0, 1, 1)))
+
+
 def test_float_config_is_accepted_exactly():
     # every float is a dyadic rational, so the float frame eliminates exactly
     config = TwoFoldConfig(P=Point(-2.5, -3.0), Q=Point(0.0, 1.0),

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hendecafold import polynomials
 from hendecafold.cyclotomic import halved_cyclotomic
 from hendecafold.polynomials import (
     IdenticallyZeroDenominator,
@@ -11,7 +12,7 @@ from hendecafold.polynomials import (
     RatPoly,
     RootInterval,
     X,
-    _integer_coeffs,
+    _integer_sturm_chain,
     _sign_at,
     count_real_roots,
     isolate_real_roots,
@@ -342,7 +343,7 @@ def test_isolation_intervals_disjoint_and_certified():
 def test_sign_kernel_matches_exact_evaluation(coeffs, x):
     p = RatPoly(coeffs)
     value = p(x)
-    assert _sign_at(_integer_coeffs(p), x) == (value > 0) - (value < 0)
+    assert _sign_at(p._int_coeffs, x) == (value > 0) - (value < 0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
@@ -404,3 +405,93 @@ def test_clustered_pair_matches_exact_bisection():
          * RatPoly.of(5, 0, 1))
     assert len(isolate_real_roots(p)) == 2
     assert_refines_like_bisection(p, 1e-15)
+
+
+# -- the integer kernel against the Fraction chain it replaced ---------------
+
+def fraction_sturm_chain(p):
+    """The Sturm chain as it was computed before the integer kernel: Fraction
+    remainders, each element rescaled by 1/|lc|."""
+    chain = [p.monic(), p.derivative().monic()]
+    while not chain[-1].is_zero and chain[-1].degree > 0:
+        rem = -(chain[-2] % chain[-1])
+        if rem.is_zero:
+            break
+        chain.append(rem * (1 / abs(rem.lc)))
+    return [q for q in chain if not q.is_zero]
+
+
+def fraction_square_free_part(p):
+    """p over its monic Euclidean gcd with p', all in Fraction."""
+    if p.degree <= 0:
+        return p
+    g = poly_gcd(p, p.derivative())
+    return p if g.degree <= 0 else p // g
+
+
+def fraction_intervals(p):
+    """isolate_real_roots run on the Fraction chain and square-free part."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomials, "_integer_sturm_chain",
+                      lambda g: [q._int_coeffs for q in fraction_sturm_chain(g)])
+        patch.setattr(RatPoly, "square_free_part", fraction_square_free_part)
+        return isolate_real_roots(p)
+
+
+def assert_kernel_matches_fraction_reference(p):
+    assert p.square_free_part() == fraction_square_free_part(p)
+    for q in (p, p.square_free_part()):
+        reference = fraction_sturm_chain(q)
+        integer_chain = _integer_sturm_chain(q)
+        assert len(integer_chain) == len(reference)
+        for ints, ref in zip(integer_chain, reference):
+            ratio = ints[-1] / ref.lc
+            assert ratio > 0 and RatPoly(ints) == ref * ratio
+        assert sturm_chain(q) == reference
+    assert isolate_real_roots(p) == fraction_intervals(p)
+
+
+@st.composite
+def _kernel_polys(draw):
+    if draw(st.booleans()):
+        return RatPoly(draw(st.lists(
+            st.fractions(min_value=-50, max_value=50, max_denominator=30),
+            min_size=2, max_size=9)))
+    # rational roots, some repeated, a leading coefficient of either sign
+    # and a constant shift that moves the roots off the rationals
+    roots = draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                          min_size=1, max_size=6))
+    p = RatPoly.of(draw(st.sampled_from([1, -1, Fraction(3, 2), Fraction(-2, 7)])))
+    for r in roots + roots[:draw(st.integers(0, 3))]:
+        p = p * RatPoly.of(-r, 1)
+    return p + draw(st.sampled_from([0, 0, Fraction(1, 3), Fraction(-5, 2)]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_kernel_polys())
+def test_integer_kernel_matches_fraction_reference(p):
+    if p.degree >= 1:
+        assert_kernel_matches_fraction_reference(p)
+
+
+@pytest.mark.parametrize("n", range(3, 82, 2))
+def test_integer_kernel_matches_fraction_reference_on_ngon(n):
+    assert_kernel_matches_fraction_reference(halved_cyclotomic(n).poly)
+
+
+def test_sturm_chain_of_constants_and_zero():
+    assert sturm_chain(RatPoly()) == fraction_sturm_chain(RatPoly()) == []
+    assert sturm_chain(RatPoly.of(-3)) == fraction_sturm_chain(RatPoly.of(-3))
+
+
+def test_filled_caches_leave_equality_and_hash_alone():
+    p = RatPoly.of(Fraction(-1, 3), -2, Fraction(5, 2), 1)
+    for iv in isolate_real_roots(p):
+        refine_root(p, iv)
+    p(0.5)
+    assert {"_float_coeffs_desc", "_int_coeffs", "_derivative"} <= vars(p).keys()
+    fresh = RatPoly(p.coeffs)
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    assert {p: 1}[fresh] == 1
+    assert p.derivative() is p.derivative() and p.derivative() == fresh.derivative()
+    assert QUINTIC.monic() is QUINTIC and (-QUINTIC).monic() == QUINTIC

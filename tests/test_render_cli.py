@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import errno
 import hashlib
 import io
@@ -228,6 +229,16 @@ def _edit_config(**changes):
     return edit
 
 
+def _other_two_fold_root(doc):
+    # another root of the quintic gives another polygon; no expectation
+    # stops the run, so the polygon checks fail
+    for step in doc["steps"]:
+        step.pop("expect", None)
+        if step["kind"] == "two_fold":
+            step["args"]["select"] = 1
+    return doc
+
+
 BAD_INPUTS = [
     # (case, "script" or "config", edit of the document, exit code, message part)
     ("script_not_utf8", "script", lambda doc: b"\xff", 2, "can't decode byte 0xff"),
@@ -235,6 +246,11 @@ BAD_INPUTS = [
     ("config_array", "config", lambda doc: [doc], 2, "not a two-fold-config document"),
     ("missing_frame", "script", lambda doc: {k: v for k, v in doc.items() if k != "frame"},
      2, "missing field 'frame'"),
+    ("empty_steps", "script", lambda doc: {**doc, "steps": []},
+     2, "steps must be a nonempty list"),
+    ("frame_side_huge_exact", "script",
+     lambda doc: {**doc, "frame": {**doc["frame"], "side": "1" + "0" * 400}},
+     2, "number out of range"),
     ("missing_variant", "script",
      _edit_step("fold_ell", lambda s: s["args"].pop("variant")),
      2, "unknown single_fold variant None"),
@@ -253,6 +269,13 @@ BAD_INPUTS = [
      2, "config P must be a point"),
     ("config_P_on_m", "config", _edit_config(P={"point": ["-3/2", "-3"]}),
      2, "P lies on m"),
+    # off m by 1e-20 exactly, on m in floats
+    ("config_P_on_m_in_floats", "config", _edit_config(
+        P={"point": ["100000000000000000001/100000000000000000000", "0"]},
+        m={"line": ["1", "0", "-1"]}),
+     2, "P lies on m"),
+    ("config_huge_exact_number", "config", _edit_config(P={"point": ["1" + "0" * 400, "0"]}),
+     2, "number out of range"),
     ("wrong_landmark_kind", "script",
      _edit_step("mark_Q", lambda s: s["args"].update(l2="center")),
      1, "step 'mark_Q' failed (landmark 'center' is Point, expected Line)"),
@@ -267,6 +290,8 @@ BAD_INPUTS = [
     ("expect_line_mixed_modes", "script",
      _edit_step("fold_ell", lambda s: s["expect"].update(ell={"line": ["1.0", "0", "0"]})),
      2, "mixed numeric modes"),
+    ("polygon_checks_fail", "script", _other_two_fold_root,
+     1, "error: 2 of 3 polygon checks failed"),
     ("vertices_are_lines", "script",
      lambda doc: {**doc, "steps": [
          {"id": f"bind_{z}", "kind": "crease_segment", "args": {"along": "sheet_left"},
@@ -429,3 +454,72 @@ def test_cli_solve_fuzz_keeps_the_exit_contract(fuzz_dir, text, tol):
     residuals = [float(line.rsplit(":", 1)[1]) for line in out.getvalue().splitlines()
                  if line.startswith("  residual ")]
     assert residuals and max(residuals) <= float(tol)
+
+
+# -- fuzz: `construct --script` on mutants of the hendecagon script -------------
+
+_BAD_VALUES = (
+    None, True, 0, -1, 2.5, "", "nan", "NaN", "inf", "-inf", "1/0", "0/0", "1e999",
+    "1" + "0" * 400, "1/" + "1" + "0" * 400, "-1", [], {}, ["0", "0"],
+    {"point": ["nan", "0"]}, {"point": ["1/0", "0"]}, {"point": ["0", "-1"]},
+    {"line": ["0", "0", "1"]}, {"line": ["0.0", "0.0", "1.0"]},
+    {"line": ["1", "0", "0"]}, {"line": ["1.0", "0", "0"]},
+    "ell", "n", "center", "sheet_left", "z0",
+    "single_fold", "two_fold", "mark_point", "crease_segment", "rotate_length",
+    "line_onto_line", "two_points_onto_two_lines", "point_onto_point",
+)
+
+
+def _retyped(value):
+    """The same content as another JSON type: a string number as a JSON
+    number, a list as an object, anything else wrapped in a list."""
+    if isinstance(value, str):
+        try:
+            return json.loads(value)
+        except ValueError:
+            return [value]
+    if isinstance(value, list):
+        return dict(enumerate(value))
+    return [value] if not isinstance(value, dict) else list(value.values())
+
+
+@st.composite
+def _script_mutants(draw):
+    doc = _script_doc()
+    for _ in range(draw(st.integers(1, 3))):
+        # walk down from the root, stopping below it with chance 1/5 a level
+        parent, node = None, doc
+        while isinstance(node, (dict, list)) and node and \
+                (parent is None or draw(st.integers(0, 4))):
+            parent = node
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            node = parent[key]
+        if parent is None:
+            break
+        how = draw(st.sampled_from(["drop", "retype", "replace"]))
+        if how == "drop":
+            del parent[key]
+        elif how == "retype":
+            parent[key] = _retyped(node)
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_BAD_VALUES)))
+    return json.dumps(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_script_mutants())
+def test_cli_construct_fuzz_keeps_the_exit_contract(fuzz_dir, text):
+    path = fuzz_dir / "script.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _exit_code(["construct", "--script", str(path),
+                           "--out", str(fuzz_dir / "plates")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        err_lines = err.getvalue().splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: "), err_lines
+    else:
+        assert err.getvalue() == ""
