@@ -131,13 +131,17 @@ def _cmd_construct(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out)
+    residuals = out_dir / "residuals.txt"
     try:
         paths = write_svgs(emit_svg(state, DiagramSpec()), out_dir)
         report_lines = [f"{name} {residual:.6e}" for name, residual in state.residual_log]
         report_lines.append(f"max_residual {state.max_residual():.6e}")
-        (out_dir / "residuals.txt").write_text("\n".join(report_lines) + "\n")
+        residuals.write_text("\n".join(report_lines) + "\n")
     except IoFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write {residuals}: {exc}", file=sys.stderr)
         return 1
     print(f"steps executed: {len(script.steps)}")
     print(f"max residual: {_fmt(state.max_residual())}")

@@ -166,14 +166,14 @@ def rotate_length(frm: Point, fold_axis: Line) -> Point:
     return reflect_point(frm, fold_axis)
 
 
-def expected_vertices(center: Point, radius: Scalar, phase: float = 0.0) -> list:
+def expected_vertices(center: Point, radius: Scalar) -> list:
     """Analytic vertices of the regular hendecagon, counterclockwise."""
     if not float(radius) > 0:
         raise ValueError("radius must be positive")
     cx, cy, r = float(center.x), float(center.y), float(radius)
     return [
-        Point(cx + r * math.cos(phase + 2 * math.pi * k / 11),
-              cy + r * math.sin(phase + 2 * math.pi * k / 11))
+        Point(cx + r * math.cos(2 * math.pi * k / 11),
+              cy + r * math.sin(2 * math.pi * k / 11))
         for k in range(11)
     ]
 
@@ -464,35 +464,22 @@ class CheckResult:
 @dataclass(frozen=True)
 class VerificationReport:
     checks: tuple
-    out_of_sheet_points: tuple
-    off_sheet_lines: tuple
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
 
-def _line_crosses_sheet(l: Line, sheet: Sheet, slack: float = 1e-9) -> bool:
-    corners = [
-        Point(sheet.xmin, sheet.ymin), Point(sheet.xmax, sheet.ymin),
-        Point(sheet.xmax, sheet.ymax), Point(sheet.xmin, sheet.ymax),
-    ]
-    residuals = [l.a * p.x + l.b * p.y + l.c for p in corners]
-    return min(residuals) <= slack and max(residuals) >= -slack
-
-
 def verify_hendecagon(state: ConstructionState, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Check the constructed polygon against the analytic radius-4 one.
 
     Verifies vertex positions, the eleven side lengths against the chord
-    2 * r * sin(pi / 11), and every radius; also flags landmarks that left
-    the sheet (informational, never failing).  Raises UnknownLandmark for a
+    2 * r * sin(pi / 11), and every radius.  Raises UnknownLandmark for a
     missing vertex and WrongLandmarkKind for a vertex or center that is not
     a point.
     """
-    sheet = state.sheet
     center = _resolve(state.landmarks, None, "center", Point) \
-        if "center" in state.landmarks else sheet.center
+        if "center" in state.landmarks else state.sheet.center
     vertices = [_resolve(state.landmarks, None, v, Point) for v in VERTEX_IDS]
 
     expected = expected_vertices(center, 4.0)
@@ -510,11 +497,4 @@ def verify_hendecagon(state: ConstructionState, tol: float = DEFAULT_TOL) -> Ver
         CheckResult("side_lengths", side_worst <= tol, side_worst, tol),
         CheckResult("radii", radius_worst <= tol, radius_worst, tol),
     )
-    out_points = tuple(
-        name for name, value in state.landmarks.items()
-        if isinstance(value, Point) and not sheet.contains(value))
-    off_lines = tuple(
-        name for name, value in state.landmarks.items()
-        if isinstance(value, Line) and not _line_crosses_sheet(value, sheet))
-    return VerificationReport(checks=checks, out_of_sheet_points=out_points,
-                              off_sheet_lines=off_lines)
+    return VerificationReport(checks=checks)

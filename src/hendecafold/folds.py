@@ -222,7 +222,7 @@ def _fold_two_points_onto_two_lines(p1: Point, l1: Line, p2: Point, l2: Line) ->
     # assembled exactly from the (dyadic-rational) float inputs
     base, (ex, ey) = _line_param(l1)
     crease = _bisector_family(_exact(p1), _exact(base), (Fraction(ex), Fraction(ey)))
-    poly = _lands_on(_exact(p2), crease, _exact(l2))
+    poly = _lands_on(_exact(p2), crease, _exact(l2)).monic()
     if poly.is_zero:
         raise DegenerateProblem("every crease along the family works")
     folds = []

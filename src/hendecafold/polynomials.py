@@ -3,17 +3,16 @@
 Coefficients are `fractions.Fraction`, stored in ascending degree order, so
 every ring operation is exact.  The root pipeline runs on integers: a
 polynomial's coefficients times the lcm of their denominators (a positive
-scale, so every sign is kept) feed one primitive pseudo-remainder kernel,
-`_neg_prem`, which both the Sturm chain and the square-free gcd use.  Real
-roots are isolated into rational intervals certified by Sturm sign-variation
-counts, each exact sign test clearing denominators once and evaluating in
-integers (`_sign_at`).  Refinement finds the dyadic cell of width <= tol
-that exact bisection of the interval would end in: a float Newton guess,
-certified by a gallop and binary search of exact sign tests, then a short
-float Newton tail.  The result is bit-identical to bisection's.  The integer
-coefficients, float coefficients and derivative of a polynomial are built
-once and cached on it, so refining each root of one polynomial rebuilds none
-of them.
+scale, so every sign is kept) start one primitive pseudo-remainder sequence
+(`_neg_prem`), cached on the polynomial.  It is the Sturm chain of a
+square-free polynomial and always ends in the gcd with the derivative, which
+gives the square-free part.  Isolation, counting and refinement all work on
+the monic square-free part, cached too.  Real roots are isolated into
+rational intervals certified by Sturm sign-variation counts, each exact sign
+test evaluating in integers (`_sign_at`).  Refinement finds the dyadic cell
+of width <= tol that exact bisection of the interval would end in: a float
+Newton guess, certified by a gallop and binary search of exact sign tests,
+then a short float Newton tail.  The result is bit-identical to bisection's.
 """
 
 from __future__ import annotations
@@ -76,6 +75,20 @@ class RatPoly:
     @cached_property
     def _derivative(self) -> "RatPoly":
         return RatPoly(k * c for k, c in enumerate(self.coeffs) if k > 0)
+
+    @cached_property
+    def _int_chain(self) -> list:
+        """`_integer_sturm_chain(self)`: the Sturm chain when self is
+        square-free, and in every case ending in gcd(self, self') up to a
+        constant factor."""
+        return _integer_sturm_chain(self)
+
+    @cached_property
+    def _other_basis(self):
+        """The monic square-free part, or None when that is self: a cache
+        holding self would be a reference cycle.  Read it through `_basis`."""
+        g = self.square_free_part().monic()
+        return None if g is self else g
 
     def __call__(self, x):
         """Horner evaluation; float input switches to float arithmetic."""
@@ -165,18 +178,14 @@ class RatPoly:
     def square_free_part(self) -> "RatPoly":
         """self divided by the monic gcd of self and self'.
 
-        The gcd is the last element of a primitive integer remainder
-        sequence (`_neg_prem`) on the integer forms of self and self'.  When
-        it is constant, self is square-free and is returned as is.
+        The gcd is the last element of the cached remainder sequence
+        `_int_chain`.  When it is constant, self is square-free and is
+        returned as is.
         """
         if self.degree <= 0:
             return self
-        a, b = self._int_coeffs, _int_derivative(self._int_coeffs)
-        while b:
-            a, b = b, _neg_prem(a, b)
-        if len(a) == 1:
-            return self
-        return self // RatPoly(a).monic()
+        gcd = self._int_chain[-1]
+        return self if len(gcd) == 1 else self // RatPoly(gcd).monic()
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -304,13 +313,12 @@ def ratfunc_substitute(target: RatFunc, var_value: RatFunc) -> RatFunc:
 class RootInterval:
     """Open interval (lo, hi) certified to contain exactly one real root.
 
-    Endpoints are never roots of the square-free part.  `multiplicity_free`
-    records whether the input polynomial itself was already square-free.
+    Endpoints are never roots of the square-free part, the polynomial that
+    `refine_root` works on whatever the multiplicity of the root.
     """
 
     lo: Fraction
     hi: Fraction
-    multiplicity_free: bool
 
 
 def sturm_chain(p: RatPoly) -> list:
@@ -319,19 +327,13 @@ def sturm_chain(p: RatPoly) -> list:
     Each element is the `_integer_sturm_chain` element rescaled by the
     positive constant 1/|lc|, which leaves all sign variations unchanged.
     """
-    return [RatPoly(Fraction(c, abs(q[-1])) for c in q)
-            for q in _integer_sturm_chain(p)]
+    return [RatPoly(Fraction(c, abs(q[-1])) for c in q) for q in p._int_chain]
 
 
 def _primitive(q: Sequence[int]) -> list:
     """A nonzero integer polynomial divided by its positive content."""
     g = math.gcd(*q)
     return [c // g for c in q]
-
-
-def _int_derivative(q: Sequence[int]) -> list:
-    """The derivative of an integer polynomial, over its positive content."""
-    return _primitive([k * c for k, c in enumerate(q)][1:]) if len(q) > 1 else []
 
 
 def _neg_prem(a: Sequence[int], b: Sequence[int]) -> list:
@@ -384,15 +386,20 @@ def _integer_sturm_chain(g: RatPoly) -> list:
         return []
     f = _primitive(g._int_coeffs)
     chain = [f if f[-1] > 0 else [-c for c in f]]
-    df = _int_derivative(chain[0])
-    if df:
-        chain.append(df)
+    if len(f) > 1:
+        chain.append(_primitive([k * c for k, c in enumerate(chain[0])][1:]))
     while len(chain[-1]) > 1:
         rem = _neg_prem(chain[-2], chain[-1])
         if not rem:
             break
         chain.append(rem)
     return chain
+
+
+def _basis(p: RatPoly) -> RatPoly:
+    """p's monic square-free part: p's distinct real roots, each simple."""
+    g = p._other_basis
+    return p if g is None else g
 
 
 def _variations(values: Sequence[int]) -> int:
@@ -410,10 +417,10 @@ def _variations_at_inf(int_chain, sign: int) -> int:
 
 def count_real_roots(p: RatPoly, lo=None, hi=None) -> int:
     """Number of distinct real roots in (lo, hi]; None means +-infinity."""
-    g = p.square_free_part()
+    g = _basis(p)
     if g.degree <= 0:
         return 0
-    chain = _integer_sturm_chain(g)
+    chain = g._int_chain
     va = _variations_at_inf(chain, -1) if lo is None else _variations_at(chain, Fraction(lo))
     vb = _variations_at_inf(chain, 1) if hi is None else _variations_at(chain, Fraction(hi))
     return va - vb
@@ -446,11 +453,10 @@ def isolate_real_roots(p: RatPoly) -> list:
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    g = p.square_free_part().monic()
-    multiplicity_free = g.degree == p.degree
+    g = _basis(p)
     if g.degree <= 0:
         return []
-    chain = _integer_sturm_chain(g)
+    chain = g._int_chain
     bound = root_bound(g)
     out = []
     stack = [(-bound, bound,
@@ -461,7 +467,7 @@ def isolate_real_roots(p: RatPoly) -> list:
         if k == 0:
             continue
         if k == 1:
-            out.append(RootInterval(lo, hi, multiplicity_free))
+            out.append(RootInterval(lo, hi))
             continue
         mid = _nonroot_between(chain[0], lo, hi)
         vmid = _variations_at(chain, mid)
@@ -469,13 +475,6 @@ def isolate_real_roots(p: RatPoly) -> list:
         stack.append((mid, hi, vmid, vhi))
     out.sort(key=lambda iv: iv.lo)
     return out
-
-
-def _horner(coeffs_desc: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in coeffs_desc:
-        acc = acc * x + c
-    return acc
 
 
 def _float_root_guess(g: RatPoly, lo: float, hi: float, left_sign: int,
@@ -487,18 +486,17 @@ def _float_root_guess(g: RatPoly, lo: float, hi: float, left_sign: int,
     root.  The step count is capped because the caller certifies and, if
     need be, corrects the estimate with exact sign tests.
     """
-    fc = g._float_coeffs_desc
-    dfc = [k * c for k, c in zip(range(g.degree, 0, -1), fc)]
+    dg = g.derivative()
     x = (lo + hi) / 2
     for _ in range(64):
-        fx = _horner(fc, x)
+        fx = g(x)
         if fx == 0:
             break
         if (fx > 0) == (left_sign > 0):
             lo = x
         else:
             hi = x
-        dfx = _horner(dfc, x)
+        dfx = dg(x)
         nx = x - fx / dfx if dfx else math.nan
         if not lo < nx < hi:
             nx = (lo + hi) / 2
@@ -524,8 +522,7 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive")
-    # for a square-free p, p.square_free_part() is p itself
-    g = p.monic() if interval.multiplicity_free else p.square_free_part().monic()
+    g = _basis(p)
     ints = g._int_coeffs
     lo, hi = interval.lo, interval.hi
     slo, shi = _sign_at(ints, lo), _sign_at(ints, hi)

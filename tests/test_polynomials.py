@@ -219,7 +219,6 @@ def test_ratfunc_always_coprime_and_monic(num_coeffs, den_coeffs):
 def test_quintic_has_exactly_five_real_roots():
     ivs = isolate_real_roots(QUINTIC)
     assert len(ivs) == 5
-    assert all(iv.multiplicity_free for iv in ivs)
     assert count_real_roots(QUINTIC) == 5
 
 
@@ -268,7 +267,6 @@ def test_repeated_roots_isolated_once():
     p = RatPoly.of(-1, 1) * RatPoly.of(-1, 1) * RatPoly.of(2, 1)
     ivs = isolate_real_roots(p)
     assert len(ivs) == 2
-    assert not ivs[0].multiplicity_free
 
 
 def test_sturm_chain_shape():
@@ -394,7 +392,7 @@ def test_root_on_a_grid_point_is_returned_exactly(root, tol):
     for _ in range(12):
         steep = steep * RatPoly.of(-2, 1)
     p = RatPoly.of(-root, 1) * (steep + 1)
-    iv = RootInterval(Fraction(0), Fraction(1), True)
+    iv = RootInterval(Fraction(0), Fraction(1))
     assert refine_root(p, iv, tol) == float(root)
     assert bisection_refine_root(p, iv, tol) == float(root)
 
@@ -430,12 +428,23 @@ def fraction_square_free_part(p):
 
 
 def fraction_intervals(p):
-    """isolate_real_roots run on the Fraction chain and square-free part."""
+    """isolate_real_roots run on the Fraction chain and square-free part.
+
+    It runs on a fresh copy of p, whose chain and square-free part are not
+    cached yet, and checks that the reference chain was the one used.
+    """
+    chains = []
+
+    def reference_chain(g):
+        chains.append(g)
+        return [q._int_coeffs for q in fraction_sturm_chain(g)]
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(polynomials, "_integer_sturm_chain",
-                      lambda g: [q._int_coeffs for q in fraction_sturm_chain(g)])
+        patch.setattr(polynomials, "_integer_sturm_chain", reference_chain)
         patch.setattr(RatPoly, "square_free_part", fraction_square_free_part)
-        return isolate_real_roots(p)
+        intervals = isolate_real_roots(RatPoly(p.coeffs))
+    assert chains
+    return intervals
 
 
 def assert_kernel_matches_fraction_reference(p):
@@ -489,9 +498,50 @@ def test_filled_caches_leave_equality_and_hash_alone():
     for iv in isolate_real_roots(p):
         refine_root(p, iv)
     p(0.5)
-    assert {"_float_coeffs_desc", "_int_coeffs", "_derivative"} <= vars(p).keys()
+    assert {"_float_coeffs_desc", "_int_coeffs", "_derivative", "_int_chain",
+            "_other_basis"} <= vars(p).keys()
+    # monic and square-free, p is its own basis, which is not cached on p
+    assert p._other_basis is None
     fresh = RatPoly(p.coeffs)
     assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
     assert {p: 1}[fresh] == 1
     assert p.derivative() is p.derivative() and p.derivative() == fresh.derivative()
     assert QUINTIC.monic() is QUINTIC and (-QUINTIC).monic() == QUINTIC
+    doubled = p * 2
+    for iv in isolate_real_roots(doubled):
+        refine_root(doubled, iv)
+    assert doubled._other_basis == p and "_int_chain" in vars(doubled._other_basis)
+    assert doubled == RatPoly(doubled.coeffs) and hash(doubled) == hash(p * 2)
+
+
+def test_isolation_runs_the_remainder_sequence_once(monkeypatch):
+    p = RatPoly(halved_cyclotomic(81).poly.coeffs)  # nothing cached yet
+    chain_length = len(_integer_sturm_chain(p))
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return neg_prem(a, b)
+
+    neg_prem = polynomials._neg_prem
+    monkeypatch.setattr(polynomials, "_neg_prem", counted)
+    isolate_real_roots(p)
+    assert len(calls) == chain_length - 2 == 39
+
+
+def test_refining_a_squared_polynomial_builds_its_square_free_part_once(monkeypatch):
+    g = halved_cyclotomic(61).poly
+    p = g * g
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return square_free_part(self)
+
+    square_free_part = RatPoly.square_free_part
+    monkeypatch.setattr(RatPoly, "square_free_part", counted)
+    ivs = isolate_real_roots(p)
+    roots = [refine_root(p, iv).hex() for iv in ivs]
+    assert calls == [p] and len(roots) == 30
+    monkeypatch.undo()
+    assert roots == [refine_root(g, iv).hex() for iv in isolate_real_roots(g)]

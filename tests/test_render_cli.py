@@ -297,6 +297,8 @@ BAD_INPUTS = [
          {"id": f"bind_{z}", "kind": "crease_segment", "args": {"along": "sheet_left"},
           "outputs": [z], "figures": [1]} for z in VERTEX_IDS]},
      1, "landmark 'z0' is Line, expected Point"),
+    ("residuals_txt_is_a_directory", "script", lambda doc: doc,
+     1, "cannot write "),
 ]
 
 # (case, kind, --tol value): a tolerance must be finite and positive
@@ -324,6 +326,8 @@ def test_cli_bad_input_is_one_line_and_exit_code(tmp_path, capsys, case, kind,
     doc = edit(_script_doc() if kind == "script" else _config_doc())
     path = tmp_path / f"{case}.json"
     path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    if case == "residuals_txt_is_a_directory":
+        (tmp_path / "out" / "residuals.txt").mkdir(parents=True)
     if kind == "script":
         argv = ["construct", "--script", str(path), "--out", str(tmp_path / "out")]
     else:
