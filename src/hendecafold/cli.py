@@ -31,14 +31,10 @@ def _fmt(value: float) -> str:
 
 
 def _fmt_line(l: Line) -> str:
-    if l.mode == "exact":
-        return f"[{encode_number(l.a)}, {encode_number(l.b)}, {encode_number(l.c)}]"
     return f"[{_fmt(l.a)}, {_fmt(l.b)}, {_fmt(l.c)}]"
 
 
 def _fmt_point(p: Point) -> str:
-    if p.mode == "exact":
-        return f"({encode_number(p.x)}, {encode_number(p.y)})"
     return f"({_fmt(p.x)}, {_fmt(p.y)})"
 
 

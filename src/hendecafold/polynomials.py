@@ -87,8 +87,15 @@ class RatPoly:
     def _other_basis(self):
         """The monic square-free part, or None when that is self: a cache
         holding self would be a reference cycle.  Read it through `_basis`."""
-        g = self.square_free_part().monic()
-        return None if g is self else g
+        part = self.square_free_part()
+        g = part.monic()
+        if g is self:
+            return None
+        if part is self:
+            # a constant multiple of self has the same chain: it starts from
+            # the primitive integer form with a positive leading coefficient
+            g.__dict__["_int_chain"] = self._int_chain
+        return g
 
     def __call__(self, x):
         """Horner evaluation; float input switches to float arithmetic."""

@@ -3,9 +3,12 @@
 One document per requested figure: the sheet, every landmark visible by that
 figure (creases style-coded by their mountain/valley/crease metadata, points
 as labeled dots), with the figure's new landmarks highlighted.  A final
-document shows the finished polygon.  Output bytes depend only on the input
-state and spec: floats are printed with a fixed format and landmarks are
-drawn in registry order.
+document shows the finished polygon.  One pass over the landmark registry
+derives each shown landmark's first figure and its markup in both styles,
+as drawn in a later figure and as drawn new (highlight colour, 1.8x stroke
+and, for a line, its label); each plate selects from those parts.  Output
+bytes depend only on the input state and spec: floats are printed with a
+fixed format and landmarks are drawn in registry order.
 """
 
 from __future__ import annotations
@@ -97,82 +100,48 @@ def _svg_point(p: Point, color: str, label: str) -> list:
     return parts
 
 
-def _landmark_figures(steps) -> dict:
-    """First figure in which each landmark is shown.
+def _landmark_parts(state: ConstructionState, box: tuple) -> list:
+    """(first figure, markup as drawn later, markup as drawn new) for each
+    shown landmark, in registry order.
 
     A step spanning several figures reveals its outputs one per figure in
     order (the simultaneous fold pair is presented as two plates).
     """
-    first = {}
-    for step in steps:
-        figures = step.figures
-        for i, out in enumerate(step.outputs):
-            first[out] = figures[min(i, len(figures) - 1)]
-    return first
-
-
-def _segment_endpoints(state: ConstructionState) -> dict:
-    """Landmarks drawn as segments (crease_segment between two points)."""
-    segments = {}
-    for step in state.script.steps:
-        if step.kind == "crease_segment" and "p" in step.args:
-            p = state.landmarks.get(step.args["p"])
-            q = state.landmarks.get(step.args["q"])
-            if isinstance(p, Point) and isinstance(q, Point):
-                segments[step.outputs[0]] = (p, q)
-    return segments
-
-
-def _landmark_mv(steps) -> dict:
-    return {out: step.mv for step in steps for out in step.outputs}
-
-
-def _figure_doc(state: ConstructionState, figure: int, box: tuple) -> str:
-    steps = state.script.steps
-    first = _landmark_figures(steps)
-    mv = _landmark_mv(steps)
-    segments = _segment_endpoints(state)
-    captions = [s.annotation for s in steps
-                if figure in s.figures and s.annotation]
-
-    body = [_sheet_rect(state.sheet)]
+    owner = {out: (step, i) for step in state.script.steps
+             for i, out in enumerate(step.outputs)}
+    parts = []
     for name, value in state.landmarks.items():
-        shown = first.get(name)
-        if shown is None or shown > figure:
+        if name not in owner:
             continue
-        new = shown == figure
-        if isinstance(value, Line):
-            color = HIGHLIGHT_COLOR if new else (
-                CREASE_COLOR if mv.get(name) == "crease" else FOLD_COLOR)
-            width = STROKE_WIDTH * (1.8 if new else 1.0)
-            dash = DASHES.get(mv.get(name), DASHES["crease"])
-            if name in segments:
-                p, q = segments[name]
-                body.append(_svg_line((p.x, p.y), (q.x, q.y), color, width,
-                                      dash, cls="side"))
-            else:
-                clipped = _clip_line(value, box)
-                if clipped:
-                    body.append(_svg_line(*clipped, color, width, dash, cls="crease"))
-            if new:
-                body.extend(_line_label(value, name, box, color))
-        else:
-            color = HIGHLIGHT_COLOR if new else INK_COLOR
-            body.extend(_svg_point(value, color, name))
-    title = f"Figure {figure}"
-    caption = " ".join(captions)
-    return _document(title, caption, body, box)
+        step, i = owner[name]
+        figure = step.figures[min(i, len(step.figures) - 1)]
+        if isinstance(value, Point):
+            parts.append((figure, _svg_point(value, INK_COLOR, name),
+                          _svg_point(value, HIGHLIGHT_COLOR, name)))
+            continue
+        clipped = _clip_line(value, box)
+        ends, cls = clipped, "crease"
+        if step.kind == "crease_segment" and "along" not in step.args:
+            p, q = (state.landmarks[step.args[k]] for k in "pq")
+            ends, cls = ((p.x, p.y), (q.x, q.y)), "side"
+        dash = DASHES.get(step.mv, DASHES["crease"])
+        color = CREASE_COLOR if step.mv == "crease" else FOLD_COLOR
+        later, new = [], []
+        if ends:
+            later.append(_svg_line(*ends, color, STROKE_WIDTH, dash, cls))
+            new.append(_svg_line(*ends, HIGHLIGHT_COLOR, STROKE_WIDTH * 1.8, dash, cls))
+        if clipped:
+            new.append(_line_label(clipped, name, HIGHLIGHT_COLOR))
+        parts.append((figure, later, new))
+    return parts
 
 
-def _line_label(l: Line, name: str, box: tuple, color: str) -> list:
-    clipped = _clip_line(l, box)
-    if not clipped:
-        return []
+def _line_label(clipped: tuple, name: str, color: str) -> str:
     (x1, y1), (x2, y2) = clipped
     lx, ly = x1 + 0.82 * (x2 - x1), y1 + 0.82 * (y2 - y1)
-    return [f'<text x="{_fmt(lx + 0.1)}" y="{_fmt(-ly - 0.1)}" '
+    return (f'<text x="{_fmt(lx + 0.1)}" y="{_fmt(-ly - 0.1)}" '
             f'font-family="sans-serif" font-size="0.3" font-style="italic" '
-            f'fill="{color}">{escape(name)}</text>']
+            f'fill="{color}">{escape(name)}</text>')
 
 
 def _sheet_rect(sheet: Sheet) -> str:
@@ -223,20 +192,30 @@ def _document(title: str, caption: str, body: list, box: tuple) -> str:
 def emit_svg(state: ConstructionState, spec: DiagramSpec = None) -> list:
     """Render diagrams as (name, document) pairs.
 
-    spec.figures selects the plates; None draws every figure of the script
-    plus the final polygon plate (appended whenever the last figure is
+    spec.figures selects the plates; None draws every figure that some step
+    names plus the final polygon plate (appended whenever the last figure is
     included and the state has vertices).
     """
     spec = spec or DiagramSpec()
     box = _viewport(state.sheet)
-    last = state.script.max_figure()
+    steps = state.script.steps
     figures = spec.figures
     if figures is None:
-        figures = tuple(range(1, last + 1))
+        figures = {f for step in steps for f in step.figures}
+    parts = _landmark_parts(state, box)
     docs = []
     for figure in sorted(set(figures)):
-        docs.append((f"step_{figure:02d}", _figure_doc(state, figure, box)))
-    if figures and max(figures) >= last and \
+        body = [_sheet_rect(state.sheet)]
+        for first, later, new in parts:
+            if first < figure:
+                body.extend(later)
+            elif first == figure:
+                body.extend(new)
+        caption = " ".join(s.annotation for s in steps
+                           if figure in s.figures and s.annotation)
+        docs.append((f"step_{figure:02d}",
+                     _document(f"Figure {figure}", caption, body, box)))
+    if figures and max(figures) >= state.script.max_figure() and \
             all(v in state.landmarks for v in VERTEX_IDS):
         docs.append(("final", _final_doc(state, box)))
     return docs

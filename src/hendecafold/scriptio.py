@@ -124,8 +124,8 @@ def _step_from_obj(obj) -> FoldStep:
             and all(isinstance(out, str) for out in outputs)):
         raise FormatError(f"{where}: outputs must be a nonempty list of names")
     if not (isinstance(figures, list) and figures
-            and all(type(f) is int for f in figures)):
-        raise FormatError(f"{where}: figures must be a nonempty list of integers")
+            and all(type(f) is int and f >= 1 for f in figures)):
+        raise FormatError(f"{where}: figures must be a nonempty list of positive integers")
     if not (isinstance(annotation, str) and isinstance(mv, str)):
         raise FormatError(f"{where}: annotation and mv must be strings")
     if not isinstance(expect, dict):

@@ -529,6 +529,23 @@ def test_isolation_runs_the_remainder_sequence_once(monkeypatch):
     assert len(calls) == chain_length - 2 == 39
 
 
+@pytest.mark.parametrize("scale", [3, Fraction(-2, 7)])
+def test_a_square_free_multiple_builds_one_chain(monkeypatch, scale):
+    p = halved_cyclotomic(81).poly * scale
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return integer_sturm_chain(g)
+
+    integer_sturm_chain = polynomials._integer_sturm_chain
+    monkeypatch.setattr(polynomials, "_integer_sturm_chain", counted)
+    ivs = isolate_real_roots(p)
+    assert calls == [p] and len(ivs) == 40
+    monkeypatch.undo()
+    assert ivs == isolate_real_roots(halved_cyclotomic(81).poly)
+
+
 def test_refining_a_squared_polynomial_builds_its_square_free_part_once(monkeypatch):
     g = halved_cyclotomic(61).poly
     p = g * g

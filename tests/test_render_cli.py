@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,11 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hendecafold
+from hendecafold import render
 from hendecafold.cli import main
 from hendecafold.construction import VERTEX_IDS, hendecagon_script, run_script
 from hendecafold.render import DiagramSpec, IoFailure, emit_svg, write_svgs
 from hendecafold.scriptio import encode_number, encode_script, encode_two_fold_config
 from hendecafold.folds import TwoFoldConfig
+from hendecafold.geometry import Line
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +76,52 @@ def test_landmarks_appear_cumulatively(state):
 def test_subset_of_figures(state):
     docs = emit_svg(state, DiagramSpec(figures=(3, 5)))
     assert [name for name, _ in docs] == ["step_03", "step_05"]
+
+
+def test_subset_plates_equal_the_full_render(state):
+    full = dict(emit_svg(state, DiagramSpec()))
+    subset = emit_svg(state, DiagramSpec(figures=(3, 5, 20)))
+    assert [name for name, _ in subset] == ["step_03", "step_05", "step_20", "final"]
+    for name, text in subset:
+        assert text == full[name], name
+
+
+def test_only_named_figures_are_drawn():
+    # one script field must not make the default render write a plate per
+    # integer below it
+    script = hendecagon_script()
+    steps = script.steps[:-1] + (replace(script.steps[-1], figures=(40,)),)
+    docs = emit_svg(run_script(replace(script, steps=steps)))
+    names = [name for name, _ in docs]
+    assert names == [f"step_{k:02d}" for k in range(1, 21)] + ["step_40", "final"]
+
+
+def test_each_shown_line_is_clipped_once(state, monkeypatch):
+    calls = []
+
+    def counted(line, box):
+        calls.append(line)
+        return clip_line(line, box)
+
+    clip_line = render._clip_line
+    monkeypatch.setattr(render, "_clip_line", counted)
+    emit_svg(state, DiagramSpec())
+    shown = [name for name, value in state.landmarks.items()
+             if isinstance(value, Line) and not name.startswith("sheet_")]
+    assert len(calls) == len(shown) == 34
+
+
+def test_a_crease_along_a_line_ignores_stray_point_arguments():
+    # the runner creases `along` when it is given; the plate must show that
+    # line, not a segment between unused p and q arguments
+    script = hendecagon_script()
+    steps = tuple(replace(s, args={**s.args, "p": "P", "q": "Q"})
+                  if s.id == "mark_m" else s for s in script.steps)
+    stray = dict(emit_svg(run_script(replace(script, steps=steps))))
+    assert stray == dict(emit_svg(run_script(script)))
+    steps = tuple(replace(s, args={**s.args, "p": ["P"]})
+                  if s.id == "mark_m" else s for s in script.steps)
+    assert dict(emit_svg(run_script(replace(script, steps=steps)))) == stray
 
 
 def test_write_svgs(tmp_path, state):
@@ -260,6 +309,9 @@ BAD_INPUTS = [
     ("unknown_kind", "script",
      _edit_step("mark_center", lambda s: s.update(kind="crumple")),
      2, "unknown step kind 'crumple'"),
+    ("figure_zero", "script",
+     _edit_step("fold_ell", lambda s: s.update(figures=[0])),
+     2, "figures must be a nonempty list of positive integers"),
     ("select_string", "script",
      _edit_step("twofold", lambda s: s["args"].update(select="0")),
      2, "select must be a nonnegative integer"),
