@@ -1,4 +1,8 @@
-"""Command-line surface: classify, poly, solve, construct, verify."""
+"""Command-line surface: classify, poly, solve, construct, verify.
+
+The commands raise; `main` alone turns an exception into an exit code and
+one `error:` line: 2 for an input error, 1 for a run failure.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +15,6 @@ from pathlib import Path
 
 from .construction import (
     VERTEX_IDS,
-    StepFailed,
     UnknownLandmark,
     WrongLandmarkKind,
     hendecagon_script,
@@ -24,6 +27,9 @@ from .geometry import DEFAULT_TOL, Line, Point
 from .render import DiagramSpec, IoFailure, emit_svg, write_svgs
 from .scriptio import FormatError, decode_script, decode_two_fold_config, encode_number
 from .verification import run_all
+
+_INPUT_ERRORS = (FormatError, InvalidN)  # exit 2
+_RUN_FAILURES = (ValueError, UnknownLandmark, WrongLandmarkKind, IoFailure)  # exit 1
 
 
 def _fmt(value: float) -> str:
@@ -38,12 +44,16 @@ def _fmt_point(p: Point) -> str:
     return f"({_fmt(p.x)}, {_fmt(p.y)})"
 
 
-def _cmd_classify(args) -> int:
+def _read_input(path: str) -> str:
+    """The text of an input file; an unreadable file is an input error."""
     try:
-        report = classify_constructible(args.n)
-    except InvalidN as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _cmd_classify(args) -> int:
+    report = classify_constructible(args.n)
     print(f"n: {report.n}")
     print(f"single_fold_constructible: {str(report.single_fold_constructible).lower()}")
     print(f"r: {report.r}")
@@ -59,11 +69,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    try:
-        ngon = halved_cyclotomic(args.n)
-    except InvalidN as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ngon = halved_cyclotomic(args.n)
     # descending order: the t^degree coefficient first
     print(" ".join(encode_number(c) for c in reversed(ngon.poly.coeffs)))
     return 0
@@ -80,21 +86,13 @@ def _sheet_note(solution, sheet) -> str:
 
 def _cmd_solve(args) -> int:
     if args.config:
-        try:
-            config = decode_two_fold_config(Path(args.config).read_text())
-        except (OSError, UnicodeDecodeError, FormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        config = decode_two_fold_config(_read_input(args.config))
     else:
         config = TwoFoldConfig.hendecagon()
     sheet = hendecagon_script().frame
-    try:
-        with warnings.catch_warnings(record=True) as skipped:
-            warnings.simplefilter("always")
-            solutions = solve_two_fold(config, args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as skipped:
+        warnings.simplefilter("always")
+        solutions = solve_two_fold(config, args.tol)
     for warning in skipped:
         print(f"warning: {warning.message}", file=sys.stderr)
     print(f"solutions: {len(solutions)}")
@@ -114,40 +112,24 @@ def _cmd_solve(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.script:
-        try:
-            script = decode_script(Path(args.script).read_text())
-        except (OSError, UnicodeDecodeError, FormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        script = decode_script(_read_input(args.script))
     else:
         script = hendecagon_script()
-    try:
-        state = run_script(script, args.tol)
-    except (StepFailed, UnknownLandmark) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    state = run_script(script, args.tol)
     out_dir = Path(args.out)
+    paths = write_svgs(emit_svg(state, DiagramSpec()), out_dir)
+    report_lines = [f"{name} {residual:.6e}" for name, residual in state.residual_log]
+    report_lines.append(f"max_residual {state.max_residual():.6e}")
     residuals = out_dir / "residuals.txt"
     try:
-        paths = write_svgs(emit_svg(state, DiagramSpec()), out_dir)
-        report_lines = [f"{name} {residual:.6e}" for name, residual in state.residual_log]
-        report_lines.append(f"max_residual {state.max_residual():.6e}")
         residuals.write_text("\n".join(report_lines) + "\n")
-    except IoFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
-        print(f"error: cannot write {residuals}: {exc}", file=sys.stderr)
-        return 1
+        raise IoFailure(f"cannot write {residuals}: {exc}") from exc
     print(f"steps executed: {len(script.steps)}")
     print(f"max residual: {_fmt(state.max_residual())}")
     print(f"diagrams written: {len(paths)} to {out_dir}")
     if all(v in state.landmarks for v in VERTEX_IDS):
-        try:
-            report = verify_hendecagon(state, args.tol)
-        except WrongLandmarkKind as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        report = verify_hendecagon(state, args.tol)
         for check in report.checks:
             status = "ok" if check.passed else "FAILED"
             print(f"check {check.name}: {status} (worst {check.worst:.3e}, "
@@ -225,7 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        status = args.func(args)
+        try:
+            status = args.func(args)
+        except _INPUT_ERRORS + _RUN_FAILURES as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 2 if isinstance(exc, _INPUT_ERRORS) else 1
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (e.g. `| head`): stop with no message, and

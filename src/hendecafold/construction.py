@@ -210,7 +210,7 @@ def _resolve(landmarks: dict, step_id: str, ref: str, want: type) -> Landmark:
     return value
 
 
-def _execute_step(step: FoldStep, landmarks: dict, tol: float) -> dict:
+def _execute_step(step: FoldStep, landmarks: dict, tol: float) -> list:
     kind, args = step.kind, step.args
     refs = {name: _resolve(landmarks, step.id, args[name], want)
             for name, want in landmark_params(kind, args).items()}
@@ -223,10 +223,7 @@ def _execute_step(step: FoldStep, landmarks: dict, tol: float) -> dict:
                 raise StepFailed(step.id, math.inf,
                                  f"wanted solution {select}, found {len(folds)}")
             folds = [folds[select]]
-        if len(folds) != len(step.outputs):
-            raise StepFailed(step.id, math.inf,
-                             f"{len(folds)} creases for {len(step.outputs)} outputs")
-        return dict(zip(step.outputs, folds))
+        return folds
     if kind == "two_fold":
         solutions = solve_two_fold(TwoFoldConfig(**refs), tol)
         index = args.get("select", 0)
@@ -234,20 +231,20 @@ def _execute_step(step: FoldStep, landmarks: dict, tol: float) -> dict:
             raise StepFailed(step.id, math.inf,
                              f"wanted solution {index}, found {len(solutions)}")
         chosen = solutions[index]
-        return dict(zip(step.outputs, (chosen.gamma, chosen.delta)))
+        return [chosen.gamma, chosen.delta]
     if kind == "mark_point":
-        return {step.outputs[0]: intersect(refs["l1"], refs["l2"])}
+        return [intersect(refs["l1"], refs["l2"])]
     if kind == "crease_segment":
         if "along" in refs:
-            return {step.outputs[0]: refs["along"]}
-        return {step.outputs[0]: line_through(refs["p"], refs["q"])}
+            return [refs["along"]]
+        return [line_through(refs["p"], refs["q"])]
     # rotate_length
     center, frm = refs["center"], refs["frm"]
     image = rotate_length(frm, refs["axis"])
     drift = abs(point_distance(image, center) - point_distance(frm, center))
     if drift > tol:
         raise StepFailed(step.id, drift, "rotation changed the radius")
-    return {step.outputs[0]: image}
+    return [image]
 
 
 def _expectation_residual(value: Landmark, expected: Landmark) -> float:
@@ -262,17 +259,20 @@ def run_script(script: FoldScript, tol: float = DEFAULT_TOL) -> ConstructionStat
     """Execute every step in order, checking declared expectations.
 
     Raises UnknownLandmark on a dangling reference and StepFailed on any
-    other failing step: an expectation violated beyond tol, a landmark of
-    the wrong kind, a degenerate fold or a rebound landmark.  Landmarks are
-    float mode and never overwritten, so a truncated script yields a prefix
-    of the full run's registry, bit for bit.
+    other failing step: an expectation missed beyond tol, a wrong-kind
+    landmark, a degenerate fold, a rebound landmark or outputs of the wrong
+    length.  Landmarks are float mode and never overwritten, so a truncated
+    script yields a prefix of the full run's registry, bit for bit.
     """
     landmarks = dict(script.frame.edge_lines())
     residual_log = []
     for step in script.steps:
         try:
             produced = _execute_step(step, landmarks, tol)
-            for out_id, value in produced.items():
+            if len(produced) != len(step.outputs):
+                raise StepFailed(step.id, math.inf, f"{len(step.outputs)} outputs "
+                                 f"listed, {len(produced)} made")
+            for out_id, value in zip(step.outputs, produced):
                 if out_id in landmarks:
                     raise StepFailed(step.id, math.inf, f"rebinds landmark {out_id!r}")
                 landmarks[out_id] = value

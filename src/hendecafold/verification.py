@@ -218,21 +218,25 @@ def reflection_suite(rng: random.Random) -> str:
     return ""
 
 
-def sign_scan_root_count(p: RatPoly, lo: float, hi: float, samples: int = 4001) -> int:
-    """Count sign crossings of the square-free part on a dense grid."""
-    g = p.square_free_part()
-    crossings, prev = 0, None
-    for i in range(samples):
-        v = g(lo + (hi - lo) * i / (samples - 1))
+def _crossings(values) -> list:
+    """Indices of the sign changes in `values`; an exact zero counts once."""
+    crossings, prev = [], None
+    for i, v in enumerate(values):
         if v == 0.0:
-            crossings += 1
+            crossings.append(i)
             prev = None
             continue
         sign = v > 0
         if prev is not None and sign != prev:
-            crossings += 1
+            crossings.append(i)
         prev = sign
     return crossings
+
+
+def sign_scan_root_count(p: RatPoly, lo: float, hi: float, samples: int = 4001) -> int:
+    """Count sign crossings of the square-free part on a dense grid."""
+    g = p.square_free_part()
+    return len(_crossings(g(lo + (hi - lo) * i / (samples - 1)) for i in range(samples)))
 
 
 def sturm_suite(rng: random.Random) -> str:
@@ -254,23 +258,10 @@ def oracle_count_point_onto_line_through_point(
         moving: Point, target: Line, pivot: Point, samples: int = 4001) -> int:
     """Dense search along the target line for images at the pivot radius."""
     h = line_residual(pivot, target)
-    foot = (pivot.x - target.a * h, pivot.y - target.b * h)
-    dx, dy = -target.b, target.a
     radius = math.hypot(moving.x - pivot.x, moving.y - pivot.y)
     span = radius + 1.0
-    crossings, prev = 0, None
-    for i in range(samples):
-        u = -span + 2 * span * i / (samples - 1)
-        v = math.hypot(h, u) - radius
-        if v == 0.0:
-            crossings += 1
-            prev = None
-            continue
-        sign = v > 0
-        if prev is not None and sign != prev:
-            crossings += 1
-        prev = sign
-    return crossings
+    return len(_crossings(math.hypot(h, -span + 2 * span * i / (samples - 1)) - radius
+                          for i in range(samples)))
 
 
 def oracle_count_two_points_onto_two_lines(problem: TwoPointsOntoTwoLines,
@@ -304,16 +295,7 @@ def oracle_count_two_points_onto_two_lines(problem: TwoPointsOntoTwoLines,
         c = (p1_sq - dxp ** 2 - dyp ** 2) / 2.0
         d = (ax * p2x + ay * p2y + c) / (ax * ax + ay * ay)
         values.append(la * (p2x - 2 * ax * d) + lb * (p2y - 2 * ay * d) + lc)
-    crossings, prev = [], None
-    for i, v in enumerate(values):
-        if v == 0.0:
-            crossings.append(i)
-            prev = None
-            continue
-        sign = v > 0
-        if prev is not None and sign != prev:
-            crossings.append(i)
-        prev = sign
+    crossings = _crossings(values)
     trustworthy = True
     for idx in crossings:
         if not (abs(lo + idx * step) <= span):

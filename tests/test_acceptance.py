@@ -13,6 +13,8 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from hendecafold.cyclotomic import classify_constructible, halved_cyclotomic
 from hendecafold import verification
 from hendecafold.folds import (
@@ -234,3 +236,25 @@ def test_o6_oracle_matches_reference_near_tangency():
         problem = _tangent_o6_problem(rng)
         assert (verification.oracle_count_two_points_onto_two_lines(problem)
                 == _reference_oracle_count(problem)), problem
+
+
+def _reference_crossings(values):
+    """The sign-change loop each oracle carried before `_crossings`."""
+    crossings, prev = [], None
+    for i, v in enumerate(values):
+        if v == 0.0:
+            crossings.append(i)
+            prev = None
+            continue
+        sign = v > 0
+        if prev is not None and sign != prev:
+            crossings.append(i)
+        prev = sign
+    return crossings
+
+
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0, 1e-300, -1e-300]), st.floats())))
+def test_crossings_matches_the_reference_loop(values):
+    want = _reference_crossings(values)
+    assert verification._crossings(values) == want
+    assert verification._crossings(v for v in values) == want

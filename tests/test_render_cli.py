@@ -351,6 +351,13 @@ BAD_INPUTS = [
      1, "landmark 'z0' is Line, expected Point"),
     ("residuals_txt_is_a_directory", "script", lambda doc: doc,
      1, "cannot write "),
+    # outputs name one landmark each, for every step kind
+    ("extra_output", "script",
+     _edit_step("mark_Q", lambda s: s.update(outputs=["Q", "center"])),
+     1, "step 'mark_Q' failed (2 outputs listed, 1 made)"),
+    ("two_fold_three_outputs", "script",
+     _edit_step("twofold", lambda s: s.update(outputs=["gamma", "delta", "ghost"])),
+     1, "step 'twofold' failed (3 outputs listed, 2 made)"),
 ]
 
 # (case, kind, --tol value): a tolerance must be finite and positive
@@ -389,6 +396,29 @@ def test_cli_bad_input_is_one_line_and_exit_code(tmp_path, capsys, case, kind,
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("what", ["missing", "directory"])
+@pytest.mark.parametrize("command, option", [("construct", "--script"),
+                                             ("solve", "--config")])
+def test_cli_unreadable_input_file_is_exit_2(tmp_path, capsys, command, option, what):
+    path = tmp_path / "input.json"
+    if what == "directory":
+        path.mkdir()
+    assert main([command, option, str(path), "--tol", "1e-9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and str(path) in line
+
+
+@pytest.mark.parametrize("argv", [["classify", "1"], ["poly", "12"]])
+def test_cli_invalid_n_is_one_line_and_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
 
 
 # -- a closed stdout ends the run quietly with exit 1 ---------------------------
@@ -440,6 +470,32 @@ def test_closed_pipe_in_a_real_process_has_no_traceback():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("case", ["polygon_checks_fail", "vertices_are_lines"])
+def test_closed_pipe_and_a_failed_run_print_one_line(tmp_path, case):
+    # both runs print to a buffered stdout before they fail, so the flush at
+    # the end meets the closed pipe after the error line is out
+    edit, message = next((edit, message) for name, _, edit, _, message in BAD_INPUTS
+                         if name == case)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(edit(_script_doc())))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(hendecafold.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        done = subprocess.run([sys.executable, "-m", "hendecafold.cli", "construct",
+                               "--script", str(script), "--out", str(tmp_path / "out")],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    err = done.stderr.decode()
+    assert done.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and message in line
 
 
 # -- fuzz: `solve --config` on geometry-aware configs -------------------------
