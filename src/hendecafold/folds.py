@@ -11,8 +11,14 @@ gamma.  Any non-degenerate configuration is accepted.  Q's image
 Q' = foot + u*dir runs along n from the foot of Q, with dir = 2*(n.b, -n.a);
 delta bisects Q and Q', gamma is ell reflected across delta, and gamma
 carrying P onto m is a polynomial of degree at most five in u, built from
-the same crease family as the O6 solver's cubic.  Every certified real root
-is realized as a crease pair whose alignment residuals are verified.  A
+the same crease family as the O6 solver's cubic.  Both are assembled in
+Python integers and wrapped in a `RatPoly` once: every coordinate is scaled
+by one integer that clears their denominators, and each line's triple by
+the lcm of its own, with its offset times the coordinate scale.  That
+multiplies the polynomial by a constant, so its roots in u are kept; n's
+triple is never rescaled, since dir sets the unit of u.  Every certified
+real root is realized as a crease pair whose alignment residuals are
+verified.  A
 solution reports u as `t`, and half the coordinate of P' along m's unit
 direction (-m.b, m.a) as `s`: in the paper's frame (Q = (0, 1), ell: x = 0,
 n: y = -1, m vertical) these are its t, the x-intercept of delta, and s.
@@ -192,25 +198,75 @@ def _exact(obj) -> tuple:
     return tuple(Fraction(getattr(obj, f.name)) for f in fields(obj))
 
 
+def _integral(points: tuple, lines: tuple) -> list:
+    """The exact frame scaled to integers: each point times one integer s,
+    the lcm of all their denominators, and each line (a, b, c) as
+    (k*a, k*b, k*s*c), with k the lcm of its own denominators: the same line
+    in the scaled coordinates (s*x, s*y)."""
+    def times(values, k):
+        return [v.numerator * (k // v.denominator) for v in values]
+    s = math.lcm(*(v.denominator for p in points for v in p))
+    scaled = [times(p, s) for p in points]
+    for line in lines:
+        a, b, c = times(line, math.lcm(*(v.denominator for v in line)))
+        scaled.append((a, b, c * s))
+    return scaled
+
+
+def _add(p: list, q: list) -> list:
+    """p + q, integer coefficient lists in ascending degree."""
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return out
+
+
+def _mul(p: list, q: list) -> list:
+    """p * q, integer coefficient lists in ascending degree; an integer
+    factor k is the list [k]."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
+
+
 def _bisector_family(p: tuple, base: tuple, dir: tuple) -> tuple:
-    """(A, B, C), polynomials in u: A*x + B*y + C = 0 is the crease that
-    carries p onto D(u) = base + u*dir, the perpendicular bisector of p and
-    D, with A = Dx - px, B = Dy - py and C = (|p|^2 - |D|^2) / 2."""
+    """(2A, 2B, 2C), integer polynomials in u: A*x + B*y + C = 0 is the
+    crease that carries p onto D(u) = base + u*dir, the perpendicular
+    bisector of p and D, with A = Dx - px, B = Dy - py and
+    C = (|p|^2 - |D|^2) / 2.  The inputs are integers."""
     (px, py), (bx, by), (dx, dy) = p, base, dir
     return (
-        RatPoly.of(bx - px, dx),
-        RatPoly.of(by - py, dy),
-        RatPoly.of((px * px + py * py - bx * bx - by * by) / 2,
-                   -(bx * dx + by * dy), -(dx * dx + dy * dy) / 2),
+        [2 * (bx - px), 2 * dx],
+        [2 * (by - py), 2 * dy],
+        [px * px + py * py - bx * bx - by * by, -2 * (bx * dx + by * dy),
+         -(dx * dx + dy * dy)],
     )
 
 
-def _lands_on(point: tuple, crease: tuple, target: tuple) -> RatPoly:
+def _lands_on(point: tuple, crease: tuple, target: tuple) -> list:
     """Zero exactly where the crease family (A, B, C) reflects point onto
-    the target line (a, b, c): (A^2+B^2)*target(point) - 2*crease(point)*(A*a + B*b)."""
+    the target line (a, b, c): (A^2+B^2)*target(point) - 2*crease(point)*(A*a + B*b).
+    Integer inputs, integer polynomial out."""
     (x, y), (A, B, C), (a, b, c) = point, crease, target
-    return ((A * A + B * B) * (a * x + b * y + c)
-            - 2 * (A * x + B * y + C) * (A * a + B * b))
+    norm = _add(_mul(A, A), _mul(B, B))
+    at_point = _add(_add(_mul(A, [x]), _mul(B, [y])), C)
+    dot = _add(_mul(A, [-2 * a]), _mul(B, [-2 * b]))
+    return _add(_mul(norm, [a * x + b * y + c]), _mul(at_point, dot))
+
+
+def _o6_cubic(p1: Point, l1: Line, p2: Point, l2: Line) -> RatPoly:
+    """Monic polynomial in u, of degree at most 3, whose roots are the
+    creases carrying p1 onto base + u*dir = `_line_param(l1)` and p2 onto
+    l2.  The float inputs are dyadic rationals, so `_integral` makes the
+    whole family integral."""
+    base, dir = _line_param(l1)
+    p1, base, dir, p2, l2 = _integral(
+        (_exact(p1), _exact(base), tuple(map(Fraction, dir)), _exact(p2)), (_exact(l2),))
+    return RatPoly(_lands_on(p2, _bisector_family(p1, base, dir), l2)).monic()
 
 
 def _fold_two_points_onto_two_lines(p1: Point, l1: Line, p2: Point, l2: Line) -> list:
@@ -218,13 +274,11 @@ def _fold_two_points_onto_two_lines(p1: Point, l1: Line, p2: Point, l2: Line) ->
             abs(line_residual(p2, l2)) <= _COINCIDENT:
         raise DegenerateProblem("a moving point already lies on its target line")
     # the crease is the perpendicular bisector of p1 and its image D(u) on
-    # l1; requiring that the same crease carries p2 onto l2 is a cubic in u,
-    # assembled exactly from the (dyadic-rational) float inputs
-    base, (ex, ey) = _line_param(l1)
-    crease = _bisector_family(_exact(p1), _exact(base), (Fraction(ex), Fraction(ey)))
-    poly = _lands_on(_exact(p2), crease, _exact(l2)).monic()
+    # l1; requiring that the same crease carries p2 onto l2 is a cubic in u
+    poly = _o6_cubic(p1, l1, p2, l2)
     if poly.is_zero:
         raise DegenerateProblem("every crease along the family works")
+    base, (ex, ey) = _line_param(l1)
     folds = []
     for iv in isolate_real_roots(poly):
         u = refine_root(poly, iv, 1e-13)
@@ -382,13 +436,20 @@ def eliminate_to_quintic(config: TwoFoldConfig) -> RatPoly:
     - 2*(n_delta . n_ell)*delta, and gamma carrying P onto m is the
     eliminant, whose real roots are exactly the valid fold parameters.
     Raises DegenerateProblem when it is constant or identically zero.
+
+    The family is assembled in integers (`_integral`) and wrapped in a
+    `RatPoly` once.  Which scales are free: the common coordinate scale s,
+    and ell's and m's triples, as a line is homogeneous; each multiplies
+    the eliminant by a constant.  Which is not: n's triple, since
+    dir = 2*(n.b, -n.a) sets the unit of u, so n's denominators go into s.
     """
     P, Q, ell, m, n = (_exact(getattr(config, f.name)) for f in fields(config))
-    A, B, C = _bisector_family(Q, *_image_track(Q, n))
-    norm = A * A + B * B
-    dot = 2 * (A * ell[0] + B * ell[1])
-    gamma = (norm * ell[0] - dot * A, norm * ell[1] - dot * B, norm * ell[2] - dot * C)
-    eliminant = _lands_on(P, gamma, m).monic()
+    P, Q, foot, dir, ell, m = _integral((P, Q, *_image_track(Q, n)), (ell, m))
+    A, B, C = _bisector_family(Q, foot, dir)
+    norm = _add(_mul(A, A), _mul(B, B))
+    dot = _add(_mul(A, [-2 * ell[0]]), _mul(B, [-2 * ell[1]]))
+    gamma = [_add(_mul(norm, [e]), _mul(dot, X)) for e, X in zip(ell, (A, B, C))]
+    eliminant = RatPoly(_lands_on(P, gamma, m)).monic()
     if eliminant.degree <= 0:
         raise DegenerateProblem(
             f"two-fold elimination degenerated to degree {eliminant.degree}")

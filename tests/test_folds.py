@@ -312,12 +312,12 @@ def test_root_with_delta_parallel_to_ell_is_skipped_with_warning():
 
 
 def test_constant_eliminant_is_a_degenerate_problem(monkeypatch):
-    # no valid config is known to reach this guard, so the eliminant is
-    # replaced to drive it
-    monkeypatch.setattr(folds, "_lands_on", lambda point, crease, target: RatPoly.of(3))
+    # no valid config is known to reach this guard, so the eliminant's
+    # integer coefficient list is replaced to drive it
+    monkeypatch.setattr(folds, "_lands_on", lambda point, crease, target: [3, 0])
     with pytest.raises(DegenerateProblem, match="degenerated to degree 0"):
         solve_two_fold(TwoFoldConfig.hendecagon())
-    monkeypatch.setattr(folds, "_lands_on", lambda point, crease, target: RatPoly())
+    monkeypatch.setattr(folds, "_lands_on", lambda point, crease, target: [0, 0, 0])
     with pytest.raises(DegenerateProblem, match="degenerated to degree -1"):
         eliminate_to_quintic(TwoFoldConfig.hendecagon())
 
@@ -354,6 +354,66 @@ def test_eliminant_equals_the_ratfunc_elimination_on_canonical_configs():
         P, m = config.P, config.m
         assert eliminate_to_quintic(config) == _reference_eliminant(
             Fraction(P.x), Fraction(P.y), -Fraction(m.c) / Fraction(m.a)), config
+        checked += 1
+
+
+def _ratpoly_family(p, base, dir):
+    """`folds._bisector_family` as it was on `RatPoly`s: (A, B, C) with
+    `Fraction` coefficients."""
+    (px, py), (bx, by), (dx, dy) = p, base, dir
+    return (RatPoly.of(bx - px, dx), RatPoly.of(by - py, dy),
+            RatPoly.of((px * px + py * py - bx * bx - by * by) / 2,
+                       -(bx * dx + by * dy), -(dx * dx + dy * dy) / 2))
+
+
+def _ratpoly_lands_on(point, crease, target):
+    """`folds._lands_on` as it was on `RatPoly`s."""
+    (x, y), (A, B, C), (a, b, c) = point, crease, target
+    return ((A * A + B * B) * (a * x + b * y + c)
+            - 2 * (A * x + B * y + C) * (A * a + B * b))
+
+
+def _reference_general_eliminant(config):
+    """The general-position elimination multiplied out in `RatPoly`s, in the
+    config's own unscaled frame."""
+    P, Q = ((Fraction(v.x), Fraction(v.y)) for v in (config.P, config.Q))
+    ell, m, (a, b, c) = ((Fraction(l.a), Fraction(l.b), Fraction(l.c))
+                         for l in (config.ell, config.m, config.n))
+    k = (a * Q[0] + b * Q[1] + c) / (a * a + b * b)
+    A, B, C = _ratpoly_family(Q, (Q[0] - a * k, Q[1] - b * k), (2 * b, -2 * a))
+    norm = A * A + B * B
+    dot = 2 * (A * ell[0] + B * ell[1])
+    gamma = (norm * ell[0] - dot * A, norm * ell[1] - dot * B, norm * ell[2] - dot * C)
+    return _ratpoly_lands_on(P, gamma, m).monic()
+
+
+def test_eliminant_equals_the_ratpoly_elimination_in_general_position():
+    # non-integral P and Q, |n|^2 != 1 and nonzero ell/m offsets, so the
+    # integer assembly has a coordinate scale and line scales to get right
+    rng = random.Random(1111)
+
+    def fraction():
+        d = rng.randint(2, 9)
+        return rng.randint(-6, 6) + Fraction(rng.randint(1, d - 1), d)
+
+    def line(tilted):
+        a = rng.randint(1, 5)
+        b = rng.choice((-1, 1)) * rng.randint(1, 5) if tilted else rng.randint(-5, 5)
+        return Line(a * fraction(), b * fraction(), fraction())
+
+    checked = 0
+    while checked < 300:
+        try:
+            config = TwoFoldConfig(P=Point(fraction(), fraction()),
+                                   Q=Point(fraction(), fraction()),
+                                   ell=line(False), m=line(False), n=line(True))
+        except DegenerateProblem:
+            continue
+        if checked % 3 == 0:
+            # float lines have unit normals, so n's triple has denominators
+            config = TwoFoldConfig(*(getattr(config, name).to_float()
+                                     for name in ("P", "Q", "ell", "m", "n")))
+        assert eliminate_to_quintic(config) == _reference_general_eliminant(config), config
         checked += 1
 
 
@@ -450,7 +510,8 @@ def test_random_general_configs_solve_within_tolerance_or_raise():
 
 
 def _reference_o6(p1, l1, p2, l2):
-    """The O6 creases from the cubic assembled term by term."""
+    """The O6 creases from the cubic assembled term by term in `RatPoly`s,
+    and that cubic made monic."""
     p1, l1, p2, l2 = (v.to_float() for v in (p1, l1, p2, l2))
     base = Point(-l1.a * l1.c, -l1.b * l1.c)
     ex, ey = Fraction(-l1.b), Fraction(l1.a)
@@ -470,13 +531,13 @@ def _reference_o6(p1, l1, p2, l2):
         u = refine_root(poly, iv, 1e-13)
         image = Point(float(d0x) + u * float(ex), float(d0y) + u * float(ey))
         folds.append(perpendicular_bisector(p1, image))
-    return sorted(folds, key=lambda l: (l.a, l.b, l.c))
+    return sorted(folds, key=lambda l: (l.a, l.b, l.c)), poly.monic()
 
 
 def test_o6_creases_unchanged_by_the_shared_crease_family():
     rng = random.Random(66)
     compared = 0
-    while compared < 60:
+    while compared < 200:
         coords = [rng.uniform(-4, 4) for _ in range(10)]
         p1, p2 = Point(*coords[0:2]), Point(*coords[2:4])
         l1, l2 = Line(*coords[4:7]), Line(*coords[7:10])
@@ -484,7 +545,10 @@ def test_o6_creases_unchanged_by_the_shared_crease_family():
             got = solve_single_fold(TwoPointsOntoTwoLines(p1, l1, p2, l2))
         except DegenerateProblem:
             continue
-        assert got == _reference_o6(p1, l1, p2, l2)
+        creases, cubic = _reference_o6(p1, l1, p2, l2)
+        # the solver receives its inputs through `to_float`, as does the reference
+        assert folds._o6_cubic(*(v.to_float() for v in (p1, l1, p2, l2))) == cubic
+        assert got == creases
         compared += 1
 
 
