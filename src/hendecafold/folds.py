@@ -28,6 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .geometry import (
@@ -397,6 +398,15 @@ class TwoFoldConfig:
         if _on_line(self.Q, self.n):
             raise DegenerateProblem("Q lies on n; the delta fold degenerates")
 
+    @cached_property
+    def _image_track(self) -> tuple:
+        """(foot, dir), exact: the image Q'(u) = foot + u*dir of Q runs along
+        n from the foot of Q, with dir = 2*(n.b, -n.a).  Built once per
+        config, for the eliminant and for the realization of its roots."""
+        (qx, qy), (a, b, c) = _exact(self.Q), _exact(self.n)
+        k = (a * qx + b * qy + c) / (a * a + b * b)
+        return (qx - a * k, qy - b * k), (2 * b, -2 * a)
+
     @classmethod
     def hendecagon(cls) -> "TwoFoldConfig":
         """The instance whose eliminated quintic is the hendecagon's."""
@@ -420,14 +430,6 @@ def _on_line(p: Point, l: Line) -> bool:
     return incident(p.to_float(), l.to_float(), _COINCIDENT)
 
 
-def _image_track(q: tuple, n: tuple) -> tuple:
-    """(foot, dir): the image Q'(u) = foot + u*dir of q runs along line n
-    from the foot of q, with dir = 2*(n.b, -n.a)."""
-    (qx, qy), (a, b, c) = q, n
-    k = (a * qx + b * qy + c) / (a * a + b * b)
-    return (qx - a * k, qy - b * k), (2 * b, -2 * a)
-
-
 def eliminate_to_quintic(config: TwoFoldConfig) -> RatPoly:
     """Exact monic polynomial in the delta parameter u, of degree at most 5.
 
@@ -443,8 +445,8 @@ def eliminate_to_quintic(config: TwoFoldConfig) -> RatPoly:
     the eliminant by a constant.  Which is not: n's triple, since
     dir = 2*(n.b, -n.a) sets the unit of u, so n's denominators go into s.
     """
-    P, Q, ell, m, n = (_exact(getattr(config, f.name)) for f in fields(config))
-    P, Q, foot, dir, ell, m = _integral((P, Q, *_image_track(Q, n)), (ell, m))
+    P, Q, ell, m = (_exact(v) for v in (config.P, config.Q, config.ell, config.m))
+    P, Q, foot, dir, ell, m = _integral((P, Q, *config._image_track), (ell, m))
     A, B, C = _bisector_family(Q, foot, dir)
     norm = _add(_mul(A, A), _mul(B, B))
     dot = _add(_mul(A, [-2 * ell[0]]), _mul(B, [-2 * ell[1]]))
@@ -490,7 +492,7 @@ def solve_two_fold(config: TwoFoldConfig, tol: float = DEFAULT_TOL) -> list:
     a warning.
     """
     eliminant = eliminate_to_quintic(config)
-    foot, dir = _image_track(_exact(config.Q), _exact(config.n))
+    foot, dir = config._image_track
     fx, fy, dx, dy = (float(v) for v in (*foot, *dir))
     P, Q, ell, m, n = (getattr(config, f.name).to_float() for f in fields(config))
     solutions = []

@@ -8,11 +8,15 @@ scale, so every sign is kept) start one primitive pseudo-remainder sequence
 square-free polynomial and always ends in the gcd with the derivative, which
 gives the square-free part.  Isolation, counting and refinement all work on
 the monic square-free part, cached too.  Real roots are isolated into
-rational intervals certified by Sturm sign-variation counts, each exact sign
-test evaluating in integers (`_sign_at`).  Refinement finds the dyadic cell
-of width <= tol that exact bisection of the interval would end in: a float
-Newton guess, certified by a gallop and binary search of exact sign tests,
-then a short float Newton tail.  The result is bit-identical to bisection's.
+rational intervals certified by Sturm sign-variation counts.  The chain is
+evaluated in integers at x = N/D (`_chain_values`): its first two elements
+by homogeneous Horner, every later one from the two before it through the
+pseudo-division step that made it, one exact division per element instead
+of a Horner pass.  Refinement finds the dyadic cell of width <= tol that
+exact bisection of the interval would end in: a float Newton guess,
+certified by a gallop and binary search of exact sign tests on one integer
+grid over a common denominator, then a short float Newton tail.  The result
+is bit-identical to bisection's.
 """
 
 from __future__ import annotations
@@ -343,6 +347,14 @@ def _primitive(q: Sequence[int]) -> list:
     return [c // g for c in q]
 
 
+class _Remainder(list):
+    """A chain element made by `_neg_prem(a, b)`, with the step that made it:
+    `step` = (scale, quot, content, drop), where
+    content * self = quot * b - scale * a and drop = deg a - deg self."""
+
+    __slots__ = ("step",)
+
+
 def _neg_prem(a: Sequence[int], b: Sequence[int]) -> list:
     """-|lc(b)|**k * (a mod b) over its positive content, k = deg a - deg b + 1.
 
@@ -350,35 +362,71 @@ def _neg_prem(a: Sequence[int], b: Sequence[int]) -> list:
     vol. 2, 4.6.1): scaling a by |lc(b)|**k makes every quotient
     coefficient an integer, so the division needs no fractions.  The factor
     in front of -(a mod b) is a positive constant, so the result has the
-    signs of the remainder a Sturm chain takes over Q.  Empty when b
-    divides a.
+    signs of the remainder a Sturm chain takes over Q.  It is returned as a
+    `_Remainder` that keeps the scale, the pseudo-quotient and the content.
+    Empty when b divides a.
     """
     db, lc = len(b) - 1, b[-1]
-    r = [c * abs(lc) ** (len(a) - db) for c in a]
+    scale = abs(lc) ** (len(a) - db)
+    r = [c * scale for c in a]
+    quot = [0] * (len(a) - db)
     for top in range(len(r) - 1, db - 1, -1):
         q = r[top] // lc
         if q:
             base = top - db
+            quot[base] = q
             for i, c in enumerate(b):
                 r[base + i] -= q * c
     del r[db:]
     while r and r[-1] == 0:
         r.pop()
-    return [-c for c in _primitive(r)] if r else r
+    if not r:
+        return r
+    content = math.gcd(*r)
+    rem = _Remainder(-c // content for c in r)
+    rem.step = (scale, quot, content, len(a) - len(rem))
+    return rem
 
 
-def _sign_at(int_coeffs: Sequence[int], x: Fraction) -> int:
-    """Sign (-1, 0 or 1) of the integer polynomial at the rational x.
+def _homogeneous(q: Sequence[int], num: int, den: int) -> int:
+    """den**d * q(num/den) for an integer polynomial q of degree d.
 
-    With x = N/D and D > 0, D**d * p(x) = sum c_i * N**i * D**(d-i) has the
-    sign of p(x); Horner on that homogeneous form needs no gcd at any step.
+    Horner on the homogeneous form sum q_i * num**i * den**(d-i) needs no
+    gcd at any step, and with den > 0 it has the sign of q(num/den).
     """
-    num, den = x.numerator, x.denominator
     acc, den_power = 0, 1
-    for c in reversed(int_coeffs):
+    for c in reversed(q):
         acc = acc * num + c * den_power
         den_power *= den
+    return acc
+
+
+def _sign_at(int_coeffs: Sequence[int], num: int, den: int) -> int:
+    """Sign (-1, 0 or 1) of the integer polynomial at num/den, den > 0."""
+    acc = _homogeneous(int_coeffs, num, den)
     return (acc > 0) - (acc < 0)
+
+
+def _chain_values(chain, num: int, den: int) -> list:
+    """den**deg q * q(num/den) for each element q of a chain, den > 0.
+
+    An element c that `_neg_prem(a, b)` made follows from the values A and B
+    of the two before it: content * c = quot * b - scale * a, multiplied by
+    den**deg a at num/den, reads content * den**drop * C = Q * B - scale * A
+    with Q = den**deg quot * quot(num/den), so C is one exact division away.
+    Every other element is evaluated by `_homogeneous`.  Either way C is
+    Horner's value exactly, so every sign variation is the same.
+    """
+    values = []
+    for q in chain:
+        step = getattr(q, "step", None)
+        if step is None:
+            values.append(_homogeneous(q, num, den))
+        else:
+            scale, quot, content, drop = step
+            values.append((_homogeneous(quot, num, den) * values[-1]
+                           - scale * values[-2]) // (content * den ** drop))
+    return values
 
 
 def _integer_sturm_chain(g: RatPoly) -> list:
@@ -387,7 +435,9 @@ def _integer_sturm_chain(g: RatPoly) -> list:
     It starts from g's integer form with a positive leading coefficient and
     that form's derivative, then appends `_neg_prem` of the last two until a
     constant or a zero remainder.  Each element is a positive multiple of
-    the `sturm_chain` element, so the sign variations are the same.
+    the `sturm_chain` element, so the sign variations are the same.  The
+    remainders keep the step that made them, so `_chain_values` evaluates
+    all but the first two through the recurrence.
     """
     if g.is_zero:
         return []
@@ -415,7 +465,7 @@ def _variations(values: Sequence[int]) -> int:
 
 
 def _variations_at(int_chain, x: Fraction) -> int:
-    return _variations([_sign_at(q, x) for q in int_chain])
+    return _variations(_chain_values(int_chain, x.numerator, x.denominator))
 
 
 def _variations_at_inf(int_chain, sign: int) -> int:
@@ -440,15 +490,17 @@ def root_bound(p: RatPoly) -> Fraction:
     return 1 + max(abs(c / p.lc) for c in p.coeffs[:-1]) + 1
 
 
-def _nonroot_between(g_ints, lo: Fraction, hi: Fraction) -> Fraction:
+def _nonroot_between(chain, lo: Fraction, hi: Fraction) -> tuple:
+    """A point of (lo, hi) that is not a root of chain[0], the midpoint if
+    it can be, and the sign variations of the chain there."""
     mid = (lo + hi) / 2
-    if _sign_at(g_ints, mid) != 0:
-        return mid
-    width, k = hi - lo, 4
+    width, k, cands = hi - lo, 4, (mid,)
     while True:
-        for cand in (mid + width / k, mid - width / k):
-            if lo < cand < hi and _sign_at(g_ints, cand) != 0:
-                return cand
+        for cand in cands:
+            values = _chain_values(chain, cand.numerator, cand.denominator)
+            if values[0] != 0:
+                return cand, _variations(values)
+        cands = [c for c in (mid + width / k, mid - width / k) if lo < c < hi]
         k *= 2
 
 
@@ -476,8 +528,7 @@ def isolate_real_roots(p: RatPoly) -> list:
         if k == 1:
             out.append(RootInterval(lo, hi))
             continue
-        mid = _nonroot_between(chain[0], lo, hi)
-        vmid = _variations_at(chain, mid)
+        mid, vmid = _nonroot_between(chain, lo, hi)
         stack.append((lo, mid, vlo, vmid))
         stack.append((mid, hi, vmid, vhi))
     out.sort(key=lambda iv: iv.lo)
@@ -523,30 +574,47 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
     returned as is.  This finds that cell directly: a float Newton guess of
     its index, then a gallop outward and a binary search, each probe an exact
     sign test.  The result is therefore bit-identical to exact bisection's,
-    and the bracket it polishes in is certified.  At most three float Newton
-    steps then polish the cell midpoint; any Newton step that leaves the cell
-    or fails to shrink |p| is rejected.
+    and the bracket it polishes in is certified.  The grid lives on one
+    integer scale: with lo = LO/W and hi = HI/W over a common denominator W,
+    grid point j is (LO*cells + j*(HI - LO)) / (W*cells), so a probe is one
+    integer multiply-add and a sign test with no gcd, Horner in the numerator
+    on coefficients scaled once by powers of W*cells; and every float is an
+    int/int division, correctly rounded like float(Fraction).  At most three
+    float Newton steps then polish the cell midpoint; any Newton step that
+    leaves the cell or fails to shrink |p| is rejected.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive")
     g = _basis(p)
     ints = g._int_coeffs
     lo, hi = interval.lo, interval.hi
-    slo, shi = _sign_at(ints, lo), _sign_at(ints, hi)
+    slo = _sign_at(ints, lo.numerator, lo.denominator)
+    shi = _sign_at(ints, hi.numerator, hi.denominator)
     if not lo < hi or slo == 0 or shi == 0 or slo == shi:
         raise ValueError(f"{interval} does not bracket a simple root of {p!r}")
-    cells = 1 << (math.ceil((hi - lo) / Fraction(tol)) - 1).bit_length()
-    h = (hi - lo) / cells
-    guess = _float_root_guess(g, float(lo), float(hi), slo, float(h))
-    # grid point lo + a*h lies left of the root and lo + b*h right of it;
+    W = math.lcm(lo.denominator, hi.denominator)
+    LO, HI = lo.numerator * (W // lo.denominator), hi.numerator * (W // hi.denominator)
+    span = HI - LO
+    tol_num, tol_den = tol.as_integer_ratio()
+    # the fewest power-of-two cells no wider than tol: ceil(span/W / tol)
+    cells = 1 << (-(-span * tol_den // (W * tol_num)) - 1).bit_length()
+    origin, den = LO * cells, W * cells
+    # at every grid point num/den, den**d * g(num/den) is Horner in num on
+    # the coefficients c_i * den**(d - i), so they are scaled once
+    d = len(ints) - 1
+    grid_ints = [c * den ** (d - i) for i, c in enumerate(ints)]
+    guess = _float_root_guess(g, LO / W, HI / W, slo, span / den)
+    # grid point a lies left of the root and grid point b right of it;
     # probes gallop away from the guess with doubling steps, then bisect
     a, b = 0, cells
-    j, step = min(max(math.floor((Fraction(guess) - lo) / h), 1), cells - 1), 1
+    guess_num, guess_den = guess.as_integer_ratio()
+    j = (guess_num * W - LO * guess_den) * cells // (guess_den * span)
+    j, step = min(max(j, 1), cells - 1), 1
     while b - a > 1:
-        x = lo + j * h
-        s = _sign_at(ints, x)
+        num = origin + j * span
+        s = _sign_at(grid_ints, num, 1)
         if s == 0:
-            return float(x)
+            return num / den
         if s == slo:
             a, j = j, j + step
         else:
@@ -554,9 +622,8 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
         step *= 2
         if not a < j < b:
             j = (a + b) // 2
-    lo, hi = lo + a * h, lo + b * h
-    x = float((lo + hi) / 2)
-    lo_f, hi_f = float(lo), float(hi)
+    x = (2 * origin + (a + b) * span) / (2 * den)
+    lo_f, hi_f = (origin + a * span) / den, (origin + b * span) / den
     dg = g.derivative()
     for _ in range(3):
         fx, dfx = g(x), dg(x)

@@ -322,6 +322,26 @@ def test_constant_eliminant_is_a_degenerate_problem(monkeypatch):
         eliminate_to_quintic(TwoFoldConfig.hendecagon())
 
 
+def test_filled_image_track_cache_leaves_equality_and_hash_alone(monkeypatch):
+    config = TwoFoldConfig.hendecagon()
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return eliminate(c)
+
+    # solve_two_fold calls eliminate_to_quintic by name, so it can be wrapped
+    eliminate = folds.eliminate_to_quintic
+    monkeypatch.setattr(folds, "eliminate_to_quintic", counted)
+    solve_two_fold(config)
+    assert calls == [config] and "_image_track" in vars(config)
+    fresh = TwoFoldConfig.hendecagon()
+    assert "_image_track" not in vars(fresh)
+    assert config == fresh and hash(config) == hash(fresh) and repr(config) == repr(fresh)
+    assert {config: 1}[fresh] == 1
+    assert config._image_track == fresh._image_track == ((0, -1), (2, 0))
+
+
 # -- the general-position two-fold ---------------------------------------------
 
 def _reference_eliminant(px, py, mx):

@@ -1,17 +1,25 @@
+import importlib.util
+import itertools
 import math
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hendecafold import polynomials
 from hendecafold.cyclotomic import halved_cyclotomic
+from hendecafold.folds import TwoFoldConfig, eliminate_to_quintic
+from hendecafold.geometry import Line, Point
 from hendecafold.polynomials import (
     IdenticallyZeroDenominator,
     RatFunc,
     RatPoly,
     RootInterval,
     X,
+    _chain_values,
+    _homogeneous,
     _integer_sturm_chain,
     _sign_at,
     count_real_roots,
@@ -341,7 +349,11 @@ def test_isolation_intervals_disjoint_and_certified():
 def test_sign_kernel_matches_exact_evaluation(coeffs, x):
     p = RatPoly(coeffs)
     value = p(x)
-    assert _sign_at(p._int_coeffs, x) == (value > 0) - (value < 0)
+    sign = (value > 0) - (value < 0)
+    num, den = x.numerator, x.denominator
+    # refinement probes grid points num/den that are not in lowest terms
+    ints = p._int_coeffs
+    assert _sign_at(ints, num, den) == _sign_at(ints, 6 * num, 6 * den) == sign
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
@@ -397,12 +409,45 @@ def test_root_on_a_grid_point_is_returned_exactly(root, tol):
     assert bisection_refine_root(p, iv, tol) == float(root)
 
 
+@pytest.mark.parametrize("ratio", [Fraction(9, 2), 2**20 + Fraction(1, 3), 2**40 + Fraction(1, 2)])
+def test_refine_root_matches_exact_bisection_just_above_a_power_of_two(ratio):
+    # width/tol just above 2**k: bisection needs 2**(k+1) cells, not 2**k
+    iv = RootInterval(Fraction(1), Fraction(2))
+    tol = float(1 / ratio)
+    assert 2 ** (math.ceil(1 / Fraction(tol)) - 1).bit_length() > 1 / Fraction(tol) + 1
+    p = RatPoly.of(-2, 0, 1)
+    assert refine_root(p, iv, tol).hex() == bisection_refine_root(p, iv, tol).hex()
+
+
 def test_clustered_pair_matches_exact_bisection():
     third = Fraction(1, 3)
     p = (RatPoly.of(-third, 1) * RatPoly.of(-third - Fraction(1, 10**12), 1)
          * RatPoly.of(5, 0, 1))
     assert len(isolate_real_roots(p)) == 2
     assert_refines_like_bisection(p, 1e-15)
+
+
+def _benchmark_two_fold_stream(seed):
+    """(px, py, mx) of the benchmark's `two_fold` stream for a seed."""
+    path = Path(__file__).parents[1] / "perfbench" / "fold_workloads.py"
+    spec = importlib.util.spec_from_file_location("fold_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with warnings.catch_warnings():  # the workload sets a warnings filter
+        workload = module.TwoFold(None, Path("."))
+    return (params for params, _ in workload.inputs(seed))
+
+
+def test_refine_root_matches_exact_bisection_on_two_fold_eliminants():
+    # at the tol solve_two_fold refines with, on low-height quintics
+    degrees = set()
+    for px, py, mx in itertools.islice(_benchmark_two_fold_stream(1), 300):
+        config = TwoFoldConfig(P=Point(px, py), Q=Point(0, 1), ell=Line(1, 0, 0),
+                               m=Line(1, 0, -mx), n=Line(0, 1, 1))
+        eliminant = eliminate_to_quintic(config)
+        degrees.add(eliminant.degree)
+        assert_refines_like_bisection(eliminant, 1e-13)
+    assert 5 in degrees
 
 
 # -- the integer kernel against the Fraction chain it replaced ---------------
@@ -491,6 +536,58 @@ def test_integer_kernel_matches_fraction_reference_on_ngon(n):
 def test_sturm_chain_of_constants_and_zero():
     assert sturm_chain(RatPoly()) == fraction_sturm_chain(RatPoly()) == []
     assert sturm_chain(RatPoly.of(-3)) == fraction_sturm_chain(RatPoly.of(-3))
+
+
+# -- remainder recurrence against homogeneous Horner -------------------------
+
+# dyadic and non-dyadic rationals, either sign, small and large heights
+CHAIN_POINTS = [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5, 64),
+                Fraction(-1023, 2**40), Fraction(-7, 3), Fraction(22, 7),
+                Fraction(355, 113), Fraction(1, 10**9 + 7), Fraction(-10**12 - 1, 3**20)]
+
+
+def assert_chain_values_are_horner(p, points=CHAIN_POINTS):
+    """Every chain value, the recurrence's included, is the exact integer
+    that homogeneous Horner gives for that element."""
+    chain = _integer_sturm_chain(p)
+    assert all(q.step is not None for q in chain[2:])
+    for x in points:
+        num, den = x.numerator, x.denominator
+        assert _chain_values(chain, num, den) == [_homogeneous(q, num, den) for q in chain]
+    return chain
+
+
+@pytest.mark.parametrize("n", range(3, 82, 2))
+def test_chain_recurrence_is_exact_on_ngon(n):
+    p = RatPoly(halved_cyclotomic(n).poly.coeffs)
+    midpoints = [(iv.lo + iv.hi) / 2 for iv in isolate_real_roots(p)]
+    chain = assert_chain_values_are_horner(p, CHAIN_POINTS + midpoints)
+    # all (n - 1)/2 roots are real, so the chain has every degree down to 0
+    assert [len(q) - 1 for q in chain] == list(range((n - 1) // 2, -1, -1))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_kernel_polys(), st.fractions(min_value=-8, max_value=8, max_denominator=10**15))
+def test_chain_recurrence_is_exact_on_kernel_polys(p, x):
+    if p.degree >= 1:
+        assert_chain_values_are_horner(p, CHAIN_POINTS + [x])
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 0, 0, 0, 1],                # x^4 + 1: chain degrees 4, 3, 0
+    [1, 1, 0, 0, 0, 1],             # x^5 + x + 1: 5, 4, 1, 0
+    [1, 0, 0, 1, 0, 0, 1],          # x^6 + x^3 + 1: 6, 5, 3, 2, 0
+    [-1, 0, 1, 0, 0, 0, 0, 1],      # x^7 + x^2 - 1: 7, 6, 2, 1, 0
+])
+def test_chain_recurrence_is_exact_on_non_normal_chains(coeffs):
+    chain = assert_chain_values_are_horner(RatPoly(coeffs))
+    assert any(q.step[3] > 2 for q in chain[2:])  # deg a - deg c > 2: not normal
+
+
+@pytest.mark.parametrize("coeffs, length", [
+    ([-3], 1), ([Fraction(1, 2), -3], 2), ([0, 5], 2), ([-2, 0, 1], 3)])
+def test_chain_recurrence_is_exact_on_short_chains(coeffs, length):
+    assert len(assert_chain_values_are_horner(RatPoly(coeffs))) == length
 
 
 def test_filled_caches_leave_equality_and_hash_alone():
