@@ -14,10 +14,11 @@ import warnings
 from pathlib import Path
 
 from .construction import (
-    VERTEX_IDS,
+    SHEET,
     UnknownLandmark,
     WrongLandmarkKind,
     hendecagon_script,
+    polygon_vertices,
     run_script,
     verify_hendecagon,
 )
@@ -89,7 +90,6 @@ def _cmd_solve(args) -> int:
         config = decode_two_fold_config(_read_input(args.config))
     else:
         config = TwoFoldConfig.hendecagon()
-    sheet = hendecagon_script().frame
     with warnings.catch_warnings(record=True) as skipped:
         warnings.simplefilter("always")
         solutions = solve_two_fold(config, args.tol)
@@ -106,7 +106,7 @@ def _cmd_solve(args) -> int:
         print(f"  R: {_fmt_point(sol.R)}  S: {_fmt_point(sol.S)}  T: {_fmt_point(sol.T)}")
         for name in sorted(sol.residuals):
             print(f"  residual {name}: {_fmt(sol.residuals[name])}")
-        print(f"  sheet: {_sheet_note(sol, sheet)}")
+        print(f"  sheet: {_sheet_note(sol, SHEET)}")
     return 0
 
 
@@ -128,7 +128,7 @@ def _cmd_construct(args) -> int:
     print(f"steps executed: {len(script.steps)}")
     print(f"max residual: {_fmt(state.max_residual())}")
     print(f"diagrams written: {len(paths)} to {out_dir}")
-    if all(v in state.landmarks for v in VERTEX_IDS):
+    if polygon_vertices(state):
         report = verify_hendecagon(state, args.tol)
         for check in report.checks:
             status = "ok" if check.passed else "FAILED"

@@ -9,11 +9,11 @@ declared expectation against the computed value and aborts on the first
 violation, so a finished run certifies the whole construction within the
 requested tolerance.
 
-The built-in script folds the regular hendecagon of radius 4 centered at
-(0, -1) on the sheet [-4, 4] x [-5, 3]: it creases the reference frame,
-runs the two simultaneous folds that solve the quintic, transports the
-resulting cosine length to the first vertex, and walks the remaining
-vertices around the circle by repeated reflection folds.
+The built-in instance, the regular hendecagon of radius 4 centered on its
+sheet, is stated once, in the block `SHEET`, `RADIUS`, `VERTEX_IDS`.  Its
+script creases the reference frame, runs the two folds that solve the
+quintic, transports the cosine length to the first vertex, and walks the
+other vertices around the circle by reflections.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Union
 
-from .folds import SINGLE_FOLDS, TwoFoldConfig, solve_single_fold, solve_two_fold
+from .folds import (SINGLE_FOLDS, TwoFoldConfig, delta_line, gamma_line_from_t,
+                    solve_single_fold, solve_two_fold)
 from .geometry import (
     DEFAULT_TOL,
     Line,
@@ -36,8 +37,6 @@ from .geometry import (
 )
 
 Landmark = Union[Point, Line]
-
-VERTEX_IDS = tuple(f"z{k}" for k in range(11))
 
 
 class StepFailed(ValueError):
@@ -172,10 +171,17 @@ def expected_vertices(center: Point, radius: Scalar) -> list:
         raise ValueError("radius must be positive")
     cx, cy, r = float(center.x), float(center.y), float(radius)
     return [
-        Point(cx + r * math.cos(2 * math.pi * k / 11),
-              cy + r * math.sin(2 * math.pi * k / 11))
-        for k in range(11)
+        Point(cx + r * math.cos(2 * math.pi * k / SIDES),
+              cy + r * math.sin(2 * math.pi * k / SIDES))
+        for k in range(SIDES)
     ]
+
+
+def polygon_vertices(state: ConstructionState) -> dict | None:
+    """Vertex id -> Point, or None if one is unbound (WrongLandmarkKind if a line)."""
+    if all(v in state.landmarks for v in VERTEX_IDS):
+        return {v: _resolve(state.landmarks, None, v, Point) for v in VERTEX_IDS}
+    return None
 
 
 def landmark_params(kind: str, args: Mapping) -> dict:
@@ -293,14 +299,13 @@ def run_script(script: FoldScript, tol: float = DEFAULT_TOL) -> ConstructionStat
 
 
 # ----------------------------------------------------------------------
-# Built-in script: the radius-4 hendecagon
+# The built-in instance, the radius-4 hendecagon, and its script
 # ----------------------------------------------------------------------
 
-def _expected_frame_landmarks():
-    t = 2 * math.cos(2 * math.pi / 11)
-    center = Point(0.0, -1.0)
-    verts = expected_vertices(center, 4.0)
-    return t, center, verts
+SHEET = Sheet(center=Point(0.0, -1.0), side=8.0)
+RADIUS = 4.0
+VERTEX_IDS = tuple(f"z{k}" for k in range(11))
+SIDES = len(VERTEX_IDS)
 
 
 def hendecagon_script() -> FoldScript:
@@ -313,7 +318,9 @@ def hendecagon_script() -> FoldScript:
     vertices around the circle, and figure 20 creases the eleven sides.
     Every named landmark carries its analytic expected value.
     """
-    t, center, verts = _expected_frame_landmarks()
+    t = 2 * math.cos(2 * math.pi / SIDES)
+    verts = expected_vertices(SHEET.center, RADIUS)
+    frame = TwoFoldConfig.hendecagon()
     steps = []
 
     def add(step_id, kind, args, outputs, figures, ann="", mv="crease", expect=None):
@@ -325,14 +332,14 @@ def hendecagon_script() -> FoldScript:
     add("fold_ell", "single_fold",
         {"variant": "line_onto_line", "moving": "sheet_left", "target": "sheet_right"},
         ["ell"], [1], "Fold the left edge onto the right edge: vertical axis.",
-        "valley", {"ell": Line(1.0, 0.0, 0.0)})
+        "valley", {"ell": frame.ell.to_float()})
     add("fold_n", "single_fold",
         {"variant": "line_onto_line", "moving": "sheet_bottom", "target": "sheet_top"},
         ["n"], [1], "Fold the bottom edge onto the top edge: horizontal axis.",
-        "valley", {"n": Line(0.0, 1.0, 1.0)})
+        "valley", {"n": frame.n.to_float()})
     add("mark_center", "mark_point", {"l1": "ell", "l2": "n"},
         ["center"], [1], "The crease intersection is the paper center.",
-        expect={"center": center})
+        expect={"center": SHEET.center})
 
     add("fold_left_half", "single_fold",
         {"variant": "line_onto_line", "moving": "sheet_left", "target": "ell"},
@@ -345,7 +352,7 @@ def hendecagon_script() -> FoldScript:
         expect={"crease_top_half": Line(0.0, 1.0, -1.0)})
     add("mark_Q", "mark_point", {"l1": "crease_top_half", "l2": "ell"},
         ["Q"], [3], "The crease meets the vertical axis at Q.",
-        expect={"Q": Point(0.0, 1.0)})
+        expect={"Q": frame.Q.to_float()})
 
     add("fold_left_34", "single_fold",
         {"variant": "line_onto_line", "moving": "sheet_left", "target": "crease_left_half"},
@@ -356,11 +363,11 @@ def hendecagon_script() -> FoldScript:
         {"variant": "line_onto_line", "moving": "crease_left_34", "target": "ell"},
         ["crease_m_prelim"], [5],
         "A short crease at the bottom marks where line m will lie.",
-        expect={"crease_m_prelim": Line(1.0, 0.0, 1.5)})
+        expect={"crease_m_prelim": frame.m.to_float()})
 
     add("mark_m", "crease_segment", {"along": "crease_m_prelim"},
         ["m"], [6], "Fold the paper backwards along the mark: line m.",
-        "mountain", {"m": Line(1.0, 0.0, 1.5)})
+        "mountain", {"m": frame.m.to_float()})
 
     add("fold_bottom_half", "single_fold",
         {"variant": "line_onto_line", "moving": "sheet_bottom", "target": "n"},
@@ -374,7 +381,7 @@ def hendecagon_script() -> FoldScript:
     add("mark_P", "mark_point",
         {"l1": "crease_p_vertical", "l2": "crease_bottom_half"},
         ["P"], [7], "The crease intersection defines P.",
-        expect={"P": Point(-2.5, -3.0)})
+        expect={"P": frame.P.to_float()})
 
     add("twofold", "two_fold",
         {"P": "P", "Q": "Q", "ell": "ell", "m": "m", "n": "n", "select": 0},
@@ -382,8 +389,7 @@ def hendecagon_script() -> FoldScript:
         "Fold simultaneously: gamma carries P onto m while delta carries "
         "Q onto n and lays the vertical axis onto gamma.",
         "valley",
-        {"gamma": Line(t * t - 1.0, -2.0 * t, -2.0 * t ** 3),
-         "delta": Line(t, -1.0, -t * t)})
+        {"gamma": gamma_line_from_t(t), "delta": delta_line(t)})
 
     add("fold_horizontal_mid", "single_fold",
         {"variant": "line_onto_line", "moving": "crease_top_half", "target": "n"},
@@ -409,7 +415,7 @@ def hendecagon_script() -> FoldScript:
          "moving": "z0", "target": "vertex_guide", "pivot": "center"},
         ["rot_up", "rot_dn"], [12, 13],
         "Fold through the center placing A onto the vertical guide; "
-        "both creases rotate the 4-unit radius.")
+        f"both creases rotate the {RADIUS:g}-unit radius.")
 
     add("mark_z1", "rotate_length",
         {"center": "center", "frm": "z0", "axis": "rot_up"},
@@ -440,13 +446,13 @@ def hendecagon_script() -> FoldScript:
             [new], [figure], f"Rotate {frm} across the radius to {new}.",
             expect={new: verts[int(new[1:])]})
 
-    for k in range(11):
-        a, b = VERTEX_IDS[k], VERTEX_IDS[(k + 1) % 11]
+    for k in range(SIDES):
+        a, b = VERTEX_IDS[k], VERTEX_IDS[(k + 1) % SIDES]
         add(f"crease_side_{k}", "crease_segment", {"p": a, "q": b},
             [f"side_{k}"], [20], f"Fold the side {a}-{b}.", "mountain",
-            expect={f"side_{k}": line_through(verts[k], verts[(k + 1) % 11])})
+            expect={f"side_{k}": line_through(verts[k], verts[(k + 1) % SIDES])})
 
-    return FoldScript(steps=tuple(steps), frame=Sheet(center=Point(0.0, -1.0), side=8.0))
+    return FoldScript(steps=tuple(steps), frame=SHEET)
 
 
 # ----------------------------------------------------------------------
@@ -471,10 +477,10 @@ class VerificationReport:
 
 
 def verify_hendecagon(state: ConstructionState, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Check the constructed polygon against the analytic radius-4 one.
+    """Check the constructed polygon against the analytic one of `RADIUS`.
 
-    Verifies vertex positions, the eleven side lengths against the chord
-    2 * r * sin(pi / 11), and every radius.  Raises UnknownLandmark for a
+    Verifies vertex positions, the side lengths against the chord
+    2 * r * sin(pi / SIDES), and every radius.  Raises UnknownLandmark for a
     missing vertex and WrongLandmarkKind for a vertex or center that is not
     a point.
     """
@@ -482,15 +488,14 @@ def verify_hendecagon(state: ConstructionState, tol: float = DEFAULT_TOL) -> Ver
         if "center" in state.landmarks else state.sheet.center
     vertices = [_resolve(state.landmarks, None, v, Point) for v in VERTEX_IDS]
 
-    expected = expected_vertices(center, 4.0)
+    expected = expected_vertices(center, RADIUS)
     vertex_worst = max(point_distance(v, e) for v, e in zip(vertices, expected))
 
-    side = 8.0 * math.sin(math.pi / 11.0)
-    side_worst = max(
-        abs(point_distance(vertices[k], vertices[(k + 1) % 11]) - side)
-        for k in range(11))
+    side = 2 * RADIUS * math.sin(math.pi / SIDES)
+    side_worst = max(abs(point_distance(v, w) - side)
+                     for v, w in zip(vertices, vertices[1:] + vertices[:1]))
 
-    radius_worst = max(abs(point_distance(v, center) - 4.0) for v in vertices)
+    radius_worst = max(abs(point_distance(v, center) - RADIUS) for v in vertices)
 
     checks = (
         CheckResult("vertex_positions", vertex_worst <= tol, vertex_worst, tol),

@@ -69,6 +69,7 @@ class NoRealSolutions(ValueError):
 
 # points closer than this (in float mode) are treated as coincident
 _COINCIDENT = 1e-12
+_ROOT_TOL = 1e-13  # both polynomial solvers refine certified roots this far
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +283,7 @@ def _fold_two_points_onto_two_lines(p1: Point, l1: Line, p2: Point, l2: Line) ->
     base, (ex, ey) = _line_param(l1)
     folds = []
     for iv in isolate_real_roots(poly):
-        u = refine_root(poly, iv, 1e-13)
+        u = refine_root(poly, iv, _ROOT_TOL)
         image = Point(base.x + u * ex, base.y + u * ey)
         folds.append(perpendicular_bisector(p1, image))
     return folds
@@ -497,7 +498,7 @@ def solve_two_fold(config: TwoFoldConfig, tol: float = DEFAULT_TOL) -> list:
     P, Q, ell, m, n = (getattr(config, f.name).to_float() for f in fields(config))
     solutions = []
     for interval in isolate_real_roots(eliminant):
-        t = refine_root(eliminant, interval, 1e-13)
+        t = refine_root(eliminant, interval, _ROOT_TOL)
         try:
             delta = perpendicular_bisector(Q, Point(fx + t * dx, fy + t * dy))
             ell_image = reflect_line(ell, delta)

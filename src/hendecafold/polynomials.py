@@ -529,6 +529,8 @@ def isolate_real_roots(p: RatPoly) -> list:
             out.append(RootInterval(lo, hi))
             continue
         mid, vmid = _nonroot_between(chain, lo, hi)
+        if not vhi <= vmid <= vlo:
+            raise RuntimeError(f"kernel fault: count {vmid} at {mid} outside [{vhi}, {vlo}]")
         stack.append((lo, mid, vlo, vmid))
         stack.append((mid, hi, vmid, vhi))
     out.sort(key=lambda iv: iv.lo)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .construction import ConstructionState, Sheet, VERTEX_IDS
+from .construction import RADIUS, ConstructionState, Sheet, polygon_vertices
 from .geometry import Line, Point
 
 
@@ -150,25 +150,18 @@ def _sheet_rect(sheet: Sheet) -> str:
             f'fill="#fdfbf4" stroke="#555555" stroke-width="0.04" />')
 
 
-def _final_doc(state: ConstructionState, box: tuple) -> str:
+def _final_doc(state: ConstructionState, vertices: dict, box: tuple) -> str:
     body = [_sheet_rect(state.sheet)]
-    # a vertex id bound to a line is no vertex
-    vertices = [v if isinstance(v, Point) else None
-                for v in map(state.landmarks.get, VERTEX_IDS)]
-    for k, v in enumerate(vertices):
-        if v is None:
-            continue
-        w = vertices[(k + 1) % 11]
-        if w is not None:
-            body.append(_svg_line((v.x, v.y), (w.x, w.y), INK_COLOR,
-                                  STROKE_WIDTH * 1.8, cls="side"))
+    points = list(vertices.values())
+    for v, w in zip(points, points[1:] + points[:1]):
+        body.append(_svg_line((v.x, v.y), (w.x, w.y), INK_COLOR,
+                              STROKE_WIDTH * 1.8, cls="side"))
     center = state.landmarks.get("center")
     if isinstance(center, Point):
         body.extend(_svg_point(center, INK_COLOR, "center"))
-    for k, v in enumerate(vertices):
-        if v is not None:
-            body.extend(_svg_point(v, INK_COLOR, f"z{k}"))
-    return _document("Finished polygon", "The regular hendecagon, radius 4.",
+    for name, v in vertices.items():
+        body.extend(_svg_point(v, INK_COLOR, name))
+    return _document("Finished polygon", f"The regular hendecagon, radius {RADIUS:g}.",
                      body, box)
 
 
@@ -194,7 +187,7 @@ def emit_svg(state: ConstructionState, spec: DiagramSpec = None) -> list:
 
     spec.figures selects the plates; None draws every figure that some step
     names plus the final polygon plate (appended whenever the last figure is
-    included and the state has vertices).
+    included and the state has vertices; WrongLandmarkKind if one is a line).
     """
     spec = spec or DiagramSpec()
     box = _viewport(state.sheet)
@@ -216,8 +209,8 @@ def emit_svg(state: ConstructionState, spec: DiagramSpec = None) -> list:
         docs.append((f"step_{figure:02d}",
                      _document(f"Figure {figure}", caption, body, box)))
     if figures and max(figures) >= state.script.max_figure() and \
-            all(v in state.landmarks for v in VERTEX_IDS):
-        docs.append(("final", _final_doc(state, box)))
+            (vertices := polygon_vertices(state)):
+        docs.append(("final", _final_doc(state, vertices, box)))
     return docs
 
 

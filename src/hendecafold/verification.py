@@ -22,11 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construction import (
-    hendecagon_script,
-    run_script,
-    verify_hendecagon,
-)
+from .construction import RADIUS, SIDES, hendecagon_script, run_script, verify_hendecagon
 from .cyclotomic import classify_constructible, halved_cyclotomic
 from .folds import (
     PointOntoLineThroughPoint,
@@ -51,6 +47,10 @@ from .geometry import (
 from .polynomials import RatPoly, count_real_roots, isolate_real_roots, refine_root
 
 SEED = 20260810
+
+# oracle grids: samples of the two sign scans; the O6 scan's window |u| <= O6_SPAN
+SCAN_SAMPLES = 4001
+O6_SPAN, O6_SAMPLES = 45.0, 9001
 
 HENDECAGON_QUINTIC = RatPoly.of(1, 3, -3, -4, 1, 1)
 
@@ -139,7 +139,7 @@ def check_end_to_end_construction() -> CriterionResult:
     report = verify_hendecagon(state, 1e-9)
     center = state.landmarks["center"]
     qp_dist = point_distance(state.landmarks["Qp"], center)
-    qp_ok = abs(qp_dist - 4 * math.cos(2 * math.pi / 11)) <= 1e-9
+    qp_ok = abs(qp_dist - RADIUS * math.cos(2 * math.pi / SIDES)) <= 1e-9
     worst = max(c.worst for c in report.checks)
     ok = report.passed and qp_ok and state.max_residual() <= 1e-9
     return CriterionResult(
@@ -233,10 +233,11 @@ def _crossings(values) -> list:
     return crossings
 
 
-def sign_scan_root_count(p: RatPoly, lo: float, hi: float, samples: int = 4001) -> int:
+def sign_scan_root_count(p: RatPoly, lo: float, hi: float) -> int:
     """Count sign crossings of the square-free part on a dense grid."""
     g = p.square_free_part()
-    return len(_crossings(g(lo + (hi - lo) * i / (samples - 1)) for i in range(samples)))
+    return len(_crossings(g(lo + (hi - lo) * i / (SCAN_SAMPLES - 1))
+                          for i in range(SCAN_SAMPLES)))
 
 
 def sturm_suite(rng: random.Random) -> str:
@@ -255,18 +256,16 @@ def sturm_suite(rng: random.Random) -> str:
 
 
 def oracle_count_point_onto_line_through_point(
-        moving: Point, target: Line, pivot: Point, samples: int = 4001) -> int:
+        moving: Point, target: Line, pivot: Point) -> int:
     """Dense search along the target line for images at the pivot radius."""
     h = line_residual(pivot, target)
     radius = math.hypot(moving.x - pivot.x, moving.y - pivot.y)
     span = radius + 1.0
-    return len(_crossings(math.hypot(h, -span + 2 * span * i / (samples - 1)) - radius
-                          for i in range(samples)))
+    return len(_crossings(math.hypot(h, -span + 2 * span * i / (SCAN_SAMPLES - 1)) - radius
+                          for i in range(SCAN_SAMPLES)))
 
 
-def oracle_count_two_points_onto_two_lines(problem: TwoPointsOntoTwoLines,
-                                           span: float = 45.0,
-                                           samples: int = 9001):
+def oracle_count_two_points_onto_two_lines(problem: TwoPointsOntoTwoLines):
     """Sign-scan count of valid creases within the parameter window.
 
     Samples, directly, the alignment miss of the second point when the
@@ -284,10 +283,10 @@ def oracle_count_two_points_onto_two_lines(problem: TwoPointsOntoTwoLines,
     la, lb, lc = l2.a, l2.b, l2.c
     p1_sq = p1x ** 2 + p1y ** 2
 
-    lo, hi = -span - 2.0, span + 2.0
-    step = (hi - lo) / (samples - 1)
+    lo, hi = -O6_SPAN - 2.0, O6_SPAN + 2.0
+    step = (hi - lo) / (O6_SAMPLES - 1)
     values = []
-    for i in range(samples):
+    for i in range(O6_SAMPLES):
         u = lo + i * step
         dxp = bx + u * vx
         dyp = by + u * vy
@@ -298,14 +297,14 @@ def oracle_count_two_points_onto_two_lines(problem: TwoPointsOntoTwoLines,
     crossings = _crossings(values)
     trustworthy = True
     for idx in crossings:
-        if not (abs(lo + idx * step) <= span):
+        if not (abs(lo + idx * step) <= O6_SPAN):
             trustworthy = False
     for i1, i2 in zip(crossings, crossings[1:]):
         if i2 - i1 < 5:
             trustworthy = False
     near = 1e-4 * (max(map(abs, values)) or 1.0)
     covered = {j for idx in crossings for j in range(idx - 3, idx + 4)}
-    if any(abs(values[i]) < near and i not in covered for i in range(1, samples - 1)):
+    if any(abs(values[i]) < near and i not in covered for i in range(1, O6_SAMPLES - 1)):
         trustworthy = False
     return len(crossings), trustworthy
 
@@ -359,7 +358,7 @@ def single_fold_count_suite(rng: random.Random) -> str:
         for fold in folds:
             image = reflect_point(p1, fold)
             u = (image.x - base[0]) * direction[0] + (image.y - base[1]) * direction[1]
-            if abs(u) <= 45.0:
+            if abs(u) <= O6_SPAN:
                 in_window += 1
         want, trustworthy = oracle_count_two_points_onto_two_lines(problem)
         if not trustworthy:

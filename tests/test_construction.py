@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +223,12 @@ def test_number_roundtrip():
     assert encode_number(Fraction(7)) == "7"
     with pytest.raises(FormatError):
         decode_number("abc")
+
+
+def test_committed_script_file_is_the_built_in_script():
+    # the benchmark decodes this file; it must stay the built-in script
+    path = Path(__file__).parents[1] / "perfbench" / "data" / "hendecagon_script.json"
+    assert json.loads(path.read_text()) == json.loads(encode_script(hendecagon_script()))
 
 
 def test_script_roundtrip_lossless():

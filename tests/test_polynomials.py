@@ -338,6 +338,26 @@ def test_isolation_intervals_disjoint_and_certified():
             assert p(iv.lo) != 0 and p(iv.hi) != 0
 
 
+@pytest.mark.parametrize("fault", [lambda v: -1, lambda v: v + 6],
+                         ids=["below", "above"])
+def test_isolation_raises_on_a_count_outside_its_interval(monkeypatch, fault):
+    # a faulty chain kernel must fail loudly; without the guard isolation
+    # keeps subdividing, so the patch gives up after 200 midpoints
+    calls = []
+    nonroot_between = polynomials._nonroot_between
+
+    def faulty(chain, lo, hi):
+        calls.append(lo)
+        assert len(calls) <= 200, "isolation never stopped subdividing"
+        mid, variations = nonroot_between(chain, lo, hi)
+        return mid, fault(variations)
+
+    monkeypatch.setattr(polynomials, "_nonroot_between", faulty)
+    with pytest.raises(RuntimeError, match="outside"):
+        isolate_real_roots(QUINTIC)
+    assert len(calls) == 1
+
+
 # -- exact sign kernel and refinement against exact bisection ----------------
 
 @given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=10**6),

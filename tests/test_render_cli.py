@@ -18,7 +18,14 @@ from hypothesis import given, settings, strategies as st
 import hendecafold
 from hendecafold import render
 from hendecafold.cli import main
-from hendecafold.construction import VERTEX_IDS, hendecagon_script, run_script
+from hendecafold.construction import (
+    VERTEX_IDS,
+    FoldScript,
+    FoldStep,
+    WrongLandmarkKind,
+    hendecagon_script,
+    run_script,
+)
 from hendecafold.render import DiagramSpec, IoFailure, emit_svg, write_svgs
 from hendecafold.scriptio import encode_number, encode_script, encode_two_fold_config
 from hendecafold.folds import TwoFoldConfig
@@ -84,6 +91,18 @@ def test_subset_plates_equal_the_full_render(state):
     assert [name for name, _ in subset] == ["step_03", "step_05", "step_20", "final"]
     for name, text in subset:
         assert text == full[name], name
+
+
+def test_a_vertex_bound_to_a_line_fails_the_final_plate_only():
+    steps = tuple(FoldStep(id=f"bind_{z}", kind="crease_segment",
+                           args={"along": "sheet_left"}, outputs=(z,), figures=(k + 1,))
+                  for k, z in enumerate(VERTEX_IDS))
+    bad = run_script(FoldScript(steps=steps, frame=hendecagon_script().frame))
+    with pytest.raises(WrongLandmarkKind, match="landmark 'z0' is Line, expected Point"):
+        emit_svg(bad, DiagramSpec())
+    # a subset without the final plate never reads the vertices
+    docs = emit_svg(bad, DiagramSpec(figures=(1, 2)))
+    assert [name for name, _ in docs] == ["step_01", "step_02"]
 
 
 def test_only_named_figures_are_drawn():
@@ -396,6 +415,9 @@ def test_cli_bad_input_is_one_line_and_exit_code(tmp_path, capsys, case, kind,
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and message in err
+    if case == "vertices_are_lines":
+        # the run fails before any plate is written, the final one included
+        assert not list((tmp_path / "out").glob("*.svg"))
 
 
 @pytest.mark.parametrize("what", ["missing", "directory"])
@@ -474,8 +496,9 @@ def test_closed_pipe_in_a_real_process_has_no_traceback():
 
 @pytest.mark.parametrize("case", ["polygon_checks_fail", "vertices_are_lines"])
 def test_closed_pipe_and_a_failed_run_print_one_line(tmp_path, case):
-    # both runs print to a buffered stdout before they fail, so the flush at
-    # the end meets the closed pipe after the error line is out
+    # the polygon check prints to a buffered stdout before it fails, so the
+    # flush at the end meets the closed pipe after the error line is out;
+    # the vertex bound to a line fails before anything is printed
     edit, message = next((edit, message) for name, _, edit, _, message in BAD_INPUTS
                          if name == case)
     script = tmp_path / "script.json"
