@@ -5,77 +5,70 @@ rationals, cosine polynomials of regular polygons with a single-fold
 constructibility classifier, the seven single-fold alignment solvers plus
 the quintic-solving two-simultaneous-fold operation, and a verified fold
 script that constructs the regular hendecagon with SVG diagrams.
+
+Importing the package loads only the algebra core, `polynomials` and
+`cyclotomic`; every other public name, and every other submodule, is
+imported on first use (PEP 562), so a command pays only for what it runs.
 """
 
-from .geometry import (
-    Line,
-    Point,
-    distance,
-    incident,
-    intersect,
-    line_through,
-    midpoint,
-    perpendicular_bisector,
-    reflect_line,
-    reflect_point,
-)
-from .polynomials import (
-    RatFunc,
-    RatPoly,
-    RootInterval,
-    count_real_roots,
-    isolate_real_roots,
-    ratfunc_substitute,
-    refine_root,
-)
-from .cyclotomic import (
-    ConstructibilityReport,
-    NgonPolynomial,
-    chebyshev_term,
-    classify_constructible,
-    halved_cyclotomic,
-    vertex_cosines,
-)
-from .folds import (
-    SingleFoldProblem,
-    TwoFoldConfig,
-    TwoFoldSolution,
-    delta_line,
-    eliminate_to_quintic,
-    gamma_line_from_s,
-    gamma_line_from_t,
-    s_from_t,
-    solve_single_fold,
-    solve_two_fold,
-)
-from .construction import (
-    ConstructionState,
-    FoldScript,
-    FoldStep,
-    expected_vertices,
-    hendecagon_script,
-    rotate_length,
-    run_script,
-    verify_hendecagon,
-)
-from .render import DiagramSpec, emit_svg, write_svgs
-from .scriptio import decode_script, decode_two_fold_config, encode_script
+import importlib
+
+from . import cyclotomic, polynomials
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Line", "Point", "distance", "incident", "intersect", "line_through",
-    "midpoint", "perpendicular_bisector", "reflect_line", "reflect_point",
-    "RatFunc", "RatPoly", "RootInterval", "count_real_roots",
-    "isolate_real_roots", "ratfunc_substitute", "refine_root",
-    "ConstructibilityReport", "NgonPolynomial", "chebyshev_term",
-    "classify_constructible", "halved_cyclotomic", "vertex_cosines",
-    "SingleFoldProblem", "TwoFoldConfig", "TwoFoldSolution", "delta_line",
-    "eliminate_to_quintic", "gamma_line_from_s", "gamma_line_from_t",
-    "s_from_t", "solve_single_fold", "solve_two_fold",
-    "ConstructionState", "FoldScript", "FoldStep", "expected_vertices",
-    "hendecagon_script", "rotate_length", "run_script", "verify_hendecagon",
-    "DiagramSpec", "emit_svg", "write_svgs",
-    "decode_script", "decode_two_fold_config", "encode_script",
-    "__version__",
-]
+# public name -> the module that defines it
+_HOME = {
+    **dict.fromkeys((
+        "Line", "Point", "distance", "incident", "intersect", "line_through",
+        "midpoint", "perpendicular_bisector", "reflect_line", "reflect_point",
+    ), "geometry"),
+    **dict.fromkeys((
+        "RatFunc", "RatPoly", "RootInterval", "count_real_roots",
+        "isolate_real_roots", "ratfunc_substitute", "refine_root",
+    ), "polynomials"),
+    **dict.fromkeys((
+        "ConstructibilityReport", "NgonPolynomial", "chebyshev_term",
+        "classify_constructible", "halved_cyclotomic", "vertex_cosines",
+    ), "cyclotomic"),
+    **dict.fromkeys((
+        "SingleFoldProblem", "TwoFoldConfig", "TwoFoldSolution", "delta_line",
+        "eliminate_to_quintic", "gamma_line_from_s", "gamma_line_from_t",
+        "s_from_t", "solve_single_fold", "solve_two_fold",
+    ), "folds"),
+    **dict.fromkeys((
+        "ConstructionState", "FoldScript", "FoldStep", "expected_vertices",
+        "hendecagon_script", "rotate_length", "run_script", "verify_hendecagon",
+    ), "construction"),
+    **dict.fromkeys(("DiagramSpec", "emit_svg", "write_svgs"), "render"),
+    **dict.fromkeys(("decode_script", "decode_two_fold_config", "encode_script"),
+                    "scriptio"),
+}
+
+_SUBMODULES = ("geometry", "polynomials", "cyclotomic", "folds", "construction",
+               "scriptio", "render", "verification", "cli")
+
+__all__ = [*_HOME, "__version__"]
+
+# the core's names are bound now; the rest on first use
+globals().update({name: getattr(globals()[module], name)
+                  for name, module in _HOME.items()
+                  if module in ("polynomials", "cyclotomic")})
+
+
+def __getattr__(name):
+    # Not cached: the package reads the defining module's current binding,
+    # so a function patched or restored there is seen the same way here.
+    # An imported submodule is bound in this namespace, and `globals()` finds
+    # it faster than the import system does.
+    if name in _HOME:
+        home = _HOME[name]
+        module = globals().get(home) or importlib.import_module(f".{home}", __name__)
+        return getattr(module, name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -12,25 +12,23 @@ import os
 import sys
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .construction import (
-    SHEET,
-    UnknownLandmark,
-    WrongLandmarkKind,
-    hendecagon_script,
-    polygon_vertices,
-    run_script,
-    verify_hendecagon,
-)
-from .cyclotomic import InvalidN, classify_constructible, halved_cyclotomic
-from .folds import TwoFoldConfig, solve_two_fold
-from .geometry import DEFAULT_TOL, Line, Point
-from .render import DiagramSpec, IoFailure, emit_svg, write_svgs
-from .scriptio import FormatError, decode_script, decode_two_fold_config, encode_number
-from .verification import run_all
+# Each command imports the layers it runs, so `hendecafold --help` and
+# `classify` load only the algebra core that the package imports anyway.
+from .cyclotomic import classify_constructible, halved_cyclotomic
 
-_INPUT_ERRORS = (FormatError, InvalidN)  # exit 2
-_RUN_FAILURES = (ValueError, UnknownLandmark, WrongLandmarkKind, IoFailure)  # exit 1
+if TYPE_CHECKING:
+    from .geometry import Line, Point
+
+# Exit 2 and exit 1, by class as `module.Name`.  They are looked up only in
+# the modules already loaded when a command fails: an exception of a class
+# whose module was never imported cannot have been raised.
+_INPUT_ERRORS = ("hendecafold.scriptio.FormatError", "hendecafold.cyclotomic.InvalidN")
+_RUN_FAILURES = ("builtins.ValueError", "hendecafold.construction.UnknownLandmark",
+                 "hendecafold.construction.WrongLandmarkKind", "hendecafold.render.IoFailure")
+
+DEFAULT_TOL = 1e-9  # geometry.DEFAULT_TOL, restated so the parser need not import geometry
 
 
 def _fmt(value: float) -> str:
@@ -47,6 +45,7 @@ def _fmt_point(p: Point) -> str:
 
 def _read_input(path: str) -> str:
     """The text of an input file; an unreadable file is an input error."""
+    from .scriptio import FormatError
     try:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -70,6 +69,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_poly(args) -> int:
+    from .scriptio import encode_number
     ngon = halved_cyclotomic(args.n)
     # descending order: the t^degree coefficient first
     print(" ".join(encode_number(c) for c in reversed(ngon.poly.coeffs)))
@@ -86,6 +86,9 @@ def _sheet_note(solution, sheet) -> str:
 
 
 def _cmd_solve(args) -> int:
+    from .construction import SHEET
+    from .folds import TwoFoldConfig, solve_two_fold
+    from .scriptio import decode_two_fold_config
     if args.config:
         config = decode_two_fold_config(_read_input(args.config))
     else:
@@ -111,6 +114,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .construction import hendecagon_script, polygon_vertices, run_script, verify_hendecagon
+    from .render import DiagramSpec, IoFailure, emit_svg, write_svgs
+    from .scriptio import decode_script
     if args.script:
         script = decode_script(_read_input(args.script))
     else:
@@ -143,6 +149,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(_args) -> int:
+    from .verification import run_all
     results = run_all()
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -204,14 +211,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded(names) -> tuple:
+    """The classes among `names` whose modules are loaded."""
+    split = (name.rpartition(".") for name in names)
+    return tuple(getattr(sys.modules[module], cls)
+                 for module, _, cls in split if module in sys.modules)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         try:
             status = args.func(args)
-        except _INPUT_ERRORS + _RUN_FAILURES as exc:
+        except Exception as exc:
+            if isinstance(exc, _loaded(_INPUT_ERRORS)):
+                status = 2
+            elif isinstance(exc, _loaded(_RUN_FAILURES)):
+                status = 1
+            else:
+                raise
             print(f"error: {exc}", file=sys.stderr)
-            status = 2 if isinstance(exc, _INPUT_ERRORS) else 1
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (e.g. `| head`): stop with no message, and

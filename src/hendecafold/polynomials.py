@@ -504,6 +504,17 @@ def _nonroot_between(chain, lo: Fraction, hi: Fraction) -> tuple:
         k *= 2
 
 
+def _separation_bits(f: Sequence[int]) -> int:
+    """An e with 2^-e below Mahler's root-separation bound of the square-free
+    integer polynomial f: no two of its roots lie closer than 2^-e."""
+    d = len(f) - 1
+    # sep > sqrt(3) d^(-(d+2)/2) M(f)^(1-d), and the Mahler measure M(f) is
+    # at most the 2-norm; the extra halving absorbs rounding in the logs
+    log2_sep = (math.log2(3) / 2 - (d + 2) / 2 * math.log2(d)
+                - (d - 1) / 2 * math.log2(sum(c * c for c in f)))
+    return math.ceil(-log2_sep) + 1
+
+
 def isolate_real_roots(p: RatPoly) -> list:
     """Disjoint isolating intervals, one per distinct real root, ascending.
 
@@ -517,22 +528,33 @@ def isolate_real_roots(p: RatPoly) -> list:
         return []
     chain = g._int_chain
     bound = root_bound(g)
+    # Two roots never lie closer than 2^-sep_bits, so an interval narrower
+    # than that holding two is a kernel fault.  The first interval is wider
+    # than 2^(nb - db) and a split keeps at least 1/4 of an interval
+    # (`_nonroot_between`), so none split `shallow` times or fewer is that
+    # narrow, and the width is only tested deeper.
+    sep_bits = _separation_bits(chain[0])
+    nb, db = bound.numerator.bit_length(), bound.denominator.bit_length()
+    shallow = (nb - db + sep_bits) // 2
     out = []
     stack = [(-bound, bound,
-              _variations_at(chain, -bound), _variations_at(chain, bound))]
+              _variations_at(chain, -bound), _variations_at(chain, bound), 0)]
     while stack:
-        lo, hi, vlo, vhi = stack.pop()
+        lo, hi, vlo, vhi, depth = stack.pop()
         k = vlo - vhi
         if k == 0:
             continue
         if k == 1:
             out.append(RootInterval(lo, hi))
             continue
+        if depth > shallow and hi - lo < Fraction(1, 1 << sep_bits):
+            raise RuntimeError(f"kernel fault: count {k} near {float(lo)!r} on an interval "
+                               f"narrower than the root separation 2^-{sep_bits}")
         mid, vmid = _nonroot_between(chain, lo, hi)
         if not vhi <= vmid <= vlo:
             raise RuntimeError(f"kernel fault: count {vmid} at {mid} outside [{vhi}, {vlo}]")
-        stack.append((lo, mid, vlo, vmid))
-        stack.append((mid, hi, vmid, vhi))
+        stack.append((lo, mid, vlo, vmid, depth + 1))
+        stack.append((mid, hi, vmid, vhi, depth + 1))
     out.sort(key=lambda iv: iv.lo)
     return out
 

@@ -358,6 +358,24 @@ def test_isolation_raises_on_a_count_outside_its_interval(monkeypatch, fault):
     assert len(calls) == 1
 
 
+def test_isolation_raises_when_counts_stay_inside_their_interval(monkeypatch):
+    # a faulty kernel that counts one root above every midpoint keeps each
+    # left half at k - 1 >= 2 roots, so isolation would halve toward the
+    # lower bound forever; below the root-separation floor it must raise
+    calls = []
+    nonroot_between = polynomials._nonroot_between
+
+    def faulty(chain, lo, hi):
+        calls.append(lo)
+        assert len(calls) <= 2000, "isolation never stopped subdividing"
+        mid, _ = nonroot_between(chain, lo, hi)
+        return mid, polynomials._variations_at_inf(chain, 1) + 1
+
+    monkeypatch.setattr(polynomials, "_nonroot_between", faulty)
+    with pytest.raises(RuntimeError, match="root separation"):
+        isolate_real_roots(QUINTIC)
+
+
 # -- exact sign kernel and refinement against exact bisection ----------------
 
 @given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
