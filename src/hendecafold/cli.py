@@ -69,10 +69,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    from .scriptio import encode_number
     ngon = halved_cyclotomic(args.n)
-    # descending order: the t^degree coefficient first
-    print(" ".join(encode_number(c) for c in reversed(ngon.poly.coeffs)))
+    # descending order: the t^degree coefficient first; str of a Fraction is
+    # scriptio's encoding, "p/q" or a bare integer
+    print(" ".join(str(c) for c in reversed(ngon.poly.coeffs)))
     return 0
 
 

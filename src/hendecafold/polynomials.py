@@ -12,11 +12,14 @@ rational intervals certified by Sturm sign-variation counts.  The chain is
 evaluated in integers at x = N/D (`_chain_values`): its first two elements
 by homogeneous Horner, every later one from the two before it through the
 pseudo-division step that made it, one exact division per element instead
-of a Horner pass.  Refinement finds the dyadic cell of width <= tol that
-exact bisection of the interval would end in: a float Newton guess,
-certified by a gallop and binary search of exact sign tests on one integer
-grid over a common denominator, then a short float Newton tail.  The result
-is bit-identical to bisection's.
+of a Horner pass.  Isolation bisects from the Cauchy bound, but evaluates
+the chain only inside Fujiwara's bound, rounded up to a power of two from
+coefficient bit lengths; beyond it the count is the one at infinity.
+Refinement finds the dyadic cell of width <= tol that exact bisection of
+the interval would end in, on one integer grid over a common denominator:
+a float Newton guess and one step from it, then Illinois regula falsi on the
+exact grid values with a bisection safeguard, then a short float Newton
+tail.  The result is bit-identical to bisection's.
 """
 
 from __future__ import annotations
@@ -401,12 +404,6 @@ def _homogeneous(q: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
-def _sign_at(int_coeffs: Sequence[int], num: int, den: int) -> int:
-    """Sign (-1, 0 or 1) of the integer polynomial at num/den, den > 0."""
-    acc = _homogeneous(int_coeffs, num, den)
-    return (acc > 0) - (acc < 0)
-
-
 def _chain_values(chain, num: int, den: int) -> list:
     """den**deg q * q(num/den) for each element q of a chain, den > 0.
 
@@ -490,6 +487,19 @@ def root_bound(p: RatPoly) -> Fraction:
     return 1 + max(abs(c / p.lc) for c in p.coeffs[:-1]) + 1
 
 
+def _root_bound_bits(f: Sequence[int]) -> int:
+    """An e >= 1 with every root of the integer polynomial f inside (-2^e, 2^e).
+
+    Fujiwara's bound 2 * max_k |f[d-k] / f[d]|^(1/k), with each ratio
+    rounded up to a power of two from bit lengths: |f[d]| >= 2^(top-1) and
+    |f[d-k]| < 2^len for bit lengths top and len, so the ratio is below
+    2^(len - top + 1).
+    """
+    top = f[-1].bit_length()
+    return 1 + max([0] + [-((top - 1 - c.bit_length()) // k)
+                          for k, c in enumerate(reversed(f[:-1]), 1) if c])
+
+
 def _nonroot_between(chain, lo: Fraction, hi: Fraction) -> tuple:
     """A point of (lo, hi) that is not a root of chain[0], the midpoint if
     it can be, and the sign variations of the chain there."""
@@ -519,7 +529,12 @@ def isolate_real_roots(p: RatPoly) -> list:
     """Disjoint isolating intervals, one per distinct real root, ascending.
 
     The polynomial is reduced to its square-free part first, so multiple
-    roots are reported once.  Interval endpoints are never roots.
+    roots are reported once.  Interval endpoints are never roots.  Bisection
+    starts from the Cauchy bound, but no root lies at or beyond the tighter
+    power-of-two bound 2^e (`_root_bound_bits`), so a midpoint there takes
+    the chain's variations at infinity without an evaluation, as do the two
+    starting endpoints.  The midpoints, and so the intervals, are those that
+    evaluating every one would give.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -536,9 +551,12 @@ def isolate_real_roots(p: RatPoly) -> list:
     sep_bits = _separation_bits(chain[0])
     nb, db = bound.numerator.bit_length(), bound.denominator.bit_length()
     shallow = (nb - db + sep_bits) // 2
+    # a midpoint (a/b + c/d) / 2 is at or beyond +-2^e when a*d + c*b is at
+    # or beyond +-(b*d << (e + 1)): one integer test, no Fraction
+    beyond = _root_bound_bits(chain[0]) + 1
+    v_left, v_right = _variations_at_inf(chain, -1), _variations_at_inf(chain, 1)
     out = []
-    stack = [(-bound, bound,
-              _variations_at(chain, -bound), _variations_at(chain, bound), 0)]
+    stack = [(-bound, bound, v_left, v_right, 0)]
     while stack:
         lo, hi, vlo, vhi, depth = stack.pop()
         k = vlo - vhi
@@ -550,7 +568,13 @@ def isolate_real_roots(p: RatPoly) -> list:
         if depth > shallow and hi - lo < Fraction(1, 1 << sep_bits):
             raise RuntimeError(f"kernel fault: count {k} near {float(lo)!r} on an interval "
                                f"narrower than the root separation 2^-{sep_bits}")
-        mid, vmid = _nonroot_between(chain, lo, hi)
+        lo_den, hi_den = lo.denominator, hi.denominator
+        twice_mid = lo.numerator * hi_den + hi.numerator * lo_den
+        edge = (lo_den * hi_den) << beyond
+        if abs(twice_mid) >= edge:
+            mid, vmid = (lo + hi) / 2, v_right if twice_mid > 0 else v_left
+        else:
+            mid, vmid = _nonroot_between(chain, lo, hi)
         if not vhi <= vmid <= vlo:
             raise RuntimeError(f"kernel fault: count {vmid} at {mid} outside [{vhi}, {vlo}]")
         stack.append((lo, mid, vlo, vmid, depth + 1))
@@ -566,7 +590,7 @@ def _float_root_guess(g: RatPoly, lo: float, hi: float, left_sign: int,
     Newton steps that would leave the bracket are replaced by bisection, and
     the bracket follows the float signs of g, which may be wrong near the
     root.  The step count is capped because the caller certifies and, if
-    need be, corrects the estimate with exact sign tests.
+    need be, corrects the estimate with exact evaluations.
     """
     dg = g.derivative()
     x = (lo + hi) / 2
@@ -589,32 +613,58 @@ def _float_root_guess(g: RatPoly, lo: float, hi: float, left_sign: int,
     return x
 
 
+def _horner(q: Sequence[int], x: int) -> int:
+    """q(x) for an integer polynomial q at an integer x."""
+    acc = 0
+    for c in reversed(q):
+        acc = acc * x + c
+    return acc
+
+
+def _float_at(num: int, den: int) -> float:
+    """num/den rounded to a float; a point beyond the float range is an error."""
+    try:
+        return num / den
+    except OverflowError:
+        side = "-" if num < 0 else ""
+        raise ValueError(f"root near {side}2**{abs(num).bit_length() - den.bit_length()} "
+                         "is beyond the float range") from None
+
+
 def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float:
     """Refine an isolated root to a float within tol of the true root.
 
     Exact bisection of (lo, hi) would stop at the first level k at which the
     dyadic cells lo + [i, i+1] * (hi - lo) / 2**k are no wider than tol, in
     the cell holding the root, or earlier at a grid point that is the root,
-    returned as is.  This finds that cell directly: a float Newton guess of
-    its index, then a gallop outward and a binary search, each probe an exact
-    sign test.  The result is therefore bit-identical to exact bisection's,
+    returned as is.  This finds that cell directly, each probe an exact
+    evaluation on the grid: a float Newton guess of its index and one step
+    away from it, so a good guess costs two probes; then regula falsi on the
+    exact values at the bracket ends, Illinois style (an end kept twice has
+    its value halved, so a far guess gallops toward the root).  A secant
+    probe that fails to halve the bracket is followed by a bisection, so no
+    root takes more than 2 * log2(cells) + 2 probes.  Any search that
+    brackets on this grid ends in the same cell, and it probes a grid point
+    that is the root, so the result is bit-identical to exact bisection's,
     and the bracket it polishes in is certified.  The grid lives on one
     integer scale: with lo = LO/W and hi = HI/W over a common denominator W,
     grid point j is (LO*cells + j*(HI - LO)) / (W*cells), so a probe is one
-    integer multiply-add and a sign test with no gcd, Horner in the numerator
-    on coefficients scaled once by powers of W*cells; and every float is an
-    int/int division, correctly rounded like float(Fraction).  At most three
-    float Newton steps then polish the cell midpoint; any Newton step that
-    leaves the cell or fails to shrink |p| is rejected.
+    integer multiply-add and a Horner pass in the numerator on coefficients
+    scaled once by powers of W*cells; and every float is an int/int
+    division, correctly rounded like float(Fraction).  At most three float
+    Newton steps then polish the cell midpoint; any Newton step that leaves
+    the cell or fails to shrink |p| is rejected.  A guess or polish that
+    would overflow the float range is skipped, and a root beyond that range
+    raises ValueError.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive")
     g = _basis(p)
     ints = g._int_coeffs
     lo, hi = interval.lo, interval.hi
-    slo = _sign_at(ints, lo.numerator, lo.denominator)
-    shi = _sign_at(ints, hi.numerator, hi.denominator)
-    if not lo < hi or slo == 0 or shi == 0 or slo == shi:
+    flo = _homogeneous(ints, lo.numerator, lo.denominator)
+    fhi = _homogeneous(ints, hi.numerator, hi.denominator)
+    if not lo < hi or flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
         raise ValueError(f"{interval} does not bracket a simple root of {p!r}")
     W = math.lcm(lo.denominator, hi.denominator)
     LO, HI = lo.numerator * (W // lo.denominator), hi.numerator * (W // hi.denominator)
@@ -627,34 +677,58 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
     # the coefficients c_i * den**(d - i), so they are scaled once
     d = len(ints) - 1
     grid_ints = [c * den ** (d - i) for i, c in enumerate(ints)]
-    guess = _float_root_guess(g, LO / W, HI / W, slo, span / den)
-    # grid point a lies left of the root and grid point b right of it;
-    # probes gallop away from the guess with doubling steps, then bisect
-    a, b = 0, cells
-    guess_num, guess_den = guess.as_integer_ratio()
-    j = (guess_num * W - LO * guess_den) * cells // (guess_den * span)
-    j, step = min(max(j, 1), cells - 1), 1
+    left_sign = 1 if flo > 0 else -1
+    try:
+        guess = _float_root_guess(g, LO / W, HI / W, left_sign, span / den)
+        guess_num, guess_den = guess.as_integer_ratio()
+        j = (guess_num * W - LO * guess_den) * cells // (guess_den * span)
+    except OverflowError:
+        j = cells // 2  # an end or a coefficient beyond the float range
+    # grid point a lies left of the root and grid point b right of it, with
+    # den**d * g there in fa and fb once the secant needs them
+    a, b, fa, fb = 0, cells, None, None
+    j, probes, moved, secant = min(max(j, 1), cells - 1), 0, 0, False
     while b - a > 1:
         num = origin + j * span
-        s = _sign_at(grid_ints, num, 1)
-        if s == 0:
-            return num / den
-        if s == slo:
-            a, j = j, j + step
+        f = _horner(grid_ints, num)
+        if f == 0:
+            return _float_at(num, den)
+        width, kept = b - a, moved
+        if (f > 0) == (flo > 0):
+            a, fa, moved = j, f, 1
         else:
-            b, j = j, j - step
-        step *= 2
-        if not a < j < b:
-            j = (a + b) // 2
-    x = (2 * origin + (a + b) * span) / (2 * den)
-    lo_f, hi_f = (origin + a * span) / den, (origin + b * span) / den
+            b, fb, moved = j, f, -1
+        probes += 1
+        if probes == 1:
+            j += moved  # one step from the guess toward the root
+            continue
+        if fa is None:
+            fa = flo * (den // lo.denominator) ** d
+        if fb is None:
+            fb = fhi * (den // hi.denominator) ** d
+        if moved == kept:
+            # the other end is kept twice: Illinois halves its value
+            if moved > 0:
+                fb //= 2
+            else:
+                fa //= 2
+        if secant and 2 * (b - a) > width + 1:
+            # the secant did not halve the bracket: bisect
+            j, secant = (a + b) // 2, False
+        else:
+            j, secant = min(max(a + fa * (b - a) // (fa - fb), a + 1), b - 1), True
+    x = _float_at(2 * origin + (a + b) * span, 2 * den)
+    lo_f, hi_f = _float_at(origin + a * span, den), _float_at(origin + b * span, den)
     dg = g.derivative()
-    for _ in range(3):
-        fx, dfx = g(x), dg(x)
-        if dfx == 0.0:
-            break
-        nx = x - fx / dfx
-        if not (lo_f <= nx <= hi_f) or abs(g(nx)) >= abs(fx):
-            break
-        x = nx
+    try:
+        for _ in range(3):
+            fx, dfx = g(x), dg(x)
+            if dfx == 0.0:
+                break
+            nx = x - fx / dfx
+            if not (lo_f <= nx <= hi_f) or abs(g(nx)) >= abs(fx):
+                break
+            x = nx
+    except OverflowError:
+        pass  # a coefficient beyond the float range: the cell midpoint stands
     return min(max(x, lo_f), hi_f)

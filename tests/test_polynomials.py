@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 import math
@@ -21,12 +22,12 @@ from hendecafold.polynomials import (
     _chain_values,
     _homogeneous,
     _integer_sturm_chain,
-    _sign_at,
     count_real_roots,
     isolate_real_roots,
     poly_gcd,
     ratfunc_substitute,
     refine_root,
+    root_bound,
     sturm_chain,
 )
 
@@ -389,9 +390,12 @@ def test_sign_kernel_matches_exact_evaluation(coeffs, x):
     value = p(x)
     sign = (value > 0) - (value < 0)
     num, den = x.numerator, x.denominator
-    # refinement probes grid points num/den that are not in lowest terms
+    # refinement checks its bracket at points num/den that need not be in
+    # lowest terms; den**d * p(num/den) keeps the sign for any den > 0
     ints = p._int_coeffs
-    assert _sign_at(ints, num, den) == _sign_at(ints, 6 * num, 6 * den) == sign
+    signs = {(v > 0) - (v < 0) for v in (_homogeneous(ints, num, den),
+                                         _homogeneous(ints, 6 * num, 6 * den))}
+    assert signs == {sign}
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
@@ -697,3 +701,171 @@ def test_refining_a_squared_polynomial_builds_its_square_free_part_once(monkeypa
     assert calls == [p] and len(roots) == 30
     monkeypatch.undo()
     assert roots == [refine_root(g, iv).hex() for iv in isolate_real_roots(g)]
+
+
+# -- the certified roots, pinned ----------------------------------------------
+
+# sha256 of the n-gon roots as (lo, hi, refined .hex()) rows, odd n 3..81 at
+# tol 1e-12; recorded before the root bound and the secant search changed
+NGON_ROOT_DIGEST = "060d162dbf921a52a79135670d23c7a1f0ed01696a80e218bf9fbc3b68528347"
+
+
+def test_ngon_roots_match_the_recorded_digest():
+    rows = [[(iv.lo, iv.hi, refine_root(p, iv, 1e-12).hex()) for iv in isolate_real_roots(p)]
+            for p in (halved_cyclotomic(n).poly for n in range(3, 82, 2))]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == NGON_ROOT_DIGEST
+
+
+# -- isolation skips the chain beyond the power-of-two root bound ----------------
+
+def reference_isolation(p):
+    """Isolation that evaluates the chain at both starting endpoints and at
+    every midpoint, with no root bound but Cauchy's."""
+    g = polynomials._basis(p)
+    if g.degree <= 0:
+        return []
+    chain, bound = g._int_chain, root_bound(g)
+    out = []
+    stack = [(-bound, bound, polynomials._variations_at(chain, -bound),
+              polynomials._variations_at(chain, bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo - vhi == 1:
+            out.append(RootInterval(lo, hi))
+        elif vlo - vhi > 1:
+            mid, vmid = polynomials._nonroot_between(chain, lo, hi)
+            stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    return sorted(out, key=lambda iv: iv.lo)
+
+
+def _bound_bits(p):
+    return polynomials._root_bound_bits(polynomials._basis(p)._int_chain[0])
+
+
+# polynomials with coefficients of very different sizes, so that the bound
+# is loose or tight by many powers of two
+_wide_polys = st.lists(st.one_of(st.integers(-10**30, 10**30), st.integers(-3, 3)),
+                       min_size=2, max_size=8).map(RatPoly)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(_kernel_polys(), _wide_polys))
+def test_isolation_matches_the_reference_that_evaluates_every_midpoint(p):
+    if p.degree >= 1:
+        assert isolate_real_roots(p) == reference_isolation(p)
+
+
+@pytest.mark.parametrize("n", range(3, 82, 2))
+def test_isolation_matches_the_reference_on_ngon(n):
+    p = halved_cyclotomic(n).poly
+    assert isolate_real_roots(p) == reference_isolation(p)
+
+
+def test_isolation_matches_the_reference_on_the_hendecagon_quintic():
+    assert isolate_real_roots(QUINTIC) == reference_isolation(QUINTIC)
+
+
+def test_isolation_evaluates_no_chain_at_or_beyond_the_bound(monkeypatch):
+    p = RatPoly(halved_cyclotomic(81).poly.coeffs)
+    expected = reference_isolation(p)
+    bound = 2 ** _bound_bits(p)
+    points = []
+
+    def counted(chain, num, den):
+        points.append(Fraction(num, den))
+        return chain_values(chain, num, den)
+
+    chain_values = polynomials._chain_values
+    monkeypatch.setattr(polynomials, "_chain_values", counted)
+    assert isolate_real_roots(p) == expected
+    # from the Cauchy bound 3.46e7 the chain was evaluated 90 times: at both
+    # ends and at 88 midpoints, 40 inside (-2, 2) where the roots are, and 3
+    # more on each side inside Fujiwara's bound 12.49, rounded up to 16
+    assert bound == 16 and root_bound(p) > 10**7
+    assert len(points) == 46
+    assert all(-bound < x < bound for x in points)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(_kernel_polys(), _wide_polys))
+def test_power_of_two_bound_holds_every_root(p):
+    # the skip is exact only if the chain at +-2^e already counts as at
+    # +-infinity, with no root at the bound itself
+    if p.degree < 1:
+        return
+    chain = polynomials._basis(p)._int_chain
+    bound = 2 ** _bound_bits(p)
+    for x, side in ((-bound, -1), (bound, 1)):
+        values = _chain_values(chain, x, 1)
+        assert values[0] != 0
+        assert polynomials._variations(values) == polynomials._variations_at_inf(chain, side)
+    for iv in isolate_real_roots(p):
+        assert count_real_roots(p, max(iv.lo, -bound), min(iv.hi, bound)) == 1
+
+
+# -- refinement from a bad guess ---------------------------------------------------
+
+def _probe_budget(interval, tol):
+    """2 * log2(cells) + 2, where cells is refine_root's power-of-two grid."""
+    cells = 1 << (math.ceil((interval.hi - interval.lo) / Fraction(tol)) - 1).bit_length()
+    return 2 * (cells.bit_length() - 1) + 2
+
+
+@pytest.mark.parametrize("guess", [
+    lambda lo, hi: lo,
+    lambda lo, hi: hi + 1e6 * (hi - lo),
+    lambda lo, hi: lo - 1e6 * (hi - lo),
+], ids=["left_end", "far_right", "far_left"])
+def test_refinement_from_a_bad_guess_matches_bisection_within_its_budget(monkeypatch, guess):
+    third = Fraction(1, 3)
+    cases = [(QUINTIC, tol) for tol in (1e-9, 1e-12, 1e-15)]
+    cases += [(halved_cyclotomic(n).poly, 1e-12) for n in (11, 41, 81)]
+    cases += [(RatPoly.of(-third, 1) * RatPoly.of(-third - Fraction(1, 10**12), 1)
+               * RatPoly.of(5, 0, 1), 1e-15)]
+    expected = [[bisection_refine_root(p, iv, tol).hex() for iv in isolate_real_roots(p)]
+                for p, tol in cases]
+    probes = []
+
+    def counted(q, x):
+        probes.append(x)
+        return horner(q, x)
+
+    horner = polynomials._horner
+    monkeypatch.setattr(polynomials, "_horner", counted)
+    monkeypatch.setattr(polynomials, "_float_root_guess",
+                        lambda g, lo, hi, left_sign, resolution: guess(lo, hi))
+    for (p, tol), roots in zip(cases, expected):
+        for iv, root in zip(isolate_real_roots(p), roots):
+            probes.clear()
+            assert refine_root(p, iv, tol).hex() == root
+            assert len(probes) <= _probe_budget(iv, tol)
+
+
+def test_a_good_guess_costs_two_probes(monkeypatch):
+    probes = []
+
+    def counted(q, x):
+        probes.append(x)
+        return horner(q, x)
+
+    horner = polynomials._horner
+    monkeypatch.setattr(polynomials, "_horner", counted)
+    for iv in isolate_real_roots(QUINTIC):
+        probes.clear()
+        refine_root(QUINTIC, iv)
+        assert len(probes) == 2
+
+
+# -- refinement beyond the float range ---------------------------------------------
+
+def test_a_root_beyond_the_float_range_is_a_value_error():
+    p = RatPoly.of(-10**400, 1)
+    (iv,) = isolate_real_roots(p)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        refine_root(p, iv)
+
+
+def test_coefficients_beyond_the_float_range_need_no_float_guess():
+    # the float guess and polish overflow, so the exact search runs alone
+    p = RatPoly.of(-10**400, 0, 1)
+    assert [refine_root(p, iv) for iv in isolate_real_roots(p)] == [-1e200, 1e200]

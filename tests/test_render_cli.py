@@ -206,6 +206,26 @@ def test_cli_solve_bad_config(tmp_path, capsys):
     assert main(["solve", "--config", str(bad)]) == 2
 
 
+def test_cli_solve_config_with_roots_far_apart_keeps_the_exit_contract(tmp_path):
+    # Q = (0, 10**160) puts the eliminant's coefficients beyond the float
+    # range and isolates a root in an interval wider than it
+    doc = _config_doc()
+    doc["P"] = {"point": ["-5/2", "-3"]}
+    doc["Q"] = {"point": ["0", str(10**160)]}
+    doc["ell"], doc["m"], doc["n"] = ({"line": line} for line in (
+        ["1", "0", "0"], ["1", "0", "-2"], ["0", "1", "1"]))
+    config = tmp_path / "huge_q.json"
+    config.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(hendecafold.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "hendecafold.cli", "solve", "--config",
+                           str(config)], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode in (0, 1)
+    assert "Traceback" not in done.stderr
+    if done.returncode:
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: ")
+
+
 def test_cli_construct_writes_outputs(tmp_path, capsys):
     assert main(["construct", "--out", str(tmp_path / "d")]) == 0
     out = capsys.readouterr().out

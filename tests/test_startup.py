@@ -30,6 +30,18 @@ def test_importing_the_cli_loads_only_the_algebra_core():
     assert set(json.loads(out)) == CORE | {"hendecafold.cli"}
 
 
+def test_poly_loads_only_the_algebra_core():
+    out = _python("import contextlib, io, json, sys\n"
+                  "from hendecafold.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+                  "    status = main(['poly', '11'])\n"
+                  "print(json.dumps([status, text.getvalue(),\n"
+                  "                  [m for m in sys.modules if m.startswith('hendecafold')]]))")
+    status, text, modules = json.loads(out)
+    assert (status, text) == (0, "1 1 -4 -3 3 1\n")
+    assert set(modules) == CORE | {"hendecafold.cli"}
+
+
 def test_every_public_name_resolves_on_first_use_to_its_module_binding():
     out = _python("""
 import importlib, json
