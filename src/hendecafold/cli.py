@@ -25,8 +25,12 @@ if TYPE_CHECKING:
 # the modules already loaded when a command fails: an exception of a class
 # whose module was never imported cannot have been raised.
 _INPUT_ERRORS = ("hendecafold.scriptio.FormatError", "hendecafold.cyclotomic.InvalidN")
-_RUN_FAILURES = ("builtins.ValueError", "hendecafold.construction.UnknownLandmark",
-                 "hendecafold.construction.WrongLandmarkKind", "hendecafold.render.IoFailure")
+# OSError covers a fork that fails when `verify` starts its scan pool, and
+# BrokenProcessPool a worker of that pool that dies.
+_RUN_FAILURES = ("builtins.ValueError", "builtins.OSError",
+                 "hendecafold.construction.UnknownLandmark",
+                 "hendecafold.construction.WrongLandmarkKind", "hendecafold.render.IoFailure",
+                 "concurrent.futures.process.BrokenProcessPool")
 
 DEFAULT_TOL = 1e-9  # geometry.DEFAULT_TOL, restated so the parser need not import geometry
 
@@ -223,6 +227,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         try:
             status = args.func(args)
+        except BrokenPipeError:
+            raise  # an OSError, but a closed stdout: handled below, silently
         except Exception as exc:
             if isinstance(exc, _loaded(_INPUT_ERRORS)):
                 status = 2

@@ -23,6 +23,9 @@ Scalar = Union[int, Fraction, float]
 #: Default incidence tolerance for float mode, in paper-plane units.
 DEFAULT_TOL = 1e-9
 
+# bit length to which `Line.to_float` scales an exact triple too long to round
+_FLOAT_BITS = 1000
+
 EXACT = "exact"
 FLOAT = "float"
 
@@ -136,7 +139,20 @@ class Line:
         return scalar_mode(self.a)
 
     def to_float(self) -> "Line":
-        return Line(float(self.a), float(self.b), float(self.c))
+        """The float line; ValueError when its offset leaves the float range."""
+        try:
+            return Line(float(self.a), float(self.b), float(self.c))
+        except (OverflowError, ValueError):
+            pass
+        # Only an exact triple gets here, integral and too long to round as
+        # it is.  A power of two, which the unit normal cancels, brings it to
+        # _FLOAT_BITS, so every line that fits in floats converts.
+        ints = [v.numerator for v in (self.a, self.b, self.c)]
+        shift = max(abs(v).bit_length() for v in ints) - _FLOAT_BITS
+        try:
+            return Line(*(v / (1 << shift) for v in ints))
+        except ValueError:
+            raise ValueError("line offset leaves the float range") from None
 
     @classmethod
     def from_canonical(cls, a: Scalar, b: Scalar, c: Scalar) -> "Line":

@@ -49,6 +49,11 @@ class RatPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    def __reduce__(self):
+        # pickle the coefficients alone: the cached forms below are rebuilt
+        # on demand, and a pickle taken while they are filled stays whole
+        return RatPoly, (self.coeffs,)
+
     @classmethod
     def of(cls, *coeffs: Coeff) -> "RatPoly":
         return cls(coeffs)

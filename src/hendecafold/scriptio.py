@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .construction import FoldScript, FoldStep, Sheet, landmark_params
 from .folds import DegenerateProblem, TwoFoldConfig
-from .geometry import Line, MixedModes, Point, Scalar
+from .geometry import EXACT, Line, MixedModes, Point, Scalar
 
 SCRIPT_FORMAT = "fold-script"
 CONFIG_FORMAT = "two-fold-config"
@@ -79,9 +79,13 @@ def _decode_value(obj):
     else:
         make, values = Line.from_canonical, _numbers(obj["line"], 3, "a line")
     try:
-        return make(*values)
+        value = make(*values)
+        if isinstance(value, Line) and value.mode == EXACT:
+            # each number converts, but the solvers need the whole line in floats
+            value.to_float()
     except (ValueError, MixedModes) as exc:
         raise FormatError(f"bad {obj!r}: {exc}") from None
+    return value
 
 
 def _field(obj: dict, key: str, what: str):

@@ -3,7 +3,9 @@
 Each criterion is an independent function returning a CriterionResult; the
 oracle side of every check (trigonometric root values, chord lengths, dense
 sign scans, brute-force fold searches) never goes through the code path it
-certifies.  All randomness is seeded, so a verify run is reproducible.
+certifies.  All randomness is seeded, so a verify run is reproducible, on
+any number of CPUs: criterion 7's dense scans run on a worker pool, but the
+parent draws every instance and reads the scans back in draw order.
 
 One check is expected to fail by construction and is reported honestly:
 `gamma_parameterization_identity` asserts that the two closed-form gamma
@@ -17,8 +19,13 @@ criteria.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import os
 import random
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +54,9 @@ from .geometry import (
 from .polynomials import RatPoly, count_real_roots, isolate_real_roots, refine_root
 
 SEED = 20260810
+
+# criterion 7: random instances per suite
+STURM_CASES, FOLD_CASES = 30, 50
 
 # oracle grids: samples of the two sign scans; the O6 scan's window |u| <= O6_SPAN
 SCAN_SAMPLES = 4001
@@ -149,16 +159,14 @@ def check_end_to_end_construction() -> CriterionResult:
 
 
 def check_property_suites() -> CriterionResult:
-    failures = []
-    r = reflection_suite(random.Random(SEED))
-    if r:
-        failures.append(r)
-    s = sturm_suite(random.Random(SEED + 1))
-    if s:
-        failures.append(s)
-    f = single_fold_count_suite(random.Random(SEED + 2))
-    if f:
-        failures.append(f)
+    # The parent draws every instance and keeps the solver side; the dense
+    # scans run on `_scan_pool` and are read back in draw order, so the
+    # verdict and its message do not depend on the number of CPUs.
+    with _scan_pool(1 + STURM_CASES + 2 * FOLD_CASES) as submit:
+        pending = (submit(reflection_suite, random.Random(SEED)),
+                   sturm_suite(random.Random(SEED + 1), submit),
+                   single_fold_count_suite(random.Random(SEED + 2), submit))
+        failures = [message for message in (read() for read in pending) if message]
     return CriterionResult(
         "property_suites", not failures,
         "; ".join(failures) if failures else
@@ -184,6 +192,45 @@ def run_all() -> list:
 # ----------------------------------------------------------------------
 # property-suite internals (criterion 7)
 # ----------------------------------------------------------------------
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _scan_pool(jobs: int):
+    """Yields `submit(fn, *args)`, which returns a thunk for fn(*args).
+
+    The calls run on a fork pool with one worker per usable CPU and never
+    more workers than `jobs`; with one CPU, or without fork, each thunk
+    makes its call in-process when it is read.  No pool outlives the block.
+    """
+    workers = min(_usable_cpus(), jobs)
+    if workers < 2 or not hasattr(os, "fork"):
+        yield functools.partial
+        return
+    # imported here: about 1.8 MB of memory that no other command needs.
+    # fork, so that workers start with the package already imported; the
+    # executor forks them before it starts its own thread.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    before = set(multiprocessing.active_children())
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            yield lambda fn, *args: pool.submit(fn, *args).result
+        finally:
+            # drop the scans nobody will read, after a mismatch or an error
+            pool.shutdown(cancel_futures=True)
+            # a fork that fails part way leaves the workers it did start
+            # waiting for a manager thread that never ran
+            for worker in set(multiprocessing.active_children()) - before:
+                worker.terminate()
+                worker.join()
+
 
 def reflection_suite(rng: random.Random) -> str:
     """Involution and isometry of reflections, exact and float."""
@@ -240,19 +287,30 @@ def sign_scan_root_count(p: RatPoly, lo: float, hi: float) -> int:
                           for i in range(SCAN_SAMPLES)))
 
 
-def sturm_suite(rng: random.Random) -> str:
-    for _ in range(30):
+def sturm_suite(rng: random.Random, submit):
+    """Sturm counts against sign scans on products of linear factors.
+
+    Draws the instances and hands their scans to `submit` (see
+    `_scan_pool`); the returned thunk gives the first mismatch, or "".
+    """
+    cases = []
+    for _ in range(STURM_CASES):
         degree = rng.randint(1, 6)
         roots = [Fraction(rng.randint(-16, 16), 4) for _ in range(degree)]
         p = RatPoly.of(1)
         for root in roots:
             p = p * RatPoly.of(-root, 1)
-        certified = count_real_roots(p)
-        scanned = sign_scan_root_count(p, -4.6, 4.6)
-        if certified != len(set(roots)) or scanned != certified:
-            return (f"root count mismatch for roots {roots}: "
-                    f"sturm {certified}, scan {scanned}")
-    return ""
+        cases.append((roots, p, submit(sign_scan_root_count, p, -4.6, 4.6)))
+
+    def first_mismatch() -> str:
+        for roots, p, scan in cases:
+            certified = count_real_roots(p)
+            scanned = scan()
+            if certified != len(set(roots)) or scanned != certified:
+                return (f"root count mismatch for roots {roots}: "
+                        f"sturm {certified}, scan {scanned}")
+        return ""
+    return first_mismatch
 
 
 def oracle_count_point_onto_line_through_point(
@@ -309,32 +367,9 @@ def oracle_count_two_points_onto_two_lines(problem: TwoPointsOntoTwoLines):
     return len(crossings), trustworthy
 
 
-def single_fold_count_suite(rng: random.Random) -> str:
-    """Solution counts against dense-sampling searches, 100 instances."""
-    checked = 0
-    while checked < 50:
-        moving = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        pivot = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        a, b = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        if math.hypot(a, b) < 0.1:
-            continue
-        target = Line(a, b, rng.uniform(-3, 3))
-        if point_distance(moving, pivot) < 0.2:
-            continue
-        # reject near-tangency: the crossing count is not grid-stable there
-        h = line_residual(pivot, target)
-        disc = point_distance(moving, pivot) ** 2 - h * h
-        if abs(disc) < 0.1:
-            continue
-        problem = PointOntoLineThroughPoint(moving, target, pivot)
-        got = len(solve_single_fold(problem))
-        want = oracle_count_point_onto_line_through_point(moving, target, pivot)
-        if got != want:
-            return (f"point-onto-line-through-point count mismatch: "
-                    f"solver {got}, scan {want} for {problem}")
-        checked += 1
-    checked = 0
-    while checked < 50:
+def _two_points_onto_two_lines_problems(rng: random.Random):
+    """Endless stream of well-separated two-points-onto-two-lines problems."""
+    while True:
         p1 = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
         p2 = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
         lines = []
@@ -348,23 +383,72 @@ def single_fold_count_suite(rng: random.Random) -> str:
         l1, l2 = lines
         if abs(line_residual(p1, l1)) < 0.3 or abs(line_residual(p2, l2)) < 0.3:
             continue
-        problem = TwoPointsOntoTwoLines(p1, l1, p2, l2)
-        folds = solve_single_fold(problem)
-        # count solver creases inside the scanned window, via the image
-        # parameter of the first point along its target line
-        base = (-l1.a * l1.c, -l1.b * l1.c)
-        direction = (-l1.b, l1.a)
-        in_window = 0
-        for fold in folds:
-            image = reflect_point(p1, fold)
-            u = (image.x - base[0]) * direction[0] + (image.y - base[1]) * direction[1]
-            if abs(u) <= O6_SPAN:
-                in_window += 1
-        want, trustworthy = oracle_count_two_points_onto_two_lines(problem)
-        if not trustworthy:
+        yield TwoPointsOntoTwoLines(p1, l1, p2, l2)
+
+
+def single_fold_count_suite(rng: random.Random, submit):
+    """Solution counts against dense-sampling searches, FOLD_CASES instances
+    of each of two problems (two-points-onto-two-lines: trusted scans only).
+
+    Draws the instances and hands their scans to `submit` (see
+    `_scan_pool`); the returned thunk gives the first mismatch, or "".
+    """
+    through_point = []
+    while len(through_point) < FOLD_CASES:
+        moving = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        pivot = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        a, b = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        if math.hypot(a, b) < 0.1:
             continue
-        if in_window != want:
-            return (f"two-points-onto-two-lines count mismatch: solver "
-                    f"{in_window} in window, scan {want} for {problem}")
-        checked += 1
-    return ""
+        target = Line(a, b, rng.uniform(-3, 3))
+        if point_distance(moving, pivot) < 0.2:
+            continue
+        # reject near-tangency: the crossing count is not grid-stable there
+        h = line_residual(pivot, target)
+        disc = point_distance(moving, pivot) ** 2 - h * h
+        if abs(disc) < 0.1:
+            continue
+        through_point.append((
+            PointOntoLineThroughPoint(moving, target, pivot),
+            submit(oracle_count_point_onto_line_through_point, moving, target, pivot)))
+    problems = _two_points_onto_two_lines_problems(rng)
+
+    def draw(count: int) -> list:
+        return [(problem, submit(oracle_count_two_points_onto_two_lines, problem))
+                for problem in itertools.islice(problems, count)]
+    two_lines = deque(draw(FOLD_CASES))
+
+    def first_mismatch() -> str:
+        for problem, scan in through_point:
+            got = len(solve_single_fold(problem))
+            want = scan()
+            if got != want:
+                return (f"point-onto-line-through-point count mismatch: "
+                        f"solver {got}, scan {want} for {problem}")
+        checked = 0
+        while checked < FOLD_CASES:
+            if not two_lines:
+                # untrusted scans used up the draw: draw what is missing
+                two_lines.extend(draw(FOLD_CASES - checked))
+            problem, scan = two_lines.popleft()
+            p1, l1 = problem.moving1, problem.target1
+            folds = solve_single_fold(problem)
+            # count solver creases inside the scanned window, via the image
+            # parameter of the first point along its target line
+            base = (-l1.a * l1.c, -l1.b * l1.c)
+            direction = (-l1.b, l1.a)
+            in_window = 0
+            for fold in folds:
+                image = reflect_point(p1, fold)
+                u = (image.x - base[0]) * direction[0] + (image.y - base[1]) * direction[1]
+                if abs(u) <= O6_SPAN:
+                    in_window += 1
+            want, trustworthy = scan()
+            if not trustworthy:
+                continue
+            if in_window != want:
+                return (f"two-points-onto-two-lines count mismatch: solver "
+                        f"{in_window} in window, scan {want} for {problem}")
+            checked += 1
+        return ""
+    return first_mismatch

@@ -10,9 +10,11 @@ including that FAIL, is pinned in test_render_cli.py.
 """
 
 import math
+import multiprocessing
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from hendecafold.cyclotomic import classify_constructible, halved_cyclotomic
@@ -29,14 +31,12 @@ from hendecafold.folds import (
 from hendecafold.geometry import Line, Point, line_defect, line_residual
 from hendecafold.polynomials import RatPoly, isolate_real_roots, refine_root
 from hendecafold.verification import (
-    SEED,
     check_constructibility_table,
     check_end_to_end_construction,
     check_exact_quintic,
     check_property_suites,
     check_root_census,
     check_two_fold_residuals,
-    single_fold_count_suite,
 )
 
 QUINTIC = RatPoly.of(1, 3, -3, -4, 1, 1)
@@ -116,6 +116,85 @@ def test_criterion_7_property_suites():
     assert _report(check_property_suites()).passed
 
 
+# -- criterion 7 on a scan pool and in-process ---------------------------------
+
+def _suites_on(monkeypatch, cpus):
+    """check_property_suites with `cpus` usable CPUs: a fork pool of that
+    many workers from 2 up, the in-process path at 1."""
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: cpus)
+    try:
+        return check_property_suites()
+    finally:
+        assert multiprocessing.active_children() == []
+
+
+def test_property_suites_fan_out_matches_in_process(monkeypatch):
+    fanned = _suites_on(monkeypatch, 2)
+    assert fanned.passed
+    assert _suites_on(monkeypatch, 1) == fanned
+
+
+def test_property_suites_report_a_planted_miscount_on_both_paths(monkeypatch):
+    solve = verification.solve_single_fold
+    monkeypatch.setattr(verification, "solve_single_fold",
+                        lambda problem: solve(problem)[1:])
+    fanned = _suites_on(monkeypatch, 2)
+    assert not fanned.passed
+    assert fanned.detail.startswith("point-onto-line-through-point count mismatch: solver ")
+    assert _suites_on(monkeypatch, 1) == fanned
+
+
+_O6_ORACLE = verification.oracle_count_two_points_onto_two_lines
+_O6_DRAW = verification._two_points_onto_two_lines_problems
+
+
+def _record_o6_draw(monkeypatch) -> list:
+    """The two-points-onto-two-lines problems criterion 7 draws, trusted or
+    not, recorded in the parent, since the scans may run in workers."""
+    seen = []
+
+    def recording(rng):
+        for problem in _O6_DRAW(rng):
+            seen.append(problem)
+            yield problem
+
+    monkeypatch.setattr(verification, "_two_points_onto_two_lines_problems", recording)
+    return seen
+
+
+def _half_trusted_oracle(problem):
+    count, trustworthy = _O6_ORACLE(problem)
+    return count, trustworthy and problem.moving1.x < 0
+
+
+def test_property_suites_draw_until_enough_scans_are_trusted(monkeypatch):
+    # about half the scans untrusted: the first draw falls short and the
+    # suite draws more, on both paths the same problems
+    monkeypatch.setattr(verification, "oracle_count_two_points_onto_two_lines",
+                        _half_trusted_oracle)
+    results = {}
+    for cpus in (2, 1):
+        seen = _record_o6_draw(monkeypatch)
+        results[cpus] = _suites_on(monkeypatch, cpus), seen
+    assert results[1] == results[2]
+    result, seen = results[2]
+    assert result.passed
+    trusted = [problem.moving1.x < 0 for problem in seen]
+    assert len(seen) > verification.FOLD_CASES
+    assert sum(trusted) == verification.FOLD_CASES and trusted[-1]
+
+
+def _failing_scan(*args):
+    raise ArithmeticError("planted scan failure")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_property_suites_leave_no_worker_when_a_scan_raises(monkeypatch, cpus):
+    monkeypatch.setattr(verification, "sign_scan_root_count", _failing_scan)
+    with pytest.raises(ArithmeticError, match="planted scan failure"):
+        _suites_on(monkeypatch, cpus)
+
+
 # -- the two-points-onto-two-lines oracle against its plain reference ---------
 
 def _reference_o6_residual(u, base, direction, p1, p2, l2):
@@ -182,18 +261,11 @@ def _random_o6_problem(rng):
 
 def test_o6_oracle_matches_reference_on_suite_instances(monkeypatch):
     # the exact problems criterion 7 hands to the oracle, trusted or not
-    oracle = verification.oracle_count_two_points_onto_two_lines
-    seen = []
-
-    def recording(problem):
-        seen.append(problem)
-        return oracle(problem)
-
-    monkeypatch.setattr(verification, "oracle_count_two_points_onto_two_lines", recording)
-    assert single_fold_count_suite(random.Random(SEED + 2)) == ""
+    seen = _record_o6_draw(monkeypatch)
+    assert check_property_suites().passed
     assert len(seen) >= 50
     for problem in seen:
-        assert oracle(problem) == _reference_oracle_count(problem), problem
+        assert _O6_ORACLE(problem) == _reference_oracle_count(problem), problem
 
 
 def _tangent_o6_problem(rng):

@@ -85,6 +85,21 @@ def test_from_canonical_keeps_a_float_triple_and_rejects_mixed_modes():
             Line.from_canonical(*triple)
 
 
+def test_to_float_scales_a_long_triple_that_fits():
+    # the coefficients overflow a float, the unit-normal line does not
+    diagonal = Line(10**400, 10**400 + 1, 3).to_float()
+    assert math.isclose(diagonal.a, math.sqrt(0.5)) and math.isclose(diagonal.b, math.sqrt(0.5))
+    assert abs(diagonal.c) < 1e-300
+    far = Line(2**1100 + 1, 0, 2**1150).to_float()
+    assert (far.a, far.b) == (1.0, 0.0) and math.isclose(far.c, 2.0**50, rel_tol=1e-15)
+
+
+def test_to_float_rejects_a_line_beyond_the_float_range():
+    # each number fits in a float, the line x = -2*10**400 does not
+    with pytest.raises(ValueError, match="leaves the float range"):
+        Line(fr(1, 10**400), 0, 2).to_float()
+
+
 def test_degenerate_line_rejected():
     with pytest.raises(ValueError):
         Line(0, 0, 3)

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import itertools
 import math
+import pickle
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -869,3 +870,15 @@ def test_coefficients_beyond_the_float_range_need_no_float_guess():
     # the float guess and polish overflow, so the exact search runs alone
     p = RatPoly.of(-10**400, 0, 1)
     assert [refine_root(p, iv) for iv in isolate_real_roots(p)] == [-1e200, 1e200]
+
+
+# -- pickling, as the verify scan pool sends polynomials ---------------------------
+
+def test_a_pickle_carries_the_coefficients_and_no_cache():
+    p = QUINTIC * RatPoly.of(Fraction(-1, 3), 1)
+    count_real_roots(p)
+    p(0.5)  # fills the chain and the float coefficients
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and copy.coeffs == p.coeffs
+    assert vars(copy) == {"coeffs": p.coeffs}
+    assert count_real_roots(copy) == count_real_roots(p)

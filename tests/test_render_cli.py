@@ -4,6 +4,7 @@ import errno
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -282,6 +283,40 @@ def test_cli_verify_reports_six_of_seven(capsys):
     assert lines[-1] == "6/7 criteria passed"
 
 
+def _dying_scan(*args):
+    os._exit(3)
+
+
+def _fork_failing_at(call):
+    """An os.fork that works until its `call`-th use, which fails with EAGAIN."""
+    fork, calls = os.fork, []
+
+    def flaky():
+        calls.append(None)
+        if len(calls) >= call:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+    return flaky
+
+
+@pytest.mark.parametrize("failure", ["first_fork", "second_fork", "worker_dies"])
+def test_cli_verify_pool_failure_is_one_line_exit_1(monkeypatch, capsys, failure):
+    from hendecafold import verification
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    if failure == "worker_dies":
+        monkeypatch.setattr(verification, "sign_scan_root_count", _dying_scan)
+        message = "terminated abruptly"
+    else:
+        monkeypatch.setattr(os, "fork", _fork_failing_at(1 if failure == "first_fork" else 2))
+        message = "Resource temporarily unavailable"
+    assert main(["verify"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+    # a worker started before the failing fork is stopped, not left waiting
+    assert multiprocessing.active_children() == []
+
+
 # -- malformed input exits 2, failing runs exit 1, each with one line ----------
 
 def _script_doc():
@@ -367,6 +402,10 @@ BAD_INPUTS = [
      2, "P lies on m"),
     ("config_huge_exact_number", "config", _edit_config(P={"point": ["1" + "0" * 400, "0"]}),
      2, "number out of range"),
+    # each number fits, the line x = -2*10**400 does not
+    ("config_line_beyond_float_range", "config",
+     _edit_config(n={"line": ["1/1" + "0" * 400, "0", "2"]}),
+     2, "line offset leaves the float range"),
     ("wrong_landmark_kind", "script",
      _edit_step("mark_Q", lambda s: s["args"].update(l2="center")),
      1, "step 'mark_Q' failed (landmark 'center' is Point, expected Line)"),

@@ -30,6 +30,13 @@ def test_importing_the_cli_loads_only_the_algebra_core():
     assert set(json.loads(out)) == CORE | {"hendecafold.cli"}
 
 
+def test_only_running_the_oracle_scans_loads_the_pool_machinery():
+    pool = ("multiprocessing", "concurrent")
+    out = _python("import sys, json, hendecafold.cli, hendecafold.verification\n"
+                  f"print(json.dumps([m for m in sys.modules if m.startswith({pool!r})]))")
+    assert json.loads(out) == []
+
+
 def test_poly_loads_only_the_algebra_core():
     out = _python("import contextlib, io, json, sys\n"
                   "from hendecafold.cli import main\n"
