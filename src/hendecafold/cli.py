@@ -25,11 +25,12 @@ if TYPE_CHECKING:
 # the modules already loaded when a command fails: an exception of a class
 # whose module was never imported cannot have been raised.
 _INPUT_ERRORS = ("hendecafold.scriptio.FormatError", "hendecafold.cyclotomic.InvalidN")
-# OSError covers a fork that fails when `verify` starts its scan pool, and
-# BrokenProcessPool a worker of that pool that dies.
+# OSError covers a plate that cannot be written (`render.IoFailure`) and a
+# fork that fails when `verify` starts its scan pool, and BrokenProcessPool
+# a worker of that pool that dies.
 _RUN_FAILURES = ("builtins.ValueError", "builtins.OSError",
                  "hendecafold.construction.UnknownLandmark",
-                 "hendecafold.construction.WrongLandmarkKind", "hendecafold.render.IoFailure",
+                 "hendecafold.construction.WrongLandmarkKind",
                  "concurrent.futures.process.BrokenProcessPool")
 
 DEFAULT_TOL = 1e-9  # geometry.DEFAULT_TOL, restated so the parser need not import geometry

@@ -490,7 +490,7 @@ def solve_two_fold(config: TwoFoldConfig, tol: float = DEFAULT_TOL) -> list:
     Q'(t), P' is the projection onto m of P reflected across the image of
     ell, and gamma is the bisector of P and P'.  A root whose realization
     degenerates (delta parallel to ell, so S does not exist) is skipped with
-    a warning.
+    a warning; one that leaves the float range raises ValueError.
     """
     eliminant = eliminate_to_quintic(config)
     foot, dir = config._image_track
@@ -507,11 +507,14 @@ def solve_two_fold(config: TwoFoldConfig, tol: float = DEFAULT_TOL) -> list:
             on_m = Point(image.x - m.a * h, image.y - m.b * h)
             gamma = perpendicular_bisector(P, on_m)
             S = intersect(delta, ell)
+            Qp = reflect_point(Q, delta)
+            Pp = reflect_point(P, gamma)
+            R, T = midpoint(Q, Qp), midpoint(P, Pp)
         except (CoincidentPoints, ParallelLines) as exc:
             warnings.warn(f"skipping degenerate fold parameter t={t!r}: {exc}")
             continue
-        Qp = reflect_point(Q, delta)
-        Pp = reflect_point(P, gamma)
+        except ValueError as exc:
+            raise ValueError(f"fold pair at t={t!r} leaves the float range ({exc})") from None
         residuals = {
             "Q_onto_n": distance(Qp, n),
             "P_onto_m": distance(Pp, m),
@@ -519,9 +522,7 @@ def solve_two_fold(config: TwoFoldConfig, tol: float = DEFAULT_TOL) -> list:
         }
         solution = TwoFoldSolution(
             t=t, s=(m.a * on_m.y - m.b * on_m.x) / 2, gamma=gamma, delta=delta,
-            Qp=Qp, Pp=Pp,
-            R=midpoint(Q, Qp), S=S, T=midpoint(P, Pp),
-            residuals=residuals,
+            Qp=Qp, Pp=Pp, R=R, S=S, T=T, residuals=residuals,
         )
         if solution.max_residual > tol:
             raise ValueError(

@@ -23,7 +23,7 @@ Scalar = Union[int, Fraction, float]
 #: Default incidence tolerance for float mode, in paper-plane units.
 DEFAULT_TOL = 1e-9
 
-# bit length to which `Line.to_float` scales an exact triple too long to round
+# bit length to which an exact line's triple is scaled before it is rounded
 _FLOAT_BITS = 1000
 
 EXACT = "exact"
@@ -79,7 +79,7 @@ class Point:
         return scalar_mode(self.x)
 
     def to_float(self) -> "Point":
-        return Point(float(self.x), float(self.y))
+        return self if self.mode == FLOAT else Point(float(self.x), float(self.y))
 
     def __repr__(self) -> str:
         return f"Point({self.x!r}, {self.y!r})"
@@ -92,7 +92,7 @@ def _canonical_exact(a: Fraction, b: Fraction, c: Fraction):
     ai, bi, ci = ai // g, bi // g, ci // g
     if ai < 0 or (ai == 0 and bi < 0):
         ai, bi, ci = -ai, -bi, -ci
-    return Fraction(ai), Fraction(bi), Fraction(ci)
+    return ai, bi, ci
 
 
 def _canonical_float(a: float, b: float, c: float):
@@ -106,12 +106,27 @@ def _canonical_float(a: float, b: float, c: float):
     return a + 0.0, b + 0.0, c + 0.0
 
 
+def _float_line(a: int, b: int, c: int) -> "Line":
+    """The float line of a canonical integer triple, first divided by the
+    power of two that brings it to at most _FLOAT_BITS: exact barring overflow
+    and underflow, and cancelled by the unit normal, so every line that fits
+    in floats converts."""
+    bits = max(abs(a).bit_length(), abs(b).bit_length(), abs(c).bit_length())
+    scale = 1 << max(0, bits - _FLOAT_BITS)
+    try:
+        return Line(a / scale, b / scale, c / scale)
+    except ValueError:
+        raise ValueError("line offset leaves the float range") from None
+
+
 @dataclass(frozen=True)
 class Line:
     """Implicit line a*x + b*y + c = 0, canonicalized on construction.
 
     Exact mode: (a, b, c) is a coprime integer triple whose first nonzero
-    entry is positive, so equal lines have equal triples.  Float mode:
+    entry is positive, so equal lines have equal triples.  An exact line is
+    made with its float line, which `to_float` returns, so one beyond the
+    float range raises ValueError when it is made.  Float mode:
     a**2 + b**2 == 1 with the same sign convention.
     """
 
@@ -125,7 +140,10 @@ class Line:
             a, b, c = Fraction(self.a), Fraction(self.b), Fraction(self.c)
             if a == 0 and b == 0:
                 raise ValueError("line needs a nonzero normal (a, b)")
-            a, b, c = _canonical_exact(a, b, c)
+            ints = _canonical_exact(a, b, c)
+            # stored now, not cached later: a pool may be pickling the line
+            object.__setattr__(self, "_float", _float_line(*ints))
+            a, b, c = (Fraction(v) for v in ints)
         else:
             a, b, c = _canonical_float(self.a, self.b, self.c)
             if not math.isfinite(c):
@@ -139,20 +157,11 @@ class Line:
         return scalar_mode(self.a)
 
     def to_float(self) -> "Line":
-        """The float line; ValueError when its offset leaves the float range."""
-        try:
-            return Line(float(self.a), float(self.b), float(self.c))
-        except (OverflowError, ValueError):
-            pass
-        # Only an exact triple gets here, integral and too long to round as
-        # it is.  A power of two, which the unit normal cancels, brings it to
-        # _FLOAT_BITS, so every line that fits in floats converts.
-        ints = [v.numerator for v in (self.a, self.b, self.c)]
-        shift = max(abs(v).bit_length() for v in ints) - _FLOAT_BITS
-        try:
-            return Line(*(v / (1 << shift) for v in ints))
-        except ValueError:
-            raise ValueError("line offset leaves the float range") from None
+        """The float line: the one made with an exact line, and a float line
+        canonicalized again (float canonicalization is not idempotent)."""
+        if self.mode == EXACT:
+            return self._float
+        return Line(self.a, self.b, self.c)
 
     @classmethod
     def from_canonical(cls, a: Scalar, b: Scalar, c: Scalar) -> "Line":

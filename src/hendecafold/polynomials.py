@@ -182,13 +182,6 @@ class RatPoly:
     def derivative(self) -> "RatPoly":
         return self._derivative
 
-    def compose(self, inner: "RatPoly") -> "RatPoly":
-        """self(inner(x)), by Horner over the polynomial ring."""
-        acc = RatPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RatPoly.of(c)
-        return acc
-
     def monic(self) -> "RatPoly":
         if self.is_zero or self.coeffs[-1] == 1:
             return self

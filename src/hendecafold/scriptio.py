@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .construction import FoldScript, FoldStep, Sheet, landmark_params
 from .folds import DegenerateProblem, TwoFoldConfig
-from .geometry import EXACT, Line, MixedModes, Point, Scalar
+from .geometry import Line, MixedModes, Point, Scalar
 
 SCRIPT_FORMAT = "fold-script"
 CONFIG_FORMAT = "two-fold-config"
@@ -79,13 +79,9 @@ def _decode_value(obj):
     else:
         make, values = Line.from_canonical, _numbers(obj["line"], 3, "a line")
     try:
-        value = make(*values)
-        if isinstance(value, Line) and value.mode == EXACT:
-            # each number converts, but the solvers need the whole line in floats
-            value.to_float()
+        return make(*values)
     except (ValueError, MixedModes) as exc:
         raise FormatError(f"bad {obj!r}: {exc}") from None
-    return value
 
 
 def _field(obj: dict, key: str, what: str):
@@ -115,11 +111,8 @@ def _step_from_obj(obj) -> FoldStep:
     if not isinstance(step_id, str):
         raise FormatError(f"step id must be a string, got {step_id!r}")
     where = f"step {step_id!r}"
-    try:
-        kind, args, outputs, figures = (
-            obj["kind"], obj["args"], obj["outputs"], obj["figures"])
-    except KeyError as missing:
-        raise FormatError(f"{where} missing field {missing}") from None
+    kind, args, outputs, figures = (
+        _field(obj, key, where) for key in ("kind", "args", "outputs", "figures"))
     annotation, mv = obj.get("annotation", ""), obj.get("mv", "crease")
     expect = obj.get("expect", {})
     if not isinstance(args, dict):

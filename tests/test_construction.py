@@ -19,6 +19,7 @@ from hendecafold.construction import (
     run_script,
     verify_hendecagon,
 )
+from hendecafold import geometry
 from hendecafold.geometry import Line, Point, line_through, point_distance
 from hendecafold.scriptio import (
     FormatError,
@@ -29,7 +30,7 @@ from hendecafold.scriptio import (
     encode_script,
     encode_two_fold_config,
 )
-from hendecafold.folds import SINGLE_FOLDS, TwoFoldConfig, solve_single_fold
+from hendecafold.folds import SINGLE_FOLDS, TwoFoldConfig, solve_single_fold, solve_two_fold
 
 T11 = 2 * math.cos(2 * math.pi / 11)
 
@@ -267,6 +268,22 @@ def test_two_fold_config_roundtrip():
     assert decode_two_fold_config(text) == config
     with pytest.raises(FormatError):
         decode_two_fold_config('{"format": "fold-script", "version": 1}')
+
+
+def test_an_exact_config_converts_each_line_to_floats_once(monkeypatch):
+    # decode makes each line with its float line; the degeneracy test and
+    # the solver read the stored one
+    text = encode_two_fold_config(TwoFoldConfig.hendecagon())
+    made = []
+    float_line = geometry._float_line
+
+    def counting(*triple):
+        made.append(triple)
+        return float_line(*triple)
+
+    monkeypatch.setattr(geometry, "_float_line", counting)
+    assert len(solve_two_fold(decode_two_fold_config(text))) == 5
+    assert made == [(1, 0, 0), (2, 0, 3), (0, 1, 1)]
 
 
 # -- every single-fold variant through the script runner ---------------------

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hendecafold import geometry
 from hendecafold.geometry import (
     CoincidentPoints,
     Line,
@@ -95,9 +97,69 @@ def test_to_float_scales_a_long_triple_that_fits():
 
 
 def test_to_float_rejects_a_line_beyond_the_float_range():
-    # each number fits in a float, the line x = -2*10**400 does not
-    with pytest.raises(ValueError, match="leaves the float range"):
-        Line(fr(1, 10**400), 0, 2).to_float()
+    # each number fits in a float, the line x = -2*10**400 does not, and an
+    # exact line is made with its float line, so making it fails
+    with pytest.raises(ValueError, match="line offset leaves the float range"):
+        Line(fr(1, 10**400), 0, 2)
+
+
+def test_an_exact_line_keeps_the_float_line_it_was_made_with():
+    line = Line(fr(3, 7), -2, 5)
+    assert line.to_float() is line.to_float()
+    assert line.to_float() == Line(3.0, -14.0, 35.0)
+
+
+def test_a_float_point_is_its_own_float_form():
+    p = Point(0.1, -2.5)
+    assert p.to_float() is p
+    assert Point(fr(1, 10), fr(-5, 2)).to_float() == p
+
+
+def _two_step_to_float(a, b, c):
+    # the conversion that exact lines used before they kept their float
+    # line: round the triple as it is, and scale it only when that fails
+    try:
+        return Line(float(Fraction(a)), float(Fraction(b)), float(Fraction(c)))
+    except (OverflowError, ValueError):
+        pass
+    ints = [a, b, c]
+    shift = max(abs(v).bit_length() for v in ints) - geometry._FLOAT_BITS
+    try:
+        return Line(*(v / (1 << shift) for v in ints))
+    except ValueError:
+        raise ValueError("line offset leaves the float range") from None
+
+
+def _outcome(convert, triple):
+    try:
+        line = convert(*triple)
+    except ValueError as exc:
+        return str(exc)
+    return (line.a.hex(), line.b.hex(), line.c.hex())
+
+
+def test_the_one_scaled_path_matches_round_then_scale():
+    # canonical triples whose longest entry has 0 to 1,100 bits, half of them
+    # 990 to 1,100, where rounding as is starts to overflow; every fourth has
+    # a normal of at most 80 bits, so its offset may leave the float range
+    rng = random.Random(17)
+
+    def entry(bits):
+        return rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, bits))
+
+    errors = 0
+    for i in range(50_000):
+        top = rng.randint(990, 1_100) if i % 2 else rng.randint(0, 1_100)
+        short = i % 4 == 0
+        triple = [entry(min(top, 80) if short else top) for _ in range(2)] + [entry(top)]
+        triple[2 if short else rng.randrange(3)] = rng.choice((-1, 1)) << top
+        if triple[0] == triple[1] == 0:
+            triple[rng.randrange(2)] = 1
+        canonical = geometry._canonical_exact(*map(Fraction, triple))
+        got = _outcome(geometry._float_line, canonical)
+        assert got == _outcome(_two_step_to_float, canonical), canonical
+        errors += isinstance(got, str)
+    assert 100 < errors < 40_000
 
 
 def test_degenerate_line_rejected():

@@ -98,10 +98,6 @@ def test_eval_quintic_at_one():
     assert QUINTIC(-1) == -1
 
 
-def test_compose_square_with_shift():
-    assert (X * X).compose(X + 1) == RatPoly.of(1, 2, 1)
-
-
 def test_derivative_power():
     assert RatPoly.of(0, 0, 0, 0, 0, 1).derivative() == RatPoly.of(0, 0, 0, 0, 5)
 

@@ -209,7 +209,8 @@ def test_cli_solve_bad_config(tmp_path, capsys):
 
 def test_cli_solve_config_with_roots_far_apart_keeps_the_exit_contract(tmp_path):
     # Q = (0, 10**160) puts the eliminant's coefficients beyond the float
-    # range and isolates a root in an interval wider than it
+    # range and isolates a root in an interval wider than it; the crease
+    # pairs square Q's coordinates, which leaves the float range
     doc = _config_doc()
     doc["P"] = {"point": ["-5/2", "-3"]}
     doc["Q"] = {"point": ["0", str(10**160)]}
@@ -220,11 +221,9 @@ def test_cli_solve_config_with_roots_far_apart_keeps_the_exit_contract(tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(hendecafold.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "hendecafold.cli", "solve", "--config",
                            str(config)], capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode in (0, 1)
-    assert "Traceback" not in done.stderr
-    if done.returncode:
-        [line] = done.stderr.splitlines()
-        assert line.startswith("error: ")
+    assert done.returncode == 1
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: fold pair at t=") and "float range" in line
 
 
 def test_cli_construct_writes_outputs(tmp_path, capsys):
@@ -420,6 +419,11 @@ BAD_INPUTS = [
     ("expect_line_mixed_modes", "script",
      _edit_step("fold_ell", lambda s: s["expect"].update(ell={"line": ["1.0", "0", "0"]})),
      2, "mixed numeric modes"),
+    # a script's exact expectations are made as lines too, so decode rejects this
+    ("expect_line_beyond_float_range", "script",
+     _edit_step("fold_ell", lambda s: s["expect"].update(
+         ell={"line": ["1/1" + "0" * 400, "0", "2"]})),
+     2, "line offset leaves the float range"),
     ("polygon_checks_fail", "script", _other_two_fold_root,
      1, "error: 2 of 3 polygon checks failed"),
     ("vertices_are_lines", "script",

@@ -104,7 +104,9 @@ print(json.dumps([status, err.getvalue().splitlines(), loaded]))
 """
 
 
-@pytest.mark.parametrize("qualname", cli._INPUT_ERRORS + cli._RUN_FAILURES)
+# `render.IoFailure` is an OSError, so it maps through `builtins.OSError`
+@pytest.mark.parametrize("qualname", cli._INPUT_ERRORS + cli._RUN_FAILURES
+                         + ("hendecafold.render.IoFailure",))
 def test_each_mapped_failure_is_one_line_and_its_exit_code(qualname):
     module, _, name = qualname.rpartition(".")
     assert issubclass(getattr(importlib.import_module(module), name), Exception)
