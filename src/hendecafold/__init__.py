@@ -17,6 +17,11 @@ from . import cyclotomic, polynomials
 
 __version__ = "0.1.0"
 
+#: Default incidence tolerance for float mode, in paper-plane units; stated
+#: here, where `geometry` and the command-line parser both read it, so the
+#: parser need not import `geometry`.
+DEFAULT_TOL = 1e-9
+
 # public name -> the module that defines it
 _HOME = {
     **dict.fromkeys((
@@ -25,7 +30,7 @@ _HOME = {
     ), "geometry"),
     **dict.fromkeys((
         "RatFunc", "RatPoly", "RootInterval", "count_real_roots",
-        "isolate_real_roots", "ratfunc_substitute", "refine_root",
+        "isolate_real_roots", "refine_root",
     ), "polynomials"),
     **dict.fromkeys((
         "ConstructibilityReport", "NgonPolynomial", "chebyshev_term",

@@ -1,7 +1,8 @@
 """Command-line surface: classify, poly, solve, construct, verify.
 
 The commands raise; `main` alone turns an exception into an exit code and
-one `error:` line: 2 for an input error, 1 for a run failure.
+one `error:` line: 2 for an input error, 1 for a run failure.  A command
+that returns prints each warning it raised as one `warning:` line.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import TYPE_CHECKING
 
 # Each command imports the layers it runs, so `hendecafold --help` and
 # `classify` load only the algebra core that the package imports anyway.
+from . import DEFAULT_TOL
 from .cyclotomic import classify_constructible, halved_cyclotomic
 
 if TYPE_CHECKING:
@@ -32,8 +34,6 @@ _RUN_FAILURES = ("builtins.ValueError", "builtins.OSError",
                  "hendecafold.construction.UnknownLandmark",
                  "hendecafold.construction.WrongLandmarkKind",
                  "concurrent.futures.process.BrokenProcessPool")
-
-DEFAULT_TOL = 1e-9  # geometry.DEFAULT_TOL, restated so the parser need not import geometry
 
 
 def _fmt(value: float) -> str:
@@ -98,11 +98,7 @@ def _cmd_solve(args) -> int:
         config = decode_two_fold_config(_read_input(args.config))
     else:
         config = TwoFoldConfig.hendecagon()
-    with warnings.catch_warnings(record=True) as skipped:
-        warnings.simplefilter("always")
-        solutions = solve_two_fold(config, args.tol)
-    for warning in skipped:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    solutions = solve_two_fold(config, args.tol)
     print(f"solutions: {len(solutions)}")
     for k, sol in enumerate(solutions):
         print(f"solution {k}:")
@@ -227,7 +223,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         try:
-            status = args.func(args)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)
+                status = args.func(args)
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
         except BrokenPipeError:
             raise  # an OSError, but a closed stdout: handled below, silently
         except Exception as exc:

@@ -216,6 +216,14 @@ def _resolve(landmarks: dict, step_id: str, ref: str, want: type) -> Landmark:
     return value
 
 
+def _selected(step: FoldStep, found: list):
+    """The solution that the step's `select` (default 0) names."""
+    select = step.args.get("select", 0)
+    if not 0 <= select < len(found):
+        raise StepFailed(step.id, math.inf, f"wanted solution {select}, found {len(found)}")
+    return found[select]
+
+
 def _execute_step(step: FoldStep, landmarks: dict, tol: float) -> list:
     kind, args = step.kind, step.args
     refs = {name: _resolve(landmarks, step.id, args[name], want)
@@ -223,20 +231,9 @@ def _execute_step(step: FoldStep, landmarks: dict, tol: float) -> list:
     if kind == "single_fold":
         cls, _ = SINGLE_FOLDS[args["variant"]]
         folds = solve_single_fold(cls(**refs))
-        select = args.get("select")
-        if select is not None:
-            if select >= len(folds):
-                raise StepFailed(step.id, math.inf,
-                                 f"wanted solution {select}, found {len(folds)}")
-            folds = [folds[select]]
-        return folds
+        return folds if args.get("select") is None else [_selected(step, folds)]
     if kind == "two_fold":
-        solutions = solve_two_fold(TwoFoldConfig(**refs), tol)
-        index = args.get("select", 0)
-        if not 0 <= index < len(solutions):
-            raise StepFailed(step.id, math.inf,
-                             f"wanted solution {index}, found {len(solutions)}")
-        chosen = solutions[index]
+        chosen = _selected(step, solve_two_fold(TwoFoldConfig(**refs), tol))
         return [chosen.gamma, chosen.delta]
     if kind == "mark_point":
         return [intersect(refs["l1"], refs["l2"])]

@@ -47,6 +47,14 @@ class ConstructibilityReport:
     obstructions: tuple
 
 
+def _next_term(prev: list, cur: list) -> list:
+    """p_{k+1} = t*p_k - p_{k-1} on ascending integer coefficient lists."""
+    nxt = [0] + cur
+    for i, c in enumerate(prev):
+        nxt[i] -= c
+    return nxt
+
+
 def chebyshev_term(k: int) -> RatPoly:
     """Polynomial expressing z**k + z**(-k) in t = z + 1/z.
 
@@ -54,13 +62,10 @@ def chebyshev_term(k: int) -> RatPoly:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    prev, cur = RatPoly.of(2), RatPoly.of(0, 1)
-    if k == 0:
-        return prev
-    t = cur
-    for _ in range(k - 1):
-        prev, cur = cur, t * cur - prev
-    return cur
+    prev, cur = [2], [0, 1]
+    for _ in range(k):
+        prev, cur = cur, _next_term(prev, cur)
+    return RatPoly(prev)
 
 
 def halved_cyclotomic(n: int) -> NgonPolynomial:
@@ -78,10 +83,7 @@ def halved_cyclotomic(n: int) -> NgonPolynomial:
     prev, cur = [2], [0, 1]
     acc = [1, 1]
     for _ in range((n - 1) // 2 - 1):
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
+        prev, cur = cur, _next_term(prev, cur)
         acc = [a + c for a, c in zip(acc + [0], cur)]
     return NgonPolynomial(n, RatPoly(acc))
 

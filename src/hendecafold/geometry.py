@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Scalar = Union[int, Fraction, float]
+from . import DEFAULT_TOL
 
-#: Default incidence tolerance for float mode, in paper-plane units.
-DEFAULT_TOL = 1e-9
+Scalar = Union[int, Fraction, float]
 
 # bit length to which an exact line's triple is scaled before it is rounded
 _FLOAT_BITS = 1000

@@ -33,10 +33,6 @@ from typing import Iterable, Sequence, Union
 Coeff = Union[int, Fraction]
 
 
-class IdenticallyZeroDenominator(ZeroDivisionError):
-    """A substitution produced a rational function with zero denominator."""
-
-
 @dataclass(frozen=True)
 class RatPoly:
     """Polynomial over Q; coeffs[k] multiplies x**k, trailing zeros stripped."""
@@ -300,23 +296,6 @@ def _as_func(v) -> RatFunc:
     raise TypeError(f"cannot treat {v!r} as a rational function")
 
 
-def poly_on_ratfunc(p: RatPoly, value: RatFunc) -> RatFunc:
-    """p(value) for a polynomial p and rational-function argument."""
-    acc = RatFunc.constant(0)
-    for c in reversed(p.coeffs):
-        acc = acc * value + c
-    return acc
-
-
-def ratfunc_substitute(target: RatFunc, var_value: RatFunc) -> RatFunc:
-    """Substitute the variable of `target` by `var_value` and reduce."""
-    den = poly_on_ratfunc(target.den, var_value)
-    if den.is_zero:
-        raise IdenticallyZeroDenominator(
-            "denominator vanishes identically after substitution")
-    return poly_on_ratfunc(target.num, var_value) / den
-
-
 # ----------------------------------------------------------------------
 # Real-root isolation (Sturm) and refinement
 # ----------------------------------------------------------------------
@@ -331,15 +310,6 @@ class RootInterval:
 
     lo: Fraction
     hi: Fraction
-
-
-def sturm_chain(p: RatPoly) -> list:
-    """Sturm sequence p, p', -rem(...), ... for a square-free polynomial.
-
-    Each element is the `_integer_sturm_chain` element rescaled by the
-    positive constant 1/|lc|, which leaves all sign variations unchanged.
-    """
-    return [RatPoly(Fraction(c, abs(q[-1])) for c in q) for q in p._int_chain]
 
 
 def _primitive(q: Sequence[int]) -> list:
@@ -430,9 +400,10 @@ def _integer_sturm_chain(g: RatPoly) -> list:
     It starts from g's integer form with a positive leading coefficient and
     that form's derivative, then appends `_neg_prem` of the last two until a
     constant or a zero remainder.  Each element is a positive multiple of
-    the `sturm_chain` element, so the sign variations are the same.  The
-    remainders keep the step that made them, so `_chain_values` evaluates
-    all but the first two through the recurrence.
+    the same element of the Sturm sequence g, g', -rem(...), ... over Q, so
+    the sign variations are the same.  The remainders keep the step that made them,
+    so `_chain_values` evaluates all but the first two through the
+    recurrence.
     """
     if g.is_zero:
         return []

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,17 @@ def test_rebinding_a_landmark_is_an_error():
     script = FoldScript(steps=(step,), frame=Sheet(center=Point(0.0, -1.0), side=8.0))
     with pytest.raises(ValueError):
         run_script(script)
+
+
+@pytest.mark.parametrize("step_id, found", [("fold_rotate_A", 2), ("twofold", 5)])
+def test_a_negative_select_fails_either_fold_step_alike(step_id, found):
+    # decode rejects a negative select; the library API reaches the check
+    script = hendecagon_script()
+    steps = tuple(replace(s, args={**s.args, "select": -1}) if s.id == step_id else s
+                  for s in script.steps)
+    with pytest.raises(StepFailed, match=f"wanted solution -1, found {found}") as err:
+        run_script(replace(script, steps=steps))
+    assert err.value.step_id == step_id
 
 
 # -- rotate_length and expected_vertices ---------------------------------------

@@ -51,11 +51,23 @@ def test_halved_cyclotomic_7():
     assert halved_cyclotomic(7).poly == RatPoly.of(-1, -2, 1, 1)
 
 
+def _reference_terms(count):
+    """p_0 .. p_{count-1} by the recurrence in RatPoly arithmetic, independent
+    of the integer step that `chebyshev_term` and `halved_cyclotomic` share."""
+    t = RatPoly.of(0, 1)
+    terms = [RatPoly.of(2), t]
+    while len(terms) < count:
+        terms.append(t * terms[-1] - terms[-2])
+    return terms[:count]
+
+
 @pytest.mark.parametrize("n", range(3, 82, 2))
 def test_halved_cyclotomic_equals_sum_of_chebyshev_terms(n):
+    terms = _reference_terms((n - 1) // 2 + 1)
     acc = RatPoly.of(1)
-    for k in range(1, (n - 1) // 2 + 1):
-        acc = acc + chebyshev_term(k)
+    for k in range(1, len(terms)):
+        assert chebyshev_term(k) == terms[k]
+        acc = acc + terms[k]
     assert halved_cyclotomic(n).poly == acc.monic()
 
 

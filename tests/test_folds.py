@@ -42,7 +42,6 @@ from hendecafold.polynomials import (
     RatPoly,
     X,
     isolate_real_roots,
-    poly_on_ratfunc,
     refine_root,
 )
 
@@ -344,6 +343,14 @@ def test_filled_image_track_cache_leaves_equality_and_hash_alone(monkeypatch):
 
 # -- the general-position two-fold ---------------------------------------------
 
+def _poly_on_ratfunc(p, value):
+    """p(value) for a polynomial p and a rational-function argument."""
+    acc = RatFunc.constant(0)
+    for c in reversed(p.coeffs):
+        acc = acc * value + c
+    return acc
+
+
 def _reference_eliminant(px, py, mx):
     """The canonical-frame elimination through rational functions: the
     gamma slope fixes s(t), and the offset equation's numerator is the
@@ -352,8 +359,8 @@ def _reference_eliminant(px, py, mx):
     s_of_t = RatFunc(RatPoly.of(-py / 2, -a, py / 2), RatPoly.of(-1, 0, 1))
     offset_coeff = RatPoly.of(-py, 2)
     midpoint_coeff = RatPoly.of(py * py / 2 - (mx * mx - px * px) / 2, 0, -2)
-    equation = (poly_on_ratfunc(midpoint_coeff, s_of_t)
-                - RatFunc(X * X) * poly_on_ratfunc(offset_coeff, s_of_t))
+    equation = (_poly_on_ratfunc(midpoint_coeff, s_of_t)
+                - RatFunc(X * X) * _poly_on_ratfunc(offset_coeff, s_of_t))
     return equation.num.monic()
 
 

@@ -15,7 +15,6 @@ from hendecafold.cyclotomic import halved_cyclotomic
 from hendecafold.folds import TwoFoldConfig, eliminate_to_quintic
 from hendecafold.geometry import Line, Point
 from hendecafold.polynomials import (
-    IdenticallyZeroDenominator,
     RatFunc,
     RatPoly,
     RootInterval,
@@ -26,10 +25,8 @@ from hendecafold.polynomials import (
     count_real_roots,
     isolate_real_roots,
     poly_gcd,
-    ratfunc_substitute,
     refine_root,
     root_bound,
-    sturm_chain,
 )
 
 # the hendecagon quintic, ascending coefficients
@@ -170,11 +167,12 @@ def test_ratfunc_den_monic():
     assert f(Fraction(1)) == Fraction(1, 6)
 
 
-def test_substitute_constant_and_identity():
-    const = RatFunc.constant(Fraction(5, 2))
-    assert ratfunc_substitute(const, RatFunc.constant(9)) == const
-    sq = RatFunc(X * X)
-    assert ratfunc_substitute(sq, RatFunc(X)) == sq
+def _poly_on_ratfunc(p, value):
+    """p(value) for a polynomial p and a rational-function argument."""
+    acc = RatFunc.constant(0)
+    for c in reversed(p.coeffs):
+        acc = acc * value + c
+    return acc
 
 
 def test_substitute_eliminates_to_quintic():
@@ -183,16 +181,10 @@ def test_substitute_eliminates_to_quintic():
     s_of_t = RatFunc(RatPoly.of(Fraction(3, 2), -1, Fraction(-3, 2)),
                      RatPoly.of(-1, 0, 1))
     target = RatFunc(RatPoly.of(Fraction(-13, 2), 0, 2), RatPoly.of(3, 2))
-    image = ratfunc_substitute(target, s_of_t)
+    image = _poly_on_ratfunc(target.num, s_of_t) / _poly_on_ratfunc(target.den, s_of_t)
     difference = image - RatFunc(-(X * X))
     assert difference.num.monic() == QUINTIC
     assert difference.den == RatPoly.of(0, -1, 0, 1)  # t*(t^2 - 1), monic
-
-
-def test_substitute_zero_denominator():
-    f = RatFunc(RatPoly.of(1), RatPoly.of(-1, 0, 1))  # 1/(x^2-1)
-    with pytest.raises(IdenticallyZeroDenominator):
-        ratfunc_substitute(f, RatFunc.constant(1))
 
 
 @given(st.fractions(min_value=-5, max_value=5, max_denominator=8),
@@ -273,14 +265,6 @@ def test_repeated_roots_isolated_once():
     p = RatPoly.of(-1, 1) * RatPoly.of(-1, 1) * RatPoly.of(2, 1)
     ivs = isolate_real_roots(p)
     assert len(ivs) == 2
-
-
-def test_sturm_chain_shape():
-    chain = sturm_chain(QUINTIC)
-    assert chain[0] == QUINTIC.monic()
-    assert chain[1] == QUINTIC.derivative().monic()
-    degrees = [q.degree for q in chain]
-    assert degrees == sorted(degrees, reverse=True)
 
 
 @settings(deadline=None, max_examples=60)
@@ -540,7 +524,6 @@ def assert_kernel_matches_fraction_reference(p):
         for ints, ref in zip(integer_chain, reference):
             ratio = ints[-1] / ref.lc
             assert ratio > 0 and RatPoly(ints) == ref * ratio
-        assert sturm_chain(q) == reference
     assert isolate_real_roots(p) == fraction_intervals(p)
 
 
@@ -573,8 +556,10 @@ def test_integer_kernel_matches_fraction_reference_on_ngon(n):
 
 
 def test_sturm_chain_of_constants_and_zero():
-    assert sturm_chain(RatPoly()) == fraction_sturm_chain(RatPoly()) == []
-    assert sturm_chain(RatPoly.of(-3)) == fraction_sturm_chain(RatPoly.of(-3))
+    assert _integer_sturm_chain(RatPoly()) == fraction_sturm_chain(RatPoly()) == []
+    # a constant's chain is the constant alone, made positive and primitive
+    assert _integer_sturm_chain(RatPoly.of(-3)) == [[1]]
+    assert fraction_sturm_chain(RatPoly.of(-3)) == [RatPoly.of(1)]
 
 
 # -- remainder recurrence against homogeneous Horner -------------------------

@@ -30,7 +30,7 @@ from hendecafold.construction import (
 from hendecafold.render import DiagramSpec, IoFailure, emit_svg, write_svgs
 from hendecafold.scriptio import encode_number, encode_script, encode_two_fold_config
 from hendecafold.folds import TwoFoldConfig
-from hendecafold.geometry import Line
+from hendecafold.geometry import Line, Point
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +255,61 @@ def test_cli_construct_custom_script(tmp_path, capsys):
     assert main(["construct", "--script", str(script_path),
                  "--out", str(tmp_path / "e")]) == 0
     assert len(list((tmp_path / "e").glob("step_*.svg"))) == 7
+
+
+# the config of test_folds' skipped-root test: at its root t = 0 delta is
+# parallel to ell, so the solver skips that root with a warning
+_DEGENERATE_ROOT_CONFIG = TwoFoldConfig(P=Point(5, 1), Q=Point(1, 0), ell=Line(1, 0, 0),
+                                        m=Line(1, -1, -2), n=Line(1, 0, -3))
+
+
+def _degenerate_root_script_doc():
+    """Folds that crease that config on a side-8 sheet centred at (1, 0), then
+    the two-fold on it."""
+    def fold(moving, target):
+        return "single_fold", {"variant": "line_onto_line", "moving": moving, "target": target}
+
+    made = {
+        "v": fold("sheet_left", "sheet_right"),              # x = 1
+        "h": fold("sheet_bottom", "sheet_top"),              # y = 0
+        "Q": ("mark_point", {"l1": "v", "l2": "h"}),         # (1, 0)
+        "x_1": fold("sheet_left", "v"),                      # x = -1
+        "ell": fold("x_1", "v"),                             # x = 0
+        "n": fold("sheet_right", "v"),                       # x = 3
+        "y2": fold("h", "sheet_top"),                        # y = 2
+        "y1": fold("h", "y2"),                               # y = 1
+        "P": ("mark_point", {"l1": "sheet_right", "l2": "y1"}),  # (5, 1)
+        "x2": fold("v", "n"),                                # x = 2
+        "m0": ("mark_point", {"l1": "x2", "l2": "h"}),       # (2, 0)
+        "m1": ("mark_point", {"l1": "n", "l2": "y1"}),       # (3, 1)
+        "m": ("crease_segment", {"p": "m0", "q": "m1"}),
+    }
+    steps = [{"id": f"make_{out}", "kind": kind, "args": args, "outputs": [out],
+              "figures": [1]} for out, (kind, args) in made.items()]
+    steps.append({"id": "twofold", "kind": "two_fold",
+                  "args": {name: name for name in ("P", "Q", "ell", "m", "n")},
+                  "outputs": ["gamma", "delta"], "figures": [2]})
+    return {"format": "fold-script", "version": 1,
+            "frame": {"center": ["1", "0"], "side": "8"}, "steps": steps}
+
+
+@pytest.mark.parametrize("command", ["construct", "solve"])
+def test_a_skipped_root_is_one_warning_line_in_a_real_process(tmp_path, command):
+    if command == "construct":
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(_degenerate_root_script_doc()))
+        argv = ["construct", "--script", str(path), "--out", str(tmp_path / "out")]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(encode_two_fold_config(_DEGENERATE_ROOT_CONFIG))
+        argv = ["solve", "--config", str(path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(hendecafold.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "hendecafold.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "UserWarning" not in done.stderr and "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("warning: skipping degenerate fold parameter t=0.0")
 
 
 def test_cli_construct_byte_deterministic(tmp_path):
