@@ -13,14 +13,21 @@ imported on first use (PEP 562), so a command pays only for what it runs.
 
 import importlib
 
-from . import cyclotomic, polynomials
-
 __version__ = "0.1.0"
 
 #: Default incidence tolerance for float mode, in paper-plane units; stated
 #: here, where `geometry` and the command-line parser both read it, so the
 #: parser need not import `geometry`.
 DEFAULT_TOL = 1e-9
+
+
+class InputError(ValueError):
+    """Input that a command cannot take: the command line exits 2.  Any
+    other ValueError or OSError is a run failure and exits 1."""
+
+
+# after InputError, which `cyclotomic.InvalidN` subclasses
+from . import cyclotomic, polynomials
 
 # public name -> the module that defines it
 _HOME = {

@@ -1,8 +1,9 @@
 """Command-line surface: classify, poly, solve, construct, verify.
 
 The commands raise; `main` alone turns an exception into an exit code and
-one `error:` line: 2 for an input error, 1 for a run failure.  A command
-that returns prints each warning it raised as one `warning:` line.
+one `error:` line: 2 for an `InputError`, 1 for any other ValueError or
+OSError (a run failure); any other exception propagates.  A command that
+returns prints each warning it raised as one `warning:` line.
 """
 
 from __future__ import annotations
@@ -17,23 +18,11 @@ from typing import TYPE_CHECKING
 
 # Each command imports the layers it runs, so `hendecafold --help` and
 # `classify` load only the algebra core that the package imports anyway.
-from . import DEFAULT_TOL
+from . import DEFAULT_TOL, InputError
 from .cyclotomic import classify_constructible, halved_cyclotomic
 
 if TYPE_CHECKING:
     from .geometry import Line, Point
-
-# Exit 2 and exit 1, by class as `module.Name`.  They are looked up only in
-# the modules already loaded when a command fails: an exception of a class
-# whose module was never imported cannot have been raised.
-_INPUT_ERRORS = ("hendecafold.scriptio.FormatError", "hendecafold.cyclotomic.InvalidN")
-# OSError covers a plate that cannot be written (`render.IoFailure`) and a
-# fork that fails when `verify` starts its scan pool, and BrokenProcessPool
-# a worker of that pool that dies.
-_RUN_FAILURES = ("builtins.ValueError", "builtins.OSError",
-                 "hendecafold.construction.UnknownLandmark",
-                 "hendecafold.construction.WrongLandmarkKind",
-                 "concurrent.futures.process.BrokenProcessPool")
 
 
 def _fmt(value: float) -> str:
@@ -50,11 +39,10 @@ def _fmt_point(p: Point) -> str:
 
 def _read_input(path: str) -> str:
     """The text of an input file; an unreadable file is an input error."""
-    from .scriptio import FormatError
     try:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(str(exc)) from exc
+        raise InputError(str(exc)) from exc
 
 
 def _cmd_classify(args) -> int:
@@ -212,13 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _loaded(names) -> tuple:
-    """The classes among `names` whose modules are loaded."""
-    split = (name.rpartition(".") for name in names)
-    return tuple(getattr(sys.modules[module], cls)
-                 for module, _, cls in split if module in sys.modules)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -230,13 +211,8 @@ def main(argv=None) -> int:
                 print(f"warning: {warning.message}", file=sys.stderr)
         except BrokenPipeError:
             raise  # an OSError, but a closed stdout: handled below, silently
-        except Exception as exc:
-            if isinstance(exc, _loaded(_INPUT_ERRORS)):
-                status = 2
-            elif isinstance(exc, _loaded(_RUN_FAILURES)):
-                status = 1
-            else:
-                raise
+        except (ValueError, OSError) as exc:
+            status = 2 if isinstance(exc, InputError) else 1
             print(f"error: {exc}", file=sys.stderr)
         sys.stdout.flush()
     except BrokenPipeError:

@@ -53,11 +53,11 @@ class StepFailed(ValueError):
         super().__init__(message + (f" ({detail})" if detail else ""))
 
 
-class WrongLandmarkKind(TypeError):
+class WrongLandmarkKind(TypeError, ValueError):
     """A landmark is a Point where a Line is needed, or the other way round."""
 
 
-class UnknownLandmark(KeyError):
+class UnknownLandmark(KeyError, ValueError):
     """A step referenced a landmark that no earlier step produced."""
 
     def __init__(self, ref: str, step_id: str = None):
@@ -286,7 +286,7 @@ def run_script(script: FoldScript, tol: float = DEFAULT_TOL) -> ConstructionStat
                 residual_log.append((f"{step.id}/{out_id}", residual))
                 if residual > tol:
                     raise StepFailed(step.id, residual, f"landmark {out_id!r}")
-        except StepFailed:
+        except (StepFailed, UnknownLandmark):
             raise
         except (TypeError, ValueError) as exc:
             # a landmark of the wrong kind or a degenerate fold

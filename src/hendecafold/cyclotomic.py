@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import InputError
 from .polynomials import RatPoly
 
 
-class InvalidN(ValueError):
+class InvalidN(InputError):
     """Polygon side count outside the supported domain."""
 
 

@@ -8,20 +8,20 @@ three depending on the variant and the configuration.
 The two-simultaneous-fold operation couples two creases: gamma carries P
 onto line m while delta carries Q onto line n and reflects line ell onto
 gamma.  Any non-degenerate configuration is accepted.  Q's image
-Q' = foot + u*dir runs along n from the foot of Q, with dir = 2*(n.b, -n.a);
+Q' = foot + u*dir runs along n from the foot of Q, with dir = 2*(n.b, -n.a)
+scaled by a power of two to a length in [2, 6), however n is written;
 delta bisects Q and Q', gamma is ell reflected across delta, and gamma
 carrying P onto m is a polynomial of degree at most five in u, built from
 the same crease family as the O6 solver's cubic.  Both are assembled in
 Python integers and wrapped in a `RatPoly` once: every coordinate is scaled
-by one integer that clears their denominators, and each line's triple by
-the lcm of its own, with its offset times the coordinate scale.  That
-multiplies the polynomial by a constant, so its roots in u are kept; n's
-triple is never rescaled, since dir sets the unit of u.  Every certified
-real root is realized as a crease pair whose alignment residuals are
-verified.  A
-solution reports u as `t`, and half the coordinate of P' along m's unit
-direction (-m.b, m.a) as `s`: in the paper's frame (Q = (0, 1), ell: x = 0,
-n: y = -1, m vertical) these are its t, the x-intercept of delta, and s.
+by one integer that clears their denominators, dir's too, and each line's
+triple by the lcm of its own, with its offset times the coordinate scale.
+That multiplies the polynomial by a constant, so its roots in u are kept.
+Every certified real root is realized as a crease pair whose alignment
+residuals are verified.  A solution reports u as `t`, and half the
+coordinate of P' along m's unit direction (-m.b, m.a) as `s`: in the
+paper's frame (Q = (0, 1), ell: x = 0, n: y = -1, m vertical) these are its
+t, the x-intercept of delta, and s.
 """
 
 import math
@@ -402,11 +402,17 @@ class TwoFoldConfig:
     @cached_property
     def _image_track(self) -> tuple:
         """(foot, dir), exact: the image Q'(u) = foot + u*dir of Q runs along
-        n from the foot of Q, with dir = 2*(n.b, -n.a).  Built once per
-        config, for the eliminant and for the realization of its roots."""
+        n from the foot of Q, with dir = 2*(n.b, -n.a) / unit.  An exact n's
+        triple is coprime integers, and unit is the power of two with
+        unit <= max(|n.a|, |n.b|) < 2*unit; a float n's is a unit normal,
+        and unit is 1.  So 2 <= |dir| < 6 however n is written.  Built once
+        per config, for the eliminant and for the realization of its roots."""
         (qx, qy), (a, b, c) = _exact(self.Q), _exact(self.n)
         k = (a * qx + b * qy + c) / (a * a + b * b)
-        return (qx - a * k, qy - b * k), (2 * b, -2 * a)
+        unit = 1
+        if self.n.mode == EXACT:
+            unit = 1 << (max(abs(a.numerator), abs(b.numerator)).bit_length() - 1)
+        return (qx - a * k, qy - b * k), (2 * b / unit, -2 * a / unit)
 
     @classmethod
     def hendecagon(cls) -> "TwoFoldConfig":
@@ -443,8 +449,8 @@ def eliminate_to_quintic(config: TwoFoldConfig) -> RatPoly:
     The family is assembled in integers (`_integral`) and wrapped in a
     `RatPoly` once.  Which scales are free: the common coordinate scale s,
     and ell's and m's triples, as a line is homogeneous; each multiplies
-    the eliminant by a constant.  Which is not: n's triple, since
-    dir = 2*(n.b, -n.a) sets the unit of u, so n's denominators go into s.
+    the eliminant by a constant.  Which is not: dir, since it sets the unit
+    of u, so its denominators go into s.
     """
     P, Q, ell, m = (_exact(v) for v in (config.P, config.Q, config.ell, config.m))
     P, Q, foot, dir, ell, m = _integral((P, Q, *config._image_track), (ell, m))
@@ -490,11 +496,15 @@ def solve_two_fold(config: TwoFoldConfig, tol: float = DEFAULT_TOL) -> list:
     Q'(t), P' is the projection onto m of P reflected across the image of
     ell, and gamma is the bisector of P and P'.  A root whose realization
     degenerates (delta parallel to ell, so S does not exist) is skipped with
-    a warning; one that leaves the float range raises ValueError.
+    a warning; one that leaves the float range raises ValueError, as does
+    a foot of Q beyond it.
     """
     eliminant = eliminate_to_quintic(config)
     foot, dir = config._image_track
-    fx, fy, dx, dy = (float(v) for v in (*foot, *dir))
+    try:
+        fx, fy, dx, dy = (float(v) for v in (*foot, *dir))
+    except OverflowError:
+        raise ValueError("the foot of Q on n is beyond the float range") from None
     P, Q, ell, m, n = (getattr(config, f.name).to_float() for f in fields(config))
     solutions = []
     for interval in isolate_real_roots(eliminant):

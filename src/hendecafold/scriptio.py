@@ -14,6 +14,7 @@ import math
 from dataclasses import fields
 from fractions import Fraction
 
+from . import InputError
 from .construction import FoldScript, FoldStep, Sheet, landmark_params
 from .folds import DegenerateProblem, TwoFoldConfig
 from .geometry import Line, MixedModes, Point, Scalar
@@ -23,7 +24,7 @@ CONFIG_FORMAT = "two-fold-config"
 FORMAT_VERSION = 1
 
 
-class FormatError(ValueError):
+class FormatError(InputError):
     """Malformed or unsupported script/config document."""
 
 

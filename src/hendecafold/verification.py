@@ -208,6 +208,7 @@ def _scan_pool(jobs: int):
     The calls run on a fork pool with one worker per usable CPU and never
     more workers than `jobs`; with one CPU, or without fork, each thunk
     makes its call in-process when it is read.  No pool outlives the block.
+    A worker that dies raises OSError, as a fork that fails does.
     """
     workers = min(_usable_cpus(), jobs)
     if workers < 2 or not hasattr(os, "fork"):
@@ -217,11 +218,13 @@ def _scan_pool(jobs: int):
     # fork, so that workers start with the package already imported; the
     # executor forks them before it starts its own thread.
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     before = set(multiprocessing.active_children())
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         try:
             yield lambda fn, *args: pool.submit(fn, *args).result
+        except BrokenProcessPool as exc:
+            raise OSError(str(exc)) from exc
         finally:
             # drop the scans nobody will read, after a mismatch or an error
             pool.shutdown(cancel_futures=True)

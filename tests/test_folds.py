@@ -407,7 +407,12 @@ def _reference_general_eliminant(config):
     ell, m, (a, b, c) = ((Fraction(l.a), Fraction(l.b), Fraction(l.c))
                          for l in (config.ell, config.m, config.n))
     k = (a * Q[0] + b * Q[1] + c) / (a * a + b * b)
-    A, B, C = _ratpoly_family(Q, (Q[0] - a * k, Q[1] - b * k), (2 * b, -2 * a))
+    # u's unit: dir = 2*(b, -a) over the largest power of two at most
+    # max(|a|, |b|), which is 1 for a float n's unit normal
+    unit = 1
+    while 2 * unit <= max(abs(a), abs(b)):
+        unit *= 2
+    A, B, C = _ratpoly_family(Q, (Q[0] - a * k, Q[1] - b * k), (2 * b / unit, -2 * a / unit))
     norm = A * A + B * B
     dot = 2 * (A * ell[0] + B * ell[1])
     gamma = (norm * ell[0] - dot * A, norm * ell[1] - dot * B, norm * ell[2] - dot * C)
@@ -534,6 +539,37 @@ def test_random_general_configs_solve_within_tolerance_or_raise():
             # s is half the coordinate of P' along m's direction (-m.b, m.a)
             assert abs(m.a * sol.Pp.y - m.b * sol.Pp.x - 2 * sol.s) <= 1e-9
     assert solved >= 120
+
+
+def _outcome(config):
+    """The number of solutions, or the class of the failure."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return len(solve_two_fold(config))
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+def test_exact_configs_solve_as_their_float_twins():
+    # 5-digit rationals of size O(1) give n a coprime triple with entries
+    # near 10^10; the fold parameter's unit must not shrink with them
+    rng = random.Random(5)
+
+    def rational():
+        return Fraction(rng.randint(-99999, 99999), rng.randint(10000, 99999))
+
+    checked = 0
+    while checked < 40:
+        try:
+            config = TwoFoldConfig(Point(rational(), rational()), Point(rational(), rational()),
+                                   *(Line(rational(), rational(), rational()) for _ in range(3)))
+            twin = TwoFoldConfig(*(getattr(config, name).to_float()
+                                   for name in ("P", "Q", "ell", "m", "n")))
+        except DegenerateProblem:
+            continue
+        assert _outcome(config) == _outcome(twin), config
+        checked += 1
 
 
 def _reference_o6(p1, l1, p2, l2):

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from fractions import Fraction
@@ -224,6 +225,35 @@ def test_cli_solve_config_with_roots_far_apart_keeps_the_exit_contract(tmp_path)
     assert done.returncode == 1
     [line] = done.stderr.splitlines()
     assert line.startswith("error: fold pair at t=") and "float range" in line
+
+
+@pytest.mark.parametrize("n", [["3/99989", "99991/99987", "99991/99983"],
+                               ["1/10000000000000", "1", "1"]])
+def test_cli_solve_exact_n_near_the_axis_finds_all_five_pairs(tmp_path, capsys, n):
+    # n's coprime triple has entries near 10^10 or 10^13, and the fold
+    # parameter's unit must not shrink with them
+    doc = _config_doc()
+    doc["n"] = {"line": n}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.startswith("solutions: 5\n")
+
+
+def test_cli_solve_config_with_the_foot_of_q_beyond_floats_is_one_line(tmp_path):
+    # every number is a float or fits one, but Q's foot on the tilted n
+    # lies beyond the float range
+    doc = _config_doc()
+    doc["Q"] = {"point": ["-1.7976931348623157e308"] * 2}
+    doc["n"] = {"line": ["19/4", "-13/3", "5019/1217"]}
+    config = tmp_path / "foot.json"
+    config.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(hendecafold.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "hendecafold.cli", "solve", "--config",
+                           str(config)], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == ["error: the foot of Q on n is beyond the float range"]
 
 
 def test_cli_construct_writes_outputs(tmp_path, capsys):
@@ -642,6 +672,11 @@ def test_closed_pipe_and_a_failed_run_print_one_line(tmp_path, case):
 # -- fuzz: `solve --config` on geometry-aware configs -------------------------
 
 _RATIONALS = st.fractions(-6, 6, max_denominator=4)
+# the largest float, the least positive one, and the reach of 10^±300
+_EXTREMES = (1.7976931348623157e308, -1.7976931348623157e308, 5e-324, 1e300, -1e300, 1e160)
+_LONG_RATIONALS = st.builds(Fraction, st.integers(1 - 10**40, 10**40 - 1),
+                            st.integers(1, 10**40 - 1))
+_SPECIAL = st.one_of(st.sampled_from(_EXTREMES), _LONG_RATIONALS)
 _CONFIG_CASES = ("random", "m_parallel_n", "ell_parallel_n", "ell_is_n",
                  "m_is_n", "ell_is_m", "Q_on_n", "P_on_m")
 
@@ -661,6 +696,11 @@ def _two_fold_configs(draw):
 
     P, Q = [draw(_RATIONALS), draw(_RATIONALS)], [draw(_RATIONALS), draw(_RATIONALS)]
     ell, m, n = line(), line(), line()
+    # up to two numbers become a float extreme or a long rational: an
+    # exact config's cost grows with its digits, and no size cap bounds it
+    for _ in range(draw(st.integers(0, 2))):
+        values = draw(st.sampled_from((P, Q, ell, m, n)))
+        values[draw(st.integers(0, len(values) - 1))] = draw(_SPECIAL)
     case = draw(st.sampled_from(_CONFIG_CASES))
     if case.endswith("parallel_n"):
         moved = [n[0], n[1], draw(_RATIONALS)]
@@ -675,7 +715,14 @@ def _two_fold_configs(draw):
         Q = _point_on(n, Q[0])
     elif case == "P_on_m" and any(m[:2]):
         P = _point_on(m, P[0])
-    enc = (lambda v: repr(float(v))) if draw(st.booleans()) else encode_number
+
+    def as_float(v):
+        try:
+            return repr(float(v))
+        except OverflowError:  # beyond the float range: left exact
+            return encode_number(v)
+
+    enc = as_float if draw(st.booleans()) else encode_number
     return json.dumps({
         "format": "two-fold-config", "version": 1,
         "P": {"point": [enc(v) for v in P]}, "Q": {"point": [enc(v) for v in Q]},
@@ -695,8 +742,11 @@ def test_cli_solve_fuzz_keeps_the_exit_contract(fuzz_dir, text, tol):
     path = fuzz_dir / "config.json"
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["solve", "--config", str(path), "--tol", tol])
+    # a hang, not a slow host: the slowest case seen took a few seconds
+    assert time.perf_counter() - start < 60
     assert code in (0, 1, 2)
     err_lines = err.getvalue().splitlines()
     assert "Traceback" not in err.getvalue()
