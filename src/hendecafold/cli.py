@@ -104,7 +104,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_construct(args) -> int:
     from .construction import hendecagon_script, polygon_vertices, run_script, verify_hendecagon
-    from .render import DiagramSpec, IoFailure, emit_svg, write_svgs
+    from .render import DiagramSpec, IoFailure, emit_svg, overwrite_text, write_svgs
     from .scriptio import decode_script
     if args.script:
         script = decode_script(_read_input(args.script))
@@ -117,7 +117,7 @@ def _cmd_construct(args) -> int:
     report_lines.append(f"max_residual {state.max_residual():.6e}")
     residuals = out_dir / "residuals.txt"
     try:
-        residuals.write_text("\n".join(report_lines) + "\n")
+        overwrite_text(residuals, "\n".join(report_lines) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {residuals}: {exc}") from exc
     print(f"steps executed: {len(script.steps)}")

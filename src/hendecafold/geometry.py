@@ -45,18 +45,20 @@ def scalar_mode(value: Scalar) -> str:
     return FLOAT if isinstance(value, float) else EXACT
 
 
-def _common_mode(*values: Scalar) -> str:
-    modes = {scalar_mode(v) for v in values}
-    if len(modes) > 1:
-        raise MixedModes(f"mixed numeric modes in {values!r}")
-    return modes.pop()
+def _common_mode(first: Scalar, *rest: Scalar) -> str:
+    mode = scalar_mode(first)
+    for v in rest:
+        if scalar_mode(v) != mode:
+            raise MixedModes(f"mixed numeric modes in {(first, *rest)!r}")
+    return mode
 
 
-def _same_mode(*objs: "Point | Line") -> str:
-    modes = {o.mode for o in objs}
-    if len(modes) > 1:
-        raise MixedModes(f"operands have mixed modes: {objs!r}")
-    return modes.pop()
+def _same_mode(first: "Point | Line", *rest: "Point | Line") -> str:
+    mode = first.mode
+    for o in rest:
+        if o.mode != mode:
+            raise MixedModes(f"operands have mixed modes: {(first, *rest)!r}")
+    return mode
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ fixed format and landmarks are drawn in registry order.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -214,6 +215,20 @@ def emit_svg(state: ConstructionState, spec: DiagramSpec = None) -> list:
     return docs
 
 
+def _open_untruncated(path, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def overwrite_text(path, text: str) -> None:
+    """Write text as UTF-8, with the bytes `Path.write_text` writes, over the
+    file's old bytes and then cut to the new length.  Opening with O_TRUNC
+    instead frees an existing file's blocks, allocates them again and
+    starts writeback at close, which costs more than the write."""
+    with open(path, "w", encoding="utf-8", opener=_open_untruncated) as f:
+        f.write(text)
+        f.truncate()
+
+
 def write_svgs(docs: list, out_dir) -> list:
     out = Path(out_dir)
     try:
@@ -221,7 +236,7 @@ def write_svgs(docs: list, out_dir) -> list:
         paths = []
         for name, text in docs:
             path = out / f"{name}.svg"
-            path.write_text(text, encoding="utf-8")
+            overwrite_text(path, text)
             paths.append(path)
     except OSError as exc:
         raise IoFailure(f"cannot write diagrams to {out}: {exc}") from exc

@@ -158,6 +158,25 @@ def test_write_svgs_wraps_os_errors(tmp_path):
         write_svgs([("x", "<svg/>")], blocker / "sub")
 
 
+def test_write_svgs_over_a_longer_file_leaves_exactly_the_new_plate(tmp_path, state):
+    [(name, text)] = docs = emit_svg(state, DiagramSpec(figures=(1,)))
+    path = tmp_path / f"{name}.svg"
+    path.write_bytes(b"\xff junk of other bytes \x00" * (len(text) // 10))
+    assert path.stat().st_size > len(text)
+    write_svgs(docs, tmp_path)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_write_svgs_of_identical_text_advances_the_mtime(tmp_path):
+    # the bench oracle dates every file to the epoch and takes one still
+    # there after the next op for a plate that op did not write
+    [path] = write_svgs([("x", "<svg/>\n")], tmp_path)
+    os.utime(path, ns=(0, 0))
+    write_svgs([("x", "<svg/>\n")], tmp_path)
+    assert path.stat().st_mtime_ns > 0
+    assert path.read_text(encoding="utf-8") == "<svg/>\n"
+
+
 # -- CLI ------------------------------------------------------------------------
 
 def test_cli_poly_11(capsys):
@@ -267,16 +286,25 @@ def test_cli_construct_writes_outputs(tmp_path, capsys):
 
 def test_cli_construct_matches_golden_digest(tmp_path, capsys):
     # sha256 over sorted file names and bytes, as the benchmark's oracle
-    # hashes the 21 plates and residuals.txt
+    # hashes the 21 plates and residuals.txt; a rerun into the same directory
+    # writes over longer files and must leave the same bytes
     out = tmp_path / "golden"
-    assert main(["construct", "--out", str(out)]) == 0
-    h = hashlib.sha256()
-    for path in sorted(out.iterdir()):
-        h.update(path.name.encode() + b"\0")
-        h.update(path.read_bytes())
-        h.update(b"\0")
     golden = Path(__file__).parents[1] / "perfbench" / "data" / "construct.sha256"
-    assert h.hexdigest() == golden.read_text().split()[0]
+
+    def digest():
+        h = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            h.update(path.name.encode() + b"\0")
+            h.update(path.read_bytes())
+            h.update(b"\0")
+        return h.hexdigest()
+
+    assert main(["construct", "--out", str(out)]) == 0
+    assert digest() == golden.read_text().split()[0]
+    for path in out.iterdir():
+        path.write_bytes(path.read_bytes() + b"junk past the old end\n" * 50)
+    assert main(["construct", "--out", str(out)]) == 0
+    assert digest() == golden.read_text().split()[0]
 
 
 def test_cli_construct_custom_script(tmp_path, capsys):
@@ -518,6 +546,8 @@ BAD_INPUTS = [
      1, "landmark 'z0' is Line, expected Point"),
     ("residuals_txt_is_a_directory", "script", lambda doc: doc,
      1, "cannot write "),
+    ("step_03_svg_is_a_directory", "script", lambda doc: doc,
+     1, "cannot write diagrams to "),
     # outputs name one landmark each, for every step kind
     ("extra_output", "script",
      _edit_step("mark_Q", lambda s: s.update(outputs=["Q", "center"])),
@@ -552,8 +582,9 @@ def test_cli_bad_input_is_one_line_and_exit_code(tmp_path, capsys, case, kind,
     doc = edit(_script_doc() if kind == "script" else _config_doc())
     path = tmp_path / f"{case}.json"
     path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
-    if case == "residuals_txt_is_a_directory":
-        (tmp_path / "out" / "residuals.txt").mkdir(parents=True)
+    if case.endswith("_is_a_directory"):
+        stem, suffix = case.removesuffix("_is_a_directory").rsplit("_", 1)
+        (tmp_path / "out" / f"{stem}.{suffix}").mkdir(parents=True)
     if kind == "script":
         argv = ["construct", "--script", str(path), "--out", str(tmp_path / "out")]
     else:
