@@ -12,19 +12,20 @@ rational intervals certified by Sturm sign-variation counts.  The chain is
 evaluated in integers at x = N/D (`_chain_values`): its first two elements
 by homogeneous Horner, every later one from the two before it through the
 pseudo-division step that made it, one exact division per element instead
-of a Horner pass.  Isolation bisects from the Cauchy bound, but evaluates
-the chain only inside Fujiwara's bound, rounded up to a power of two from
-coefficient bit lengths; beyond it the count is the one at infinity.
-Refinement finds the dyadic cell of width <= tol that exact bisection of
-the interval would end in, on one integer grid over a common denominator:
-a float Newton guess and one step from it, then Illinois regula falsi on the
-exact grid values with a bisection safeguard, then a short float Newton
-tail.  The result is bit-identical to bisection's.
+of a Horner pass.  Isolation starts at +-2^e, Fujiwara's bound rounded up
+to a power of two, and bisects, but splits an interval many binary orders
+wide at a power of two.  Refinement finds the cell [j, j+1] * 2^-m holding
+the root, 2^-m the largest power of two <= tol, on the grid anchored at
+zero: a float Newton guess and one step from it, then Illinois regula falsi
+on the exact grid values with a bisection safeguard, then a short float
+Newton tail.  So a refined root depends on the polynomial and tol alone, and
+it is bit-identical to an exact bisection's.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -449,13 +450,6 @@ def count_real_roots(p: RatPoly, lo=None, hi=None) -> int:
     return va - vb
 
 
-def root_bound(p: RatPoly) -> Fraction:
-    """Cauchy bound: every real root lies strictly inside (-B, B)."""
-    if p.degree < 1:
-        raise ValueError("constant polynomial has no root bound")
-    return 1 + max(abs(c / p.lc) for c in p.coeffs[:-1]) + 1
-
-
 def _root_bound_bits(f: Sequence[int]) -> int:
     """An e >= 1 with every root of the integer polynomial f inside (-2^e, 2^e).
 
@@ -469,10 +463,23 @@ def _root_bound_bits(f: Sequence[int]) -> int:
                           for k, c in enumerate(reversed(f[:-1]), 1) if c])
 
 
+_SPLIT_BITS = 64  # binary orders an interval spans before it is split in the exponent
+
+
 def _nonroot_between(chain, lo: Fraction, hi: Fraction) -> tuple:
-    """A point of (lo, hi) that is not a root of chain[0], the midpoint if
-    it can be, and the sign variations of the chain there."""
+    """A point of (lo, hi) that is not a root of chain[0], and the sign
+    variations of the chain there.  The point is the midpoint, unless
+    (lo, hi) lies on one side of zero and the exponents of its ends differ by
+    more than `_SPLIT_BITS` (a zero end counts as 1): then it is the power of
+    two halfway between them, so isolation crosses binary orders quickly."""
     mid = (lo + hi) / 2
+    if lo >= 0 or hi <= 0:
+        sign, near, far = (1, lo, hi) if lo >= 0 else (-1, -hi, -lo)
+        # E with 2^(E-1) < x < 2^(E+1), and 0 for x = 0
+        low, high = (x.numerator.bit_length() - x.denominator.bit_length() if x else 0
+                     for x in (near, far))
+        if high - low > _SPLIT_BITS:
+            mid = sign * Fraction(2) ** ((low + high) // 2)
     width, k, cands = hi - lo, 4, (mid,)
     while True:
         for cand in cands:
@@ -498,12 +505,12 @@ def isolate_real_roots(p: RatPoly) -> list:
     """Disjoint isolating intervals, one per distinct real root, ascending.
 
     The polynomial is reduced to its square-free part first, so multiple
-    roots are reported once.  Interval endpoints are never roots.  Bisection
-    starts from the Cauchy bound, but no root lies at or beyond the tighter
-    power-of-two bound 2^e (`_root_bound_bits`), so a midpoint there takes
-    the chain's variations at infinity without an evaluation, as do the two
-    starting endpoints.  The midpoints, and so the intervals, are those that
-    evaluating every one would give.
+    roots are reported once.  Interval endpoints are never roots.  Isolation
+    starts at +-2^e (`_root_bound_bits`): no root lies at or beyond it, so
+    both ends take the chain's variations at infinity without an evaluation.
+    Each interval holding more than one root is split at the point
+    `_nonroot_between` picks: its midpoint, or a power of two when its ends
+    lie many binary orders apart on one side of zero.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -511,21 +518,18 @@ def isolate_real_roots(p: RatPoly) -> list:
     if g.degree <= 0:
         return []
     chain = g._int_chain
-    bound = root_bound(g)
+    e = _root_bound_bits(chain[0])
     # Two roots never lie closer than 2^-sep_bits, so an interval narrower
-    # than that holding two is a kernel fault.  The first interval is wider
-    # than 2^(nb - db) and a split keeps at least 1/4 of an interval
-    # (`_nonroot_between`), so none split `shallow` times or fewer is that
-    # narrow, and the width is only tested deeper.
+    # than that holding two is a kernel fault.  The first interval is
+    # 2^(e+1) wide and a midpoint split keeps at least 1/4 of an interval, so
+    # none split `shallow` times or fewer by midpoints is that narrow, and the
+    # width is only tested deeper.  An exponent split keeps less than 1/4;
+    # the guard stays sound, as a kernel that never stops drives depth on.
     sep_bits = _separation_bits(chain[0])
-    nb, db = bound.numerator.bit_length(), bound.denominator.bit_length()
-    shallow = (nb - db + sep_bits) // 2
-    # a midpoint (a/b + c/d) / 2 is at or beyond +-2^e when a*d + c*b is at
-    # or beyond +-(b*d << (e + 1)): one integer test, no Fraction
-    beyond = _root_bound_bits(chain[0]) + 1
-    v_left, v_right = _variations_at_inf(chain, -1), _variations_at_inf(chain, 1)
+    shallow = (e + 1 + sep_bits) // 2
+    bound = Fraction(1 << e)
     out = []
-    stack = [(-bound, bound, v_left, v_right, 0)]
+    stack = [(-bound, bound, _variations_at_inf(chain, -1), _variations_at_inf(chain, 1), 0)]
     while stack:
         lo, hi, vlo, vhi, depth = stack.pop()
         k = vlo - vhi
@@ -537,13 +541,7 @@ def isolate_real_roots(p: RatPoly) -> list:
         if depth > shallow and hi - lo < Fraction(1, 1 << sep_bits):
             raise RuntimeError(f"kernel fault: count {k} near {float(lo)!r} on an interval "
                                f"narrower than the root separation 2^-{sep_bits}")
-        lo_den, hi_den = lo.denominator, hi.denominator
-        twice_mid = lo.numerator * hi_den + hi.numerator * lo_den
-        edge = (lo_den * hi_den) << beyond
-        if abs(twice_mid) >= edge:
-            mid, vmid = (lo + hi) / 2, v_right if twice_mid > 0 else v_left
-        else:
-            mid, vmid = _nonroot_between(chain, lo, hi)
+        mid, vmid = _nonroot_between(chain, lo, hi)
         if not vhi <= vmid <= vlo:
             raise RuntimeError(f"kernel fault: count {vmid} at {mid} outside [{vhi}, {vlo}]")
         stack.append((lo, mid, vlo, vmid, depth + 1))
@@ -600,31 +598,31 @@ def _float_at(num: int, den: int) -> float:
                          "is beyond the float range") from None
 
 
+def _scaled_floor(num: int, den: int, m: int) -> int:
+    """floor(num/den * 2^m) for den > 0."""
+    return (num << m) // den if m >= 0 else num // (den << -m)
+
+
 def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float:
     """Refine an isolated root to a float within tol of the true root.
 
-    Exact bisection of (lo, hi) would stop at the first level k at which the
-    dyadic cells lo + [i, i+1] * (hi - lo) / 2**k are no wider than tol, in
-    the cell holding the root, or earlier at a grid point that is the root,
-    returned as is.  This finds that cell directly, each probe an exact
-    evaluation on the grid: a float Newton guess of its index and one step
-    away from it, so a good guess costs two probes; then regula falsi on the
-    exact values at the bracket ends, Illinois style (an end kept twice has
-    its value halved, so a far guess gallops toward the root).  A secant
-    probe that fails to halve the bracket is followed by a bisection, so no
-    root takes more than 2 * log2(cells) + 2 probes.  Any search that
-    brackets on this grid ends in the same cell, and it probes a grid point
-    that is the root, so the result is bit-identical to exact bisection's,
-    and the bracket it polishes in is certified.  The grid lives on one
-    integer scale: with lo = LO/W and hi = HI/W over a common denominator W,
-    grid point j is (LO*cells + j*(HI - LO)) / (W*cells), so a probe is one
-    integer multiply-add and a Horner pass in the numerator on coefficients
-    scaled once by powers of W*cells; and every float is an int/int
-    division, correctly rounded like float(Fraction).  At most three float
-    Newton steps then polish the cell midpoint; any Newton step that leaves
-    the cell or fails to shrink |p| is rejected.  A guess or polish that
-    would overflow the float range is skipped, and a root beyond that range
-    raises ValueError.
+    The result comes from the cell [j, j+1] * 2^-m that holds the root, 2^-m
+    the largest power of two <= tol (m <= 0 when tol >= 1), or is the grid
+    point j * 2^-m that is the root.  The grid is anchored at zero, so the
+    result depends on the polynomial and tol alone, not on the interval.
+    The grid points a <= lo and b >= hi take the signs known at lo and hi,
+    and each probe is an exact evaluation at a grid point between them: a
+    float Newton guess of j and one step away from it, so a good guess costs
+    two probes; then Illinois regula falsi on the exact bracket values (an
+    end kept twice has its value halved).  A secant probe that fails to
+    halve the bracket is followed by a bisection, so no root takes more than
+    2 * log2(b - a) + 2 probes.  Any search that brackets on this grid ends
+    in the same cell, and it probes a grid point that is the root, so the
+    result is bit-identical to exact bisection's.  At most three float
+    Newton steps then polish the cell midpoint; a step that leaves the cell
+    or fails to shrink |p| is rejected.  A guess or polish that would
+    overflow the float range is skipped, and a root beyond it raises
+    ValueError.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive")
@@ -635,33 +633,30 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
     fhi = _homogeneous(ints, hi.numerator, hi.denominator)
     if not lo < hi or flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
         raise ValueError(f"{interval} does not bracket a simple root of {p!r}")
-    W = math.lcm(lo.denominator, hi.denominator)
-    LO, HI = lo.numerator * (W // lo.denominator), hi.numerator * (W // hi.denominator)
-    span = HI - LO
-    tol_num, tol_den = tol.as_integer_ratio()
-    # the fewest power-of-two cells no wider than tol: ceil(span/W / tol)
-    cells = 1 << (-(-span * tol_den // (W * tol_num)) - 1).bit_length()
-    origin, den = LO * cells, W * cells
-    # at every grid point num/den, den**d * g(num/den) is Horner in num on
-    # the coefficients c_i * den**(d - i), so they are scaled once
-    d = len(ints) - 1
-    grid_ints = [c * den ** (d - i) for i, c in enumerate(ints)]
+    m = 1 - math.frexp(tol)[1]
+    # grid point j is (j << lift) / den, and den**d * g there is Horner in j
+    # on the coefficients c_i << (lift*i + shift*(d-i)), so they are scaled once
+    shift, lift = max(m, 0), max(-m, 0)
+    den, d = 1 << shift, len(ints) - 1
+    grid_ints = [c << (lift * i + shift * (d - i)) for i, c in enumerate(ints)]
+    a = _scaled_floor(lo.numerator, lo.denominator, m)
+    b = -_scaled_floor(-hi.numerator, hi.denominator, m)
     left_sign = 1 if flo > 0 else -1
     try:
-        guess = _float_root_guess(g, LO / W, HI / W, left_sign, span / den)
-        guess_num, guess_den = guess.as_integer_ratio()
-        j = (guess_num * W - LO * guess_den) * cells // (guess_den * span)
+        guess = _float_root_guess(g, lo.numerator / lo.denominator,
+                                  hi.numerator / hi.denominator, left_sign, math.ldexp(1.0, -m))
+        j = _scaled_floor(*guess.as_integer_ratio(), m)
     except OverflowError:
-        j = cells // 2  # an end or a coefficient beyond the float range
+        j = (a + b) // 2  # an end or a coefficient beyond the float range
     # grid point a lies left of the root and grid point b right of it, with
-    # den**d * g there in fa and fb once the secant needs them
-    a, b, fa, fb = 0, cells, None, None
-    j, probes, moved, secant = min(max(j, 1), cells - 1), 0, 0, False
+    # den**d * g there in fa and fb once the secant needs them; an end not
+    # probed yet takes the value at lo or hi
+    fa, fb = None, None
+    j, probes, moved, secant = min(max(j, a + 1), b - 1), 0, 0, False
     while b - a > 1:
-        num = origin + j * span
-        f = _horner(grid_ints, num)
+        f = _horner(grid_ints, j)
         if f == 0:
-            return _float_at(num, den)
+            return _float_at(j << lift, den)
         width, kept = b - a, moved
         if (f > 0) == (flo > 0):
             a, fa, moved = j, f, 1
@@ -672,9 +667,9 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
             j += moved  # one step from the guess toward the root
             continue
         if fa is None:
-            fa = flo * (den // lo.denominator) ** d
+            fa = flo * den ** d // lo.denominator ** d
         if fb is None:
-            fb = fhi * (den // hi.denominator) ** d
+            fb = fhi * den ** d // hi.denominator ** d
         if moved == kept:
             # the other end is kept twice: Illinois halves its value
             if moved > 0:
@@ -686,8 +681,10 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
             j, secant = (a + b) // 2, False
         else:
             j, secant = min(max(a + fa * (b - a) // (fa - fb), a + 1), b - 1), True
-    x = _float_at(2 * origin + (a + b) * span, 2 * den)
-    lo_f, hi_f = _float_at(origin + a * span, den), _float_at(origin + b * span, den)
+    x = _float_at((a + b) << lift, 2 * den)
+    # the cell's ends, the one past the largest float clamped to it
+    top = int(sys.float_info.max) * den
+    lo_f, hi_f = (min(max(end << lift, -top), top) / den for end in (a, b))
     dg = g.derivative()
     try:
         for _ in range(3):

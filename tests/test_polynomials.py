@@ -26,7 +26,6 @@ from hendecafold.polynomials import (
     isolate_real_roots,
     poly_gcd,
     refine_root,
-    root_bound,
 )
 
 # the hendecagon quintic, ascending coefficients
@@ -48,25 +47,38 @@ def bisect_oracle(f, lo, hi, tol=1e-12):
     return (lo + hi) / 2
 
 
-def bisection_refine_root(p, interval, tol=1e-12):
-    """The exact-bisection refine_root that the cell search replaced.
+def grid_bits(tol):
+    """The m with 2^-m <= tol < 2^(1-m), found in exact arithmetic."""
+    m, tol = 0, Fraction(tol)
+    while Fraction(2) ** -m > tol:
+        m += 1
+    while Fraction(2) ** (1 - m) <= tol:
+        m -= 1
+    return m
 
-    Bisects the bracket in Fraction arithmetic until it is no wider than tol,
-    then applies the same three-step float Newton polish.
+
+def bisection_refine_root(p, interval, tol=1e-12):
+    """Exact bisection on the grid j * 2^-m anchored at zero.
+
+    2^-m is the largest power of two <= tol.  Starting from the grid points
+    that enclose the interval, it bisects in Fraction arithmetic down to one
+    cell, then applies the same three-step float Newton polish.
     """
     g = p.square_free_part().monic()
+    step = Fraction(2) ** -grid_bits(tol)
     lo, hi = interval.lo, interval.hi
-    flo = g(lo)
-    width_goal = Fraction(tol)
-    while hi - lo > width_goal:
-        mid = (lo + hi) / 2
-        fmid = g(mid)
-        if fmid == 0:
-            return float(mid)
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+    left_positive = g(lo) > 0
+    a, b = math.floor(lo / step), math.ceil(hi / step)
+    while b - a > 1:
+        j = (a + b) // 2
+        fj = g(j * step)
+        if fj == 0:
+            return float(j * step)
+        if (fj > 0) == left_positive:
+            a = j
         else:
-            hi = mid
+            b = j
+    lo, hi = a * step, b * step
     x = float((lo + hi) / 2)
     lo_f, hi_f = float(lo), float(hi)
     dg = g.derivative()
@@ -415,8 +427,8 @@ def test_refine_root_matches_exact_bisection_on_hendecagon_quintic():
 
 
 @pytest.mark.parametrize("root, tol", [
-    # with (lo, hi) = (0, 1) the last bisection level is 40 at tol 1e-12;
-    # an odd numerator over 2**40 is a grid point of that level only
+    # at tol 1e-12 the grid is 2**-40; an odd numerator over 2**40 is a
+    # grid point of that grid and of no coarser one
     (Fraction(0x5555555555, 2**40), 1e-12),
     # at tol 0.3 the cells are quarters; three Newton steps from the
     # midpoint of the cell right of 3/4 cannot reach the root
@@ -434,10 +446,10 @@ def test_root_on_a_grid_point_is_returned_exactly(root, tol):
 
 @pytest.mark.parametrize("ratio", [Fraction(9, 2), 2**20 + Fraction(1, 3), 2**40 + Fraction(1, 2)])
 def test_refine_root_matches_exact_bisection_just_above_a_power_of_two(ratio):
-    # width/tol just above 2**k: bisection needs 2**(k+1) cells, not 2**k
+    # 1/tol just above 2**k: the grid is 2**-(k+1), not 2**-k
     iv = RootInterval(Fraction(1), Fraction(2))
     tol = float(1 / ratio)
-    assert 2 ** (math.ceil(1 / Fraction(tol)) - 1).bit_length() > 1 / Fraction(tol) + 1
+    assert grid_bits(tol) == int(1 / Fraction(tol)).bit_length()
     p = RatPoly.of(-2, 0, 1)
     assert refine_root(p, iv, tol).hex() == bisection_refine_root(p, iv, tol).hex()
 
@@ -688,8 +700,9 @@ def test_refining_a_squared_polynomial_builds_its_square_free_part_once(monkeypa
 # -- the certified roots, pinned ----------------------------------------------
 
 # sha256 of the n-gon roots as (lo, hi, refined .hex()) rows, odd n 3..81 at
-# tol 1e-12; recorded before the root bound and the secant search changed
-NGON_ROOT_DIGEST = "060d162dbf921a52a79135670d23c7a1f0ed01696a80e218bf9fbc3b68528347"
+# tol 1e-12; recorded when isolation started at the power-of-two bound and
+# refinement moved to the grid anchored at zero
+NGON_ROOT_DIGEST = "73cc5491d78839c0c2c6eca699b015eeb9940e0b47a15979dbb72fff95b6f24b"
 
 
 def test_ngon_roots_match_the_recorded_digest():
@@ -698,15 +711,17 @@ def test_ngon_roots_match_the_recorded_digest():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == NGON_ROOT_DIGEST
 
 
-# -- isolation skips the chain beyond the power-of-two root bound ----------------
+# -- isolation from the power-of-two root bound ------------------------------------
 
-def reference_isolation(p):
+def reference_isolation(p, bound=None):
     """Isolation that evaluates the chain at both starting endpoints and at
-    every midpoint, with no root bound but Cauchy's."""
+    every split point, from +-bound, by default the power-of-two bound."""
     g = polynomials._basis(p)
     if g.degree <= 0:
         return []
-    chain, bound = g._int_chain, root_bound(g)
+    chain = g._int_chain
+    if bound is None:
+        bound = Fraction(2 ** _bound_bits(p))
     out = []
     stack = [(-bound, bound, polynomials._variations_at(chain, -bound),
               polynomials._variations_at(chain, bound))]
@@ -760,11 +775,11 @@ def test_isolation_evaluates_no_chain_at_or_beyond_the_bound(monkeypatch):
     chain_values = polynomials._chain_values
     monkeypatch.setattr(polynomials, "_chain_values", counted)
     assert isolate_real_roots(p) == expected
-    # from the Cauchy bound 3.46e7 the chain was evaluated 90 times: at both
-    # ends and at 88 midpoints, 40 inside (-2, 2) where the roots are, and 3
-    # more on each side inside Fujiwara's bound 12.49, rounded up to 16
-    assert bound == 16 and root_bound(p) > 10**7
-    assert len(points) == 46
+    # from Fujiwara's bound 12.49, rounded up to 16, the chain is evaluated
+    # at neither end and at 46 midpoints: +-8, +-4, +-2, and 40 inside
+    # (-2, 2), where the roots are
+    assert bound == 16
+    assert len(points) == 46 and sum(-2 < x < 2 for x in points) == 40
     assert all(-bound < x < bound for x in points)
 
 
@@ -785,12 +800,71 @@ def test_power_of_two_bound_holds_every_root(p):
         assert count_real_roots(p, max(iv.lo, -bound), min(iv.hi, bound)) == 1
 
 
+@pytest.mark.parametrize("lo, hi, point", [
+    # a zero end counts as 1: 2^64 lies 64 binary orders from it, 2^65 65
+    (0, 2**64, 2**63),
+    (0, 2**65, 2**32),
+    (-2**100, 0, -2**50),
+    (Fraction(1, 2**80), 2**80, 1),
+    # an interval at zero below 1, and one across zero, keep their midpoints
+    (0, Fraction(1, 2**100), Fraction(1, 2**101)),
+    (-1, 2**100, Fraction(2**100 - 1, 2)),
+])
+def test_an_interval_is_split_in_the_exponent_only_on_one_side_of_zero(lo, hi, point):
+    chain = RatPoly.of(1, 0, 1)._int_chain  # x^2 + 1: no real root
+    assert polynomials._nonroot_between(chain, Fraction(lo), Fraction(hi))[0] == point
+
+
+def test_a_split_point_that_is_a_root_falls_back_to_a_nonroot():
+    p = RatPoly.of(-2**50, 1)
+    mid, _ = polynomials._nonroot_between(p._int_chain, Fraction(0), Fraction(2**100))
+    assert 0 < mid < 2**100 and p(mid) != 0
+    assert isolate_real_roots(p) == reference_isolation(p)
+
+
+# -- refined roots depend on the polynomial and tol alone ---------------------------
+
+def cauchy_bound(p):
+    """Cauchy's bound: every real root of p lies strictly inside (-B, B)."""
+    return 1 + max(abs(c / p.lc) for c in p.coeffs[:-1]) + 1
+
+
+def assert_roots_do_not_depend_on_the_start(p, tols):
+    """Roots refined from isolation started at +-Cauchy and at +-2^e are
+    .hex()-equal; returns whether the two isolations differ at all."""
+    intervals = isolate_real_roots(p)
+    from_cauchy = reference_isolation(p, cauchy_bound(polynomials._basis(p)))
+    assert len(from_cauchy) == len(intervals)
+    for tol in tols:
+        roots = [refine_root(p, iv, tol).hex() for iv in intervals]
+        assert [refine_root(p, iv, tol).hex() for iv in from_cauchy] == roots
+    return from_cauchy != intervals
+
+
+def test_refined_roots_do_not_depend_on_where_isolation_starts():
+    # the 820 n-gon roots and the quintic's 5, each at three tols
+    polys = [halved_cyclotomic(n).poly for n in range(3, 82, 2)] + [QUINTIC]
+    differ = [assert_roots_do_not_depend_on_the_start(p, (1e-9, 1e-12, 1e-15)) for p in polys]
+    assert sum(differ) == 38  # the two isolations differ for all but 3 of the 41
+
+
+@pytest.mark.parametrize("tol", [1.0, 4.0])
+def test_a_grid_coarser_than_one_is_anchored_at_zero_too(tol):
+    # x^2 - 1000 has roots at +-31.6; at tol 4 the cells are [28, 32] and
+    # [-32, -28], at tol 1 [31, 32] and [-32, -31]
+    p = RatPoly.of(-1000, 0, 1)
+    assert assert_roots_do_not_depend_on_the_start(p, (tol,))
+    assert_refines_like_bisection(p, tol)
+
+
 # -- refinement from a bad guess ---------------------------------------------------
 
 def _probe_budget(interval, tol):
-    """2 * log2(cells) + 2, where cells is refine_root's power-of-two grid."""
-    cells = 1 << (math.ceil((interval.hi - interval.lo) / Fraction(tol)) - 1).bit_length()
-    return 2 * (cells.bit_length() - 1) + 2
+    """2 * log2(b - a) + 2, rounded up, where a <= lo and b >= hi are the
+    nearest points of refine_root's grid."""
+    step = Fraction(2) ** -grid_bits(tol)
+    cells = math.ceil(interval.hi / step) - math.floor(interval.lo / step)
+    return 2 * (cells - 1).bit_length() + 2
 
 
 @pytest.mark.parametrize("guess", [
@@ -845,6 +919,14 @@ def test_a_root_beyond_the_float_range_is_a_value_error():
     (iv,) = isolate_real_roots(p)
     with pytest.raises(ValueError, match="beyond the float range"):
         refine_root(p, iv)
+
+
+def test_a_cell_reaching_past_the_float_range_refines_a_root_inside_it():
+    # at tol 1e308 the cell of 1.5 * 2^1023 is [1, 2] * 2^1023, whose right
+    # end is beyond the float range
+    p = RatPoly.of(-3 * 2**1022, 1)
+    (iv,) = isolate_real_roots(p)
+    assert refine_root(p, iv, 1e308) == float(3 * 2**1022)
 
 
 def test_coefficients_beyond_the_float_range_need_no_float_guess():

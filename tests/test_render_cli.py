@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hendecafold
-from hendecafold import render
+from hendecafold import polynomials, render
 from hendecafold.cli import main
 from hendecafold.construction import (
     VERTEX_IDS,
@@ -273,6 +273,34 @@ def test_cli_solve_config_with_the_foot_of_q_beyond_floats_is_one_line(tmp_path)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert done.stderr.splitlines() == ["error: the foot of Q on n is beyond the float range"]
+
+
+def test_cli_solve_config_spanning_the_float_range_isolates_in_few_chain_evaluations(
+        tmp_path, capsys, monkeypatch):
+    # P.x, m.b and n.b at the largest float: four of the eliminant's five
+    # roots lie within +-8, but its power-of-two root bound is 2^1024, so
+    # halving down to them took 2,045 chain evaluations of about 33 ms each;
+    # exponent splits cross those binary orders in a few steps (133 in all)
+    doc = _config_doc()
+    big = "1.7976931348623157e+308"
+    doc["P"] = {"point": [big, "4.333333333333333"]}
+    doc["Q"] = {"point": ["-1.5", "5.25"]}
+    doc["ell"] = {"line": ["-1.0", "1.0", "-1.0"]}
+    doc["m"] = doc["n"] = {"line": ["3.0", big, "-1.5"]}
+    config = tmp_path / "float_range.json"
+    config.write_text(json.dumps(doc))
+    evaluations = []
+
+    def counted(chain, num, den):
+        evaluations.append(num)
+        return chain_values(chain, num, den)
+
+    chain_values = polynomials._chain_values
+    monkeypatch.setattr(polynomials, "_chain_values", counted)
+    assert main(["solve", "--config", str(config), "--tol", "1e-6"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: fold pair at t=") and "float range" in line
+    assert len(evaluations) < 200
 
 
 def test_cli_construct_writes_outputs(tmp_path, capsys):
