@@ -196,8 +196,18 @@ def _fold_point_onto_line_through_point(a: Point, l: Line, b: Point) -> list:
 
 
 def _exact(obj) -> tuple:
-    """A point's or line's coordinates as exact rationals, not rescaled."""
-    return tuple(Fraction(getattr(obj, f.name)) for f in fields(obj))
+    """A point's or line's coordinates as exact rationals, not rescaled: an
+    exact object's stored Fractions, and a float object's floats converted."""
+    values = (obj.x, obj.y) if isinstance(obj, Point) else (obj.a, obj.b, obj.c)
+    return values if obj.mode == EXACT else tuple(map(Fraction, values))
+
+
+def _over_common_denominator(*values) -> tuple:
+    """(numerators, d): integers with values[i] == numerators[i] / d, d > 0
+    the lcm of the denominators; ints, Fractions and floats alike."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*(den for _, den in ratios))
+    return [num * (d // den) for num, den in ratios], d
 
 
 def _integral(points: tuple, lines: tuple) -> list:
@@ -205,12 +215,10 @@ def _integral(points: tuple, lines: tuple) -> list:
     the lcm of all their denominators, and each line (a, b, c) as
     (k*a, k*b, k*s*c), with k the lcm of its own denominators: the same line
     in the scaled coordinates (s*x, s*y)."""
-    def times(values, k):
-        return [v.numerator * (k // v.denominator) for v in values]
-    s = math.lcm(*(v.denominator for p in points for v in p))
-    scaled = [times(p, s) for p in points]
+    coords, s = _over_common_denominator(*(v for p in points for v in p))
+    scaled = [coords[k:k + 2] for k in range(0, len(coords), 2)]
     for line in lines:
-        a, b, c = times(line, math.lcm(*(v.denominator for v in line)))
+        (a, b, c), _ = _over_common_denominator(*line)
         scaled.append((a, b, c * s))
     return scaled
 
@@ -406,13 +414,20 @@ class TwoFoldConfig:
         triple is coprime integers, and unit is the power of two with
         unit <= max(|n.a|, |n.b|) < 2*unit; a float n's is a unit normal,
         and unit is 1.  So 2 <= |dir| < 6 however n is written.  Built once
-        per config, for the eliminant and for the realization of its roots."""
-        (qx, qy), (a, b, c) = _exact(self.Q), _exact(self.n)
-        k = (a * qx + b * qy + c) / (a * a + b * b)
+        per config, for the eliminant and for the realization of its roots.
+
+        In integers: Q = (x, y) / s and n's triple is (a, b, c) / k (k is 1
+        for an exact n), so the foot Q - (a, b) * (a*Q.x + b*Q.y + c) /
+        (a^2 + b^2) is ((x, y) * N - (a, b) * r) / (s * N), with
+        N = a^2 + b^2 and r = a*x + b*y + c*s."""
+        (x, y), s = _over_common_denominator(self.Q.x, self.Q.y)
+        (a, b, c), k = _over_common_denominator(self.n.a, self.n.b, self.n.c)
+        N, r = a * a + b * b, a * x + b * y + c * s
         unit = 1
         if self.n.mode == EXACT:
-            unit = 1 << (max(abs(a.numerator), abs(b.numerator)).bit_length() - 1)
-        return (qx - a * k, qy - b * k), (2 * b / unit, -2 * a / unit)
+            unit = 1 << (max(abs(a), abs(b)).bit_length() - 1)
+        return ((Fraction(x * N - a * r, s * N), Fraction(y * N - b * r, s * N)),
+                (Fraction(2 * b, k * unit), Fraction(-2 * a, k * unit)))
 
     @classmethod
     def hendecagon(cls) -> "TwoFoldConfig":

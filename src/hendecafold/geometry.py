@@ -8,7 +8,9 @@ the coefficient triple means geometric equality in exact mode.
 
 Metric queries (`distance`, `point_distance`) return floats in either mode,
 since a Euclidean length is irrational in general; exact callers use
-`dist_sq` and `line_residual`, which stay in the field.
+`dist_sq` and `line_residual`, which stay in the field.  Exact incidence and
+the canonicalization of an exact line are decided in integers, from the
+numerators and denominators of the inputs.
 """
 
 from __future__ import annotations
@@ -87,8 +89,10 @@ class Point:
 
 
 def _canonical_exact(a: Fraction, b: Fraction, c: Fraction):
+    """The coprime integer triple of a*x + b*y + c = 0, first nonzero entry
+    positive; ints are accepted as they are."""
     mul = math.lcm(a.denominator, b.denominator, c.denominator)
-    ai, bi, ci = int(a * mul), int(b * mul), int(c * mul)
+    ai, bi, ci = (v.numerator * (mul // v.denominator) for v in (a, b, c))
     g = math.gcd(ai, bi, ci)
     ai, bi, ci = ai // g, bi // g, ci // g
     if ai < 0 or (ai == 0 and bi < 0):
@@ -138,8 +142,9 @@ class Line:
     def __post_init__(self) -> None:
         mode = _common_mode(self.a, self.b, self.c)
         if mode == EXACT:
-            a, b, c = Fraction(self.a), Fraction(self.b), Fraction(self.c)
-            if a == 0 and b == 0:
+            a, b, c = (v if isinstance(v, (int, Fraction)) else Fraction(v)
+                       for v in (self.a, self.b, self.c))
+            if not (a or b):
                 raise ValueError("line needs a nonzero normal (a, b)")
             ints = _canonical_exact(a, b, c)
             # stored now, not cached later: a pool may be pickling the line
@@ -248,11 +253,15 @@ def midpoint(p: Point, q: Point) -> Point:
 
 
 def incident(p: Point, l: Line, tol: Scalar = DEFAULT_TOL) -> bool:
-    """Point-on-line test; exact mode ignores tol and decides exactly."""
-    if tol < 0:
+    """Point-on-line test; exact mode ignores tol and decides exactly, in
+    integers: an exact line's triple is integral, so a*x + b*y + c = 0 is
+    multiplied through by the denominators of x and y."""
+    if not tol >= 0:
         raise ValueError("tolerance must be nonnegative")
     if _same_mode(p, l) == EXACT:
-        return line_residual(p, l) == 0
+        (xn, xd), (yn, yd) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
+        a, b, c = l.a.numerator, l.b.numerator, l.c.numerator
+        return a * xn * yd + b * yn * xd + c * xd * yd == 0
     return abs(line_residual(p, l)) <= tol
 
 

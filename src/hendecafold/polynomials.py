@@ -16,10 +16,11 @@ of a Horner pass.  Isolation starts at +-2^e, Fujiwara's bound rounded up
 to a power of two, and bisects, but splits an interval many binary orders
 wide at a power of two.  Refinement finds the cell [j, j+1] * 2^-m holding
 the root, 2^-m the largest power of two <= tol, on the grid anchored at
-zero: a float Newton guess and one step from it, then Illinois regula falsi
-on the exact grid values with a bisection safeguard, then a short float
-Newton tail.  So a refined root depends on the polynomial and tol alone, and
-it is bit-identical to an exact bisection's.
+zero: a float Newton guess, which takes value and slope in one Horner pass,
+and one step from it, then Illinois regula falsi on the exact grid values
+with a bisection safeguard, then a short float Newton tail.  So a refined
+root depends on the polynomial and tol alone, and it is bit-identical to an
+exact bisection's.
 """
 
 from __future__ import annotations
@@ -554,22 +555,25 @@ def _float_root_guess(g: RatPoly, lo: float, hi: float, left_sign: int,
                       resolution: float) -> float:
     """Float estimate of g's root in [lo, hi]; no precision is promised.
 
-    Newton steps that would leave the bracket are replaced by bisection, and
-    the bracket follows the float signs of g, which may be wrong near the
-    root.  The step count is capped because the caller certifies and, if
-    need be, corrects the estimate with exact evaluations.
+    Each step takes g's value and slope in one Horner pass.  Newton steps
+    that would leave the bracket are replaced by bisection, and the bracket
+    follows the float signs of g, which may be wrong near the root.  The
+    step count is capped because the caller certifies and, if need be,
+    corrects the estimate with exact evaluations.
     """
-    dg = g.derivative()
+    coeffs = g._float_coeffs_desc
     x = (lo + hi) / 2
     for _ in range(64):
-        fx = g(x)
+        fx = dfx = 0.0
+        for c in coeffs:
+            dfx = dfx * x + fx
+            fx = fx * x + c
         if fx == 0:
             break
         if (fx > 0) == (left_sign > 0):
             lo = x
         else:
             hi = x
-        dfx = dg(x)
         nx = x - fx / dfx if dfx else math.nan
         if not lo < nx < hi:
             nx = (lo + hi) / 2

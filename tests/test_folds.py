@@ -1,10 +1,11 @@
+import hashlib
 import math
 import random
 import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hendecafold import folds
 from hendecafold.folds import (
@@ -341,6 +342,34 @@ def test_filled_image_track_cache_leaves_equality_and_hash_alone(monkeypatch):
     assert config._image_track == fresh._image_track == ((0, -1), (2, 0))
 
 
+def _fraction_image_track(config):
+    """`TwoFoldConfig._image_track` in Fraction arithmetic."""
+    (qx, qy) = (Fraction(v) for v in (config.Q.x, config.Q.y))
+    (a, b, c) = (Fraction(v) for v in (config.n.a, config.n.b, config.n.c))
+    k = (a * qx + b * qy + c) / (a * a + b * b)
+    unit = 1
+    if isinstance(config.n.a, Fraction):
+        unit = 1 << (max(abs(a.numerator), abs(b.numerator)).bit_length() - 1)
+    return (qx - a * k, qy - b * k), (2 * b / unit, -2 * a / unit)
+
+
+_track_fractions = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4)
+
+
+@settings(deadline=None)
+@given(st.tuples(*(_track_fractions,) * 5).filter(lambda v: v[2] or v[3]), st.booleans())
+def test_image_track_matches_its_fraction_form(values, floating):
+    qx, qy, a, b, c = (float(v) for v in values) if floating else values
+    try:
+        config = TwoFoldConfig(P=Point(qx, qy), Q=Point(qx, qy), ell=Line(a, b, c),
+                               m=Line(a, -b, c + 1), n=Line(a, b, c))
+    except (DegenerateProblem, ValueError):
+        assume(False)  # Q on n, P on m, or a float normal of zero
+    got = config._image_track
+    assert got == _fraction_image_track(config)
+    assert all(type(v) is Fraction for pair in got for v in pair)
+
+
 # -- the general-position two-fold ---------------------------------------------
 
 def _poly_on_ratfunc(p, value):
@@ -662,3 +691,67 @@ def test_gamma_equals_both_parameterizations_at_solutions(hendecagon_solutions):
         assert line_defect(sol.gamma, gamma_line_from_t(sol.t)) < 1e-9
         assert line_defect(sol.gamma, gamma_line_from_s(sol.s)) < 1e-9
         assert line_defect(sol.delta, delta_line(sol.t)) < 1e-12
+
+
+# -- golden two-fold outputs ---------------------------------------------------
+
+def _golden_configs():
+    """A seeded stream of three kinds of config, as callables that build one:
+    canonical-family exact configs, exact configs with tilted lines and
+    non-unit denominators, and float configs, the mode a script's two-fold
+    step runs in."""
+    rng = random.Random(2022)
+
+    def rational(lo, hi, dens=range(1, 9)):
+        d = rng.choice(dens)
+        return Fraction(rng.randint(lo * d, hi * d), d)
+
+    def canonical(px, py, mx):
+        return lambda: TwoFoldConfig(P=Point(px, py), Q=Point(0, 1), ell=Line(1, 0, 0),
+                                     m=Line(1, 0, -mx), n=Line(0, 1, 1))
+
+    def tilted(values):
+        points, lines = values[:4], values[4:]
+        return lambda: TwoFoldConfig(Point(*points[:2]), Point(*points[2:]),
+                                     *(Line(*lines[k:k + 3]) for k in (0, 3, 6)))
+
+    def floating(values):
+        return lambda: TwoFoldConfig(Point(*values[:2]), Point(*values[2:4]),
+                                     *(Line(*values[k:k + 3]) for k in (4, 7, 10)))
+
+    configs = [canonical(rational(-5, 5), rational(-6, 4), rational(-5, 5))
+               for _ in range(320)]
+    dens = (2, 3, 5, 7, 9, 12)
+    configs += [tilted([rational(-5, 5, dens) for _ in range(13)]) for _ in range(120)]
+    configs += [floating([rng.uniform(-5, 5) for _ in range(13)]) for _ in range(60)]
+    return configs
+
+
+def _golden_record(build):
+    """One line: every solution's outputs as float hex, or the failure."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solutions = solve_two_fold(build())
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    parts = []
+    for sol in solutions:
+        values = [sol.t, sol.s]
+        values += [getattr(sol, name).a for name in ("gamma", "delta")]
+        values += [getattr(sol, name).b for name in ("gamma", "delta")]
+        values += [getattr(sol, name).c for name in ("gamma", "delta")]
+        for name in ("Qp", "Pp", "R", "S", "T"):
+            values += [getattr(sol, name).x, getattr(sol, name).y]
+        values += [sol.residuals[key] for key in sorted(sol.residuals)]
+        parts.append(" ".join(v.hex() for v in values))
+    return " | ".join(parts)
+
+
+def test_two_fold_outputs_match_the_golden_digest():
+    # every output bit and every message of 500 solves: a faster path through
+    # the two-fold arithmetic must leave this digest as it is
+    lines = [_golden_record(build) for build in _golden_configs()]
+    assert sum(line.startswith("DegenerateProblem") for line in lines) < 50
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e77574b581db7c044d6ae591e5fc08f56016e239ad9cc9dc0d37bc165fed02eb"

@@ -306,11 +306,90 @@ def test_incident_and_distance():
 
 
 def test_incident_rejects_negative_tol():
-    with pytest.raises(ValueError):
-        incident(Point(0.0, 0.0), Line(1.0, 0.0, 0.0), -1.0)
+    # NaN compares false with everything, so it would report a point on the
+    # line as off it; it is no tolerance either
+    for tol in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+            incident(Point(0.0, 0.0), Line(1.0, 0.0, 0.0), tol)
+        with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+            incident(Point(0, 0), Line(1, 0, 0), tol)
 
 
 def test_line_defect_sign_insensitive():
     l1 = Line(1.0, -1.0, 0.25)
     l2 = Line(-2.0, 2.0, -0.5)
     assert line_defect(l1, l2) < 1e-15
+
+
+# -- the integer kernels against their Fraction forms ------------------
+
+wide_fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+wide_exact = st.one_of(st.integers(-10**9, 10**9), wide_fractions)
+
+
+def _fraction_canonical_exact(a, b, c):
+    """`_canonical_exact` in Fraction arithmetic: each entry times the lcm
+    of the denominators, then divided by the gcd and the sign fixed."""
+    mul = math.lcm(a.denominator, b.denominator, c.denominator)
+    ai, bi, ci = int(a * mul), int(b * mul), int(c * mul)
+    g = math.gcd(ai, bi, ci)
+    ai, bi, ci = ai // g, bi // g, ci // g
+    if ai < 0 or (ai == 0 and bi < 0):
+        ai, bi, ci = -ai, -bi, -ci
+    return ai, bi, ci
+
+
+@given(st.tuples(wide_exact, wide_exact, wide_exact).filter(lambda t: t[0] or t[1]))
+def test_canonical_exact_matches_its_fraction_form(triple):
+    got = geometry._canonical_exact(*triple)
+    assert got == _fraction_canonical_exact(*triple)
+    assert all(type(v) is int for v in got)
+
+
+@given(exact_points, st.tuples(wide_fractions, wide_fractions, wide_fractions).filter(
+    lambda t: t[0] or t[1]), wide_fractions)
+def test_exact_incident_matches_the_residual(p, triple, along):
+    l = Line(*triple)
+    assert incident(p, l) == (line_residual(p, l) == 0)
+    # p's foot on l, moved along it, is on it; moved off it by 10^-30, is not
+    k = line_residual(p, l) / (l.a * l.a + l.b * l.b)
+    on = Point(p.x - l.a * k - l.b * along, p.y - l.b * k + l.a * along)
+    assert line_residual(on, l) == 0 and incident(on, l)
+    off = Point(on.x + l.a * Fraction(1, 10**30), on.y + l.b * Fraction(1, 10**30))
+    assert line_residual(off, l) != 0 and not incident(off, l)
+
+
+def _line_outcome(*values):
+    try:
+        line = Line(*values)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return repr(line), repr(line.to_float())
+
+
+@given(st.tuples(wide_exact, wide_exact, wide_exact),
+       st.tuples(*(st.sampled_from((str, Fraction, lambda v: v)),) * 3))
+def test_exact_line_entries_behave_as_their_fractions(triple, spellings):
+    # ints, Fractions and numeric strings make the line of their values,
+    # and a zero normal fails the same way in each spelling
+    spelled = [spell(v) for spell, v in zip(spellings, triple)]
+    assert _line_outcome(*spelled) == _line_outcome(*map(Fraction, triple))
+
+
+@pytest.mark.parametrize("values, outcome", [
+    (("1", "0", "0"), ("Line(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))",
+                       "Line(1.0, 0.0, 0.0)")),
+    ((" -3/6 ", "1.5", "2e1"), ("Line(Fraction(1, 1), Fraction(-3, 1), Fraction(-40, 1))",
+                                "Line(0.31622776601683794, -0.9486832980505138, "
+                                "-12.649110640673516)")),
+    ((True, 0, 0), ("Line(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))",
+                    "Line(1.0, 0.0, 0.0)")),
+    (("0", Fraction(0), 3), (ValueError, "line needs a nonzero normal (a, b)")),
+    (("0/5", "-0", "x"), (ValueError, "Invalid literal for Fraction: 'x'")),
+    (("1", None, "0"), (TypeError, "argument should be a string or a Rational instance")),
+    ((1.0, "0", 0.0), (MixedModes, "mixed numeric modes in (1.0, '0', 0.0)")),
+    ((Fraction(1, 2), 0.0, 1), (MixedModes, "mixed numeric modes in (Fraction(1, 2), 0.0, 1)")),
+    ((0.0, 0.0, 1.0), (ValueError, "degenerate line normal (0.0, 0.0)")),
+])
+def test_line_accepts_and_rejects_as_before(values, outcome):
+    assert _line_outcome(*values) == outcome

@@ -221,6 +221,19 @@ def test_cli_solve_config_file(tmp_path, capsys):
     assert "solutions: 5" in capsys.readouterr().out
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("args, golden", [
+    ([], "solve_hendecagon.txt"),
+    (["--config", str(DATA / "tilted_config.json")], "solve_tilted.txt"),
+])
+def test_cli_solve_prints_its_golden_report(capsys, args, golden):
+    # the tilted config is exact, with fraction entries in every line
+    assert main(["solve", *args]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
 def test_cli_solve_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
