@@ -17,11 +17,12 @@ Python integers and wrapped in a `RatPoly` once: every coordinate is scaled
 by one integer that clears their denominators, dir's too, and each line's
 triple by the lcm of its own, with its offset times the coordinate scale.
 That multiplies the polynomial by a constant, so its roots in u are kept.
-Every certified real root is realized as a crease pair whose alignment
-residuals are verified.  A solution reports u as `t`, and half the
-coordinate of P' along m's unit direction (-m.b, m.a) as `s`: in the
-paper's frame (Q = (0, 1), ell: x = 0, n: y = -1, m vertical) these are its
-t, the x-intercept of delta, and s.
+The integer kernels this uses, coefficient-list add and multiply and the
+common denominator, live in `polynomials`.  Every certified real root is
+realized as a crease pair whose alignment residuals are verified.  A
+solution reports u as `t`, and half the coordinate of P' along m's unit
+direction (-m.b, m.a) as `s`: in the paper's frame (Q = (0, 1), ell: x = 0,
+n: y = -1, m vertical) these are its t, the x-intercept of delta, and s.
 """
 
 import math
@@ -52,7 +53,8 @@ from .geometry import (
     reflect_point,
     scalar_mode,
 )
-from .polynomials import RatPoly, isolate_real_roots, refine_root
+from .polynomials import (RatPoly, _add, _mul, _over_common_denominator, isolate_real_roots,
+                          refine_root)
 
 
 class DegenerateParameter(ValueError):
@@ -195,52 +197,18 @@ def _fold_point_onto_line_through_point(a: Point, l: Line, b: Point) -> list:
     return folds
 
 
-def _exact(obj) -> tuple:
-    """A point's or line's coordinates as exact rationals, not rescaled: an
-    exact object's stored Fractions, and a float object's floats converted."""
-    values = (obj.x, obj.y) if isinstance(obj, Point) else (obj.a, obj.b, obj.c)
-    return values if obj.mode == EXACT else tuple(map(Fraction, values))
-
-
-def _over_common_denominator(*values) -> tuple:
-    """(numerators, d): integers with values[i] == numerators[i] / d, d > 0
-    the lcm of the denominators; ints, Fractions and floats alike."""
-    ratios = [v.as_integer_ratio() for v in values]
-    d = math.lcm(*(den for _, den in ratios))
-    return [num * (d // den) for num, den in ratios], d
-
-
 def _integral(points: tuple, lines: tuple) -> list:
     """The exact frame scaled to integers: each point times one integer s,
     the lcm of all their denominators, and each line (a, b, c) as
     (k*a, k*b, k*s*c), with k the lcm of its own denominators: the same line
-    in the scaled coordinates (s*x, s*y)."""
+    in the scaled coordinates (s*x, s*y).  Coordinates are ints, Fractions
+    or floats, each read as the exact rational it is."""
     coords, s = _over_common_denominator(*(v for p in points for v in p))
     scaled = [coords[k:k + 2] for k in range(0, len(coords), 2)]
     for line in lines:
         (a, b, c), _ = _over_common_denominator(*line)
         scaled.append((a, b, c * s))
     return scaled
-
-
-def _add(p: list, q: list) -> list:
-    """p + q, integer coefficient lists in ascending degree."""
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return out
-
-
-def _mul(p: list, q: list) -> list:
-    """p * q, integer coefficient lists in ascending degree; an integer
-    factor k is the list [k]."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        for j, d in enumerate(q):
-            out[i + j] += c * d
-    return out
 
 
 def _bisector_family(p: tuple, base: tuple, dir: tuple) -> tuple:
@@ -274,8 +242,8 @@ def _o6_cubic(p1: Point, l1: Line, p2: Point, l2: Line) -> RatPoly:
     l2.  The float inputs are dyadic rationals, so `_integral` makes the
     whole family integral."""
     base, dir = _line_param(l1)
-    p1, base, dir, p2, l2 = _integral(
-        (_exact(p1), _exact(base), tuple(map(Fraction, dir)), _exact(p2)), (_exact(l2),))
+    p1, base, dir, p2, l2 = _integral(((p1.x, p1.y), (base.x, base.y), dir, (p2.x, p2.y)),
+                                      ((l2.a, l2.b, l2.c),))
     return RatPoly(_lands_on(p2, _bisector_family(p1, base, dir), l2)).monic()
 
 
@@ -467,8 +435,9 @@ def eliminate_to_quintic(config: TwoFoldConfig) -> RatPoly:
     the eliminant by a constant.  Which is not: dir, since it sets the unit
     of u, so its denominators go into s.
     """
-    P, Q, ell, m = (_exact(v) for v in (config.P, config.Q, config.ell, config.m))
-    P, Q, foot, dir, ell, m = _integral((P, Q, *config._image_track), (ell, m))
+    P, Q, ell, m = config.P, config.Q, config.ell, config.m
+    P, Q, foot, dir, ell, m = _integral(((P.x, P.y), (Q.x, Q.y), *config._image_track),
+                                        ((ell.a, ell.b, ell.c), (m.a, m.b, m.c)))
     A, B, C = _bisector_family(Q, foot, dir)
     norm = _add(_mul(A, A), _mul(B, B))
     dot = _add(_mul(A, [-2 * ell[0]]), _mul(B, [-2 * ell[1]]))

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from . import DEFAULT_TOL
+from .polynomials import _over_common_denominator, _primitive
 
 Scalar = Union[int, Fraction, float]
 
@@ -91,10 +92,7 @@ class Point:
 def _canonical_exact(a: Fraction, b: Fraction, c: Fraction):
     """The coprime integer triple of a*x + b*y + c = 0, first nonzero entry
     positive; ints are accepted as they are."""
-    mul = math.lcm(a.denominator, b.denominator, c.denominator)
-    ai, bi, ci = (v.numerator * (mul // v.denominator) for v in (a, b, c))
-    g = math.gcd(ai, bi, ci)
-    ai, bi, ci = ai // g, bi // g, ci // g
+    ai, bi, ci = _primitive(_over_common_denominator(a, b, c)[0])
     if ai < 0 or (ai == 0 and bi < 0):
         ai, bi, ci = -ai, -bi, -ci
     return ai, bi, ci

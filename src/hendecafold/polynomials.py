@@ -21,6 +21,10 @@ and one step from it, then Illinois regula falsi on the exact grid values
 with a bisection safeguard, then a short float Newton tail.  So a refined
 root depends on the polynomial and tol alone, and it is bit-identical to an
 exact bisection's.
+
+The exact kernels that `folds`, `cyclotomic` and `geometry` share live here
+and nowhere else: `_add` and `_mul` on coefficient lists,
+`_over_common_denominator` and `_primitive`.
 """
 
 from __future__ import annotations
@@ -33,6 +37,41 @@ from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 Coeff = Union[int, Fraction]
+
+
+def _add(p: Sequence, q: Sequence) -> list:
+    """p + q, coefficient lists in ascending degree."""
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return out
+
+
+def _mul(p: Sequence, q: Sequence) -> list:
+    """p * q, coefficient lists in ascending degree; a factor k is the list
+    [k], and an empty factor gives zeros."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
+
+
+def _over_common_denominator(*values) -> tuple:
+    """(numerators, d): integers with values[i] == numerators[i] / d, d > 0
+    the lcm of the denominators; ints, Fractions and floats alike."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*(den for _, den in ratios))
+    return [num * (d // den) for num, den in ratios], d
+
+
+def _primitive(q: Sequence[int]) -> list:
+    """A nonzero integer polynomial divided by its positive content (Knuth,
+    TAOCP vol. 2, 4.6.1)."""
+    g = math.gcd(*q)
+    return [c // g for c in q]
 
 
 @dataclass(frozen=True)
@@ -79,8 +118,7 @@ class RatPoly:
     def _int_coeffs(self) -> tuple:
         """The coefficients times the lcm of their denominators, a positive
         scale, so the integer polynomial has self's sign everywhere."""
-        scale = math.lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (scale // c.denominator) for c in self.coeffs)
+        return tuple(_over_common_denominator(*self.coeffs)[0])
 
     @cached_property
     def _derivative(self) -> "RatPoly":
@@ -120,11 +158,7 @@ class RatPoly:
         return acc
 
     def __add__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return RatPoly(x + y for x, y in zip(a, b))
+        return RatPoly(_add(self.coeffs, _as_poly(other).coeffs))
 
     __radd__ = __add__
 
@@ -142,13 +176,7 @@ class RatPoly:
             return RatPoly(c * other for c in self.coeffs)
         if not isinstance(other, RatPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return RatPoly(out)
+        return RatPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -314,12 +342,6 @@ class RootInterval:
     hi: Fraction
 
 
-def _primitive(q: Sequence[int]) -> list:
-    """A nonzero integer polynomial divided by its positive content."""
-    g = math.gcd(*q)
-    return [c // g for c in q]
-
-
 class _Remainder(list):
     """A chain element made by `_neg_prem(a, b)`, with the step that made it:
     `step` = (scale, quot, content, drop), where
@@ -432,7 +454,10 @@ def _variations(values: Sequence[int]) -> int:
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
-def _variations_at(int_chain, x: Fraction) -> int:
+def _variations_at(int_chain, x) -> int:
+    """Sign variations of the chain at x, a Fraction or a float infinity."""
+    if isinstance(x, float):
+        return _variations_at_inf(int_chain, 1 if x > 0 else -1)
     return _variations(_chain_values(int_chain, x.numerator, x.denominator))
 
 
@@ -440,15 +465,27 @@ def _variations_at_inf(int_chain, sign: int) -> int:
     return _variations([q[-1] * sign ** (len(q) - 1) for q in int_chain])
 
 
+def _range_end(x, unbounded: float):
+    """A range end as a Fraction, or as a float infinity: `unbounded` for
+    None, and x itself when it is a float infinity."""
+    if x is None:
+        return unbounded
+    return x if isinstance(x, float) and math.isinf(x) else Fraction(x)
+
+
 def count_real_roots(p: RatPoly, lo=None, hi=None) -> int:
-    """Number of distinct real roots in (lo, hi]; None means +-infinity."""
+    """Number of distinct real roots in (lo, hi]; None or a float infinity
+    means that end is unbounded.  A range with lo > hi, and the zero
+    polynomial, raise ValueError."""
+    if p.is_zero:
+        raise ValueError("cannot isolate roots of the zero polynomial")
+    lo, hi = _range_end(lo, -math.inf), _range_end(hi, math.inf)
+    if lo > hi:
+        raise ValueError(f"empty range: lo {lo} is above hi {hi}")
     g = _basis(p)
     if g.degree <= 0:
         return 0
-    chain = g._int_chain
-    va = _variations_at_inf(chain, -1) if lo is None else _variations_at(chain, Fraction(lo))
-    vb = _variations_at_inf(chain, 1) if hi is None else _variations_at(chain, Fraction(hi))
-    return va - vb
+    return _variations_at(g._int_chain, lo) - _variations_at(g._int_chain, hi)
 
 
 def _root_bound_bits(f: Sequence[int]) -> int:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hendecafold.cyclotomic import (
+    MAX_CLASSIFY_N,
     InvalidN,
     chebyshev_term,
     classify_constructible,
@@ -125,6 +126,13 @@ def test_classify_table_3_to_31():
     not_constructible = {n for n in range(3, 32)
                          if not classify_constructible(n).single_fold_constructible}
     assert not_constructible == {11, 22, 23, 25, 29, 31}
+
+
+def test_classify_takes_n_up_to_the_cap_and_names_it_beyond():
+    assert classify_constructible(MAX_CLASSIFY_N).r == 44
+    for n in (MAX_CLASSIFY_N + 1, 1000000000000000003):
+        with pytest.raises(InvalidN, match=r"^need n <= 2\^44 = 17592186044416, got \d+$"):
+            classify_constructible(n)
 
 
 def test_classify_12():

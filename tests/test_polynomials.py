@@ -11,17 +11,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hendecafold import polynomials
-from hendecafold.cyclotomic import halved_cyclotomic
-from hendecafold.folds import TwoFoldConfig, eliminate_to_quintic
-from hendecafold.geometry import Line, Point
+from hendecafold.cyclotomic import chebyshev_term, halved_cyclotomic
+from hendecafold.folds import TwoFoldConfig, _integral, eliminate_to_quintic
+from hendecafold.geometry import EXACT, Line, Point
 from hendecafold.polynomials import (
     RatFunc,
     RatPoly,
     RootInterval,
     X,
+    _add,
     _chain_values,
     _homogeneous,
     _integer_sturm_chain,
+    _mul,
+    _over_common_denominator,
     count_real_roots,
     isolate_real_roots,
     poly_gcd,
@@ -235,6 +238,29 @@ def test_quintic_has_exactly_five_real_roots():
 def test_no_real_roots():
     assert isolate_real_roots(RatPoly.of(1, 0, 1)) == []
     assert count_real_roots(RatPoly.of(1, 0, 1)) == 0
+
+
+def test_count_real_roots_rejects_a_reversed_range():
+    p = RatPoly.of(-1, 0, 1)
+    with pytest.raises(ValueError, match="empty range"):
+        count_real_roots(p, 2, -2)
+    with pytest.raises(ValueError, match="empty range"):
+        count_real_roots(p, math.inf, 0)
+    assert count_real_roots(p, 1, 1) == 0
+
+
+def test_count_real_roots_takes_a_float_infinity_as_an_open_end():
+    p = RatPoly.of(-1, 0, 1)
+    assert count_real_roots(p, -math.inf, math.inf) == count_real_roots(p) == 2
+    assert count_real_roots(p, 0, math.inf) == count_real_roots(p, 0) == 1
+    assert count_real_roots(p, -math.inf, 0) == count_real_roots(p, None, 0) == 1
+    assert count_real_roots(p, math.inf) == count_real_roots(p, None, -math.inf) == 0
+
+
+def test_count_real_roots_of_the_zero_polynomial_raises_as_isolation_does():
+    for call in (isolate_real_roots, count_real_roots):
+        with pytest.raises(ValueError, match="cannot isolate roots of the zero polynomial"):
+            call(RatPoly())
 
 
 def test_sqrt2_brackets():
@@ -945,3 +971,106 @@ def test_a_pickle_carries_the_coefficients_and_no_cache():
     assert copy == p and copy.coeffs == p.coeffs
     assert vars(copy) == {"coeffs": p.coeffs}
     assert count_real_roots(copy) == count_real_roots(p)
+
+
+# -- the shared exact kernels, against the code each one replaced ---------------
+
+def _padded_add(p, q):
+    """`RatPoly.__add__`'s loop before it called `_add`."""
+    n = max(len(p), len(q))
+    a = list(p) + [Fraction(0)] * (n - len(p))
+    b = list(q) + [Fraction(0)] * (n - len(q))
+    return [x + y for x, y in zip(a, b)]
+
+
+def _nested_mul(p, q):
+    """`RatPoly.__mul__`'s loop before it called `_mul`."""
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, ci in enumerate(p):
+        for j, cj in enumerate(q):
+            out[i + j] += ci * cj
+    return out
+
+
+exact_coeff_lists = st.one_of(
+    st.lists(st.integers(-10**12, 10**12), max_size=7),
+    st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6)),
+             max_size=7))
+
+
+@given(exact_coeff_lists, exact_coeff_lists)
+def test_add_and_mul_match_the_ratpoly_loops_they_replaced(p, q):
+    assert _add(p, q) == _padded_add(p, q)
+    assert RatPoly(_mul(p, q)) == RatPoly(_nested_mul(p, q))
+    if p and q:
+        assert _mul(p, q) == _nested_mul(p, q)
+    if all(isinstance(c, int) for c in p + q):
+        # the integer elimination relies on integers staying integers
+        assert all(type(c) is int for c in _add(p, q) + _mul(p, q))
+    assert RatPoly(p) + RatPoly(q) == RatPoly(_padded_add(p, q))
+    assert RatPoly(p) * RatPoly(q) == RatPoly(_nested_mul(p, q))
+
+
+exact_or_float = st.one_of(st.integers(-10**30, 10**30), st.fractions(),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(exact_or_float, min_size=1, max_size=6))
+def test_over_common_denominator_is_exact_over_the_lcm(values):
+    numerators, d = _over_common_denominator(*values)
+    assert d == math.lcm(*(Fraction(v).denominator for v in values))
+    assert all(type(n) is int for n in numerators)
+    assert [Fraction(n, d) for n in numerators] == [Fraction(v) for v in values]
+
+
+def _exact(obj) -> tuple:
+    """`folds._exact` before it was deleted: a float object's coordinates
+    converted to Fractions, an exact object's as stored."""
+    values = (obj.x, obj.y) if isinstance(obj, Point) else (obj.a, obj.b, obj.c)
+    return values if obj.mode == EXACT else tuple(map(Fraction, values))
+
+
+coordinates = st.floats(-1e6, 1e6)
+float_points = st.builds(Point, coordinates, coordinates)
+float_lines = st.tuples(coordinates, coordinates, coordinates).filter(
+    lambda t: math.hypot(t[0], t[1]) >= 1e-6).map(lambda t: Line(*t))
+exact_points = st.builds(Point, st.fractions(-10**3, 10**3, max_denominator=10**4),
+                         st.fractions(-10**3, 10**3, max_denominator=10**4))
+
+
+@given(st.lists(st.one_of(float_points, exact_points), min_size=1, max_size=4),
+       st.lists(float_lines, max_size=2))
+def test_integral_of_stored_coordinates_matches_their_fractions(points, lines):
+    raw = _integral(tuple((p.x, p.y) for p in points), tuple((l.a, l.b, l.c) for l in lines))
+    converted = _integral(tuple(map(_exact, points)), tuple(map(_exact, lines)))
+    assert raw == converted
+    assert all(type(v) is int for row in raw for v in row)
+
+
+def _next_term(prev: list, cur: list) -> list:
+    """`cyclotomic._next_term` before `_add` took its place."""
+    nxt = [0] + cur
+    for i, c in enumerate(prev):
+        nxt[i] -= c
+    return nxt
+
+
+def _halved_cyclotomic(n: int) -> list:
+    """`cyclotomic.halved_cyclotomic`'s running sum before `_add`."""
+    prev, cur = [2], [0, 1]
+    acc = [1, 1]
+    for _ in range((n - 1) // 2 - 1):
+        prev, cur = cur, _next_term(prev, cur)
+        acc = [a + c for a, c in zip(acc + [0], cur)]
+    return acc
+
+
+def test_cyclotomic_recurrence_matches_the_step_it_replaced():
+    prev, cur = [2], [0, 1]
+    for k in range(61):
+        assert chebyshev_term(k).coeffs == tuple(prev)
+        prev, cur = cur, _next_term(prev, cur)
+    for n in range(3, 122, 2):
+        assert halved_cyclotomic(n).poly.coeffs == tuple(_halved_cyclotomic(n))

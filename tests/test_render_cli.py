@@ -193,6 +193,21 @@ def test_cli_poly_rejects_even(capsys):
     assert main(["poly", "12"]) == 2
 
 
+# sha256 of `poly n` stdout for n = 3, 5, ..., 81 in turn
+POLY_DIGEST = "d72199a106469b486d4b16f43a5d4fb505bfce92f8816654bb81396ea78842a6"
+
+
+def test_cli_poly_outputs_match_the_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for n in range(3, 82, 2):
+        assert main(["poly", str(n)]) == 0
+        out = capsys.readouterr().out
+        digest.update(out.encode())
+    assert digest.hexdigest() == POLY_DIGEST
+    # the last report is the one the CI smoke step diffs against
+    assert out == (Path(__file__).parent / "data" / "poly_81.txt").read_text()
+
+
 def test_cli_classify(capsys):
     assert main(["classify", "12"]) == 0
     out = capsys.readouterr().out
@@ -654,13 +669,16 @@ def test_cli_unreadable_input_file_is_exit_2(tmp_path, capsys, command, option, 
     assert line.startswith("error: ") and str(path) in line
 
 
-@pytest.mark.parametrize("argv", [["classify", "1"], ["poly", "12"]])
+# the last n is a prime above classify's cap, which trial division would
+# take minutes to factor
+@pytest.mark.parametrize("argv", [["classify", "1"], ["poly", "12"],
+                                  ["classify", "1000000000000000003"]])
 def test_cli_invalid_n_is_one_line_and_exit_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
-    assert line.startswith("error: ")
+    assert line.startswith("error: need ")
 
 
 # -- a closed stdout ends the run quietly with exit 1 ---------------------------
