@@ -28,6 +28,12 @@ class InvalidN(InputError):
 #: about 0.3 s on a 2-vCPU Xeon, and each factor of 4 doubles it.
 MAX_CLASSIFY_N = 1 << 44
 
+#: Largest n that `halved_cyclotomic` takes.  Its coefficients grow to about
+#: 0.35*n bits, so the sum costs about n^3 bit operations: on a 2-vCPU Xeon
+#: n = 1,001 takes 0.03 s, 2,001 0.13 s, 4,001 0.4 s and 8,001 2.4 s, and
+#: `poly` prints 0.6 MB at the cap.
+MAX_POLY_N = 4001
+
 
 @dataclass(frozen=True)
 class NgonPolynomial:
@@ -71,7 +77,8 @@ def halved_cyclotomic(n: int) -> NgonPolynomial:
     """Degree-(n-1)/2 polynomial in t = 2*cos satisfied by the n-gon vertices.
 
     Sums 1 + sum_{k=1}^{(n-1)/2} (z^k + z^-k) expressed in t, i.e. the
-    symmetrized (z^n - 1)/(z - 1); monic.  Only odd n >= 3 is supported.
+    symmetrized (z^n - 1)/(z - 1); monic.  The domain is odd n with
+    3 <= n <= `MAX_POLY_N` = 4001.
     The terms are those of `chebyshev_term`, taken from one running
     recurrence on integer coefficient lists, so the sum costs O(n^2) integer
     operations rather than O(n^3), and one RatPoly is built at the end.
@@ -79,6 +86,8 @@ def halved_cyclotomic(n: int) -> NgonPolynomial:
     """
     if n < 3 or n % 2 == 0:
         raise InvalidN(f"need odd n >= 3, got {n}")
+    if n > MAX_POLY_N:
+        raise InvalidN(f"need n <= {MAX_POLY_N}, got {n}")
     prev, cur = [2], [0, 1]
     acc = [1, 1]
     for _ in range((n - 1) // 2 - 1):

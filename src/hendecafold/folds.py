@@ -13,10 +13,11 @@ scaled by a power of two to a length in [2, 6), however n is written;
 delta bisects Q and Q', gamma is ell reflected across delta, and gamma
 carrying P onto m is a polynomial of degree at most five in u, built from
 the same crease family as the O6 solver's cubic.  Both are assembled in
-Python integers and wrapped in a `RatPoly` once: every coordinate is scaled
-by one integer that clears their denominators, dir's too, and each line's
-triple by the lcm of its own, with its offset times the coordinate scale.
-That multiplies the polynomial by a constant, so its roots in u are kept.
+Python integers and made monic straight from them (`_monic_from_ints`):
+every coordinate is scaled by one integer that clears their denominators,
+dir's too, and each line's triple by the lcm of its own, with its offset
+times the coordinate scale.  That multiplies the polynomial by a constant,
+so its roots in u are kept.
 The integer kernels this uses, coefficient-list add and multiply and the
 common denominator, live in `polynomials`.  Every certified real root is
 realized as a crease pair whose alignment residuals are verified.  A
@@ -54,7 +55,7 @@ from .geometry import (
     scalar_mode,
 )
 from .polynomials import (RatPoly, _add, _mul, _over_common_denominator, isolate_real_roots,
-                          refine_root)
+                          _monic_from_ints, refine_root)
 
 
 class DegenerateParameter(ValueError):
@@ -244,7 +245,7 @@ def _o6_cubic(p1: Point, l1: Line, p2: Point, l2: Line) -> RatPoly:
     base, dir = _line_param(l1)
     p1, base, dir, p2, l2 = _integral(((p1.x, p1.y), (base.x, base.y), dir, (p2.x, p2.y)),
                                       ((l2.a, l2.b, l2.c),))
-    return RatPoly(_lands_on(p2, _bisector_family(p1, base, dir), l2)).monic()
+    return _monic_from_ints(_lands_on(p2, _bisector_family(p1, base, dir), l2))
 
 
 def _fold_two_points_onto_two_lines(p1: Point, l1: Line, p2: Point, l2: Line) -> list:
@@ -429,10 +430,10 @@ def eliminate_to_quintic(config: TwoFoldConfig) -> RatPoly:
     eliminant, whose real roots are exactly the valid fold parameters.
     Raises DegenerateProblem when it is constant or identically zero.
 
-    The family is assembled in integers (`_integral`) and wrapped in a
-    `RatPoly` once.  Which scales are free: the common coordinate scale s,
-    and ell's and m's triples, as a line is homogeneous; each multiplies
-    the eliminant by a constant.  Which is not: dir, since it sets the unit
+    The family is assembled in integers (`_integral`) and made monic from
+    them (`_monic_from_ints`).  Which scales are free: the common coordinate
+    scale s, and ell's and m's triples, as a line is homogeneous; each
+    multiplies the eliminant by a constant.  Which is not: dir, since it sets the unit
     of u, so its denominators go into s.
     """
     P, Q, ell, m = config.P, config.Q, config.ell, config.m
@@ -442,7 +443,7 @@ def eliminate_to_quintic(config: TwoFoldConfig) -> RatPoly:
     norm = _add(_mul(A, A), _mul(B, B))
     dot = _add(_mul(A, [-2 * ell[0]]), _mul(B, [-2 * ell[1]]))
     gamma = [_add(_mul(norm, [e]), _mul(dot, X)) for e, X in zip(ell, (A, B, C))]
-    eliminant = RatPoly(_lands_on(P, gamma, m)).monic()
+    eliminant = _monic_from_ints(_lands_on(P, gamma, m))
     if eliminant.degree <= 0:
         raise DegenerateProblem(
             f"two-fold elimination degenerated to degree {eliminant.degree}")

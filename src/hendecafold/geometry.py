@@ -2,9 +2,12 @@
 
 Construction operations (reflection, intersection, bisectors) preserve the
 mode of their inputs: exact values (ints / Fractions) stay exact, floats stay
-float, and the two are never combined silently.  Lines are kept in a
-canonical implicit form ``a*x + b*y + c = 0`` so that structural equality of
-the coefficient triple means geometric equality in exact mode.
+float, and the two are never combined silently.  A point's or line's mode is
+fixed when it is made and stored as its `mode` attribute, which is not a
+dataclass field: equality, hashing and repr see the coordinates alone.
+Lines are kept in a canonical implicit form ``a*x + b*y + c = 0`` so that
+structural equality of the coefficient triple means geometric equality in
+exact mode.
 
 Metric queries (`distance`, `point_distance`) return floats in either mode,
 since a Euclidean length is irrational in general; exact callers use
@@ -49,11 +52,11 @@ def scalar_mode(value: Scalar) -> str:
 
 
 def _common_mode(first: Scalar, *rest: Scalar) -> str:
-    mode = scalar_mode(first)
+    is_float = isinstance(first, float)
     for v in rest:
-        if scalar_mode(v) != mode:
+        if isinstance(v, float) is not is_float:
             raise MixedModes(f"mixed numeric modes in {(first, *rest)!r}")
-    return mode
+    return FLOAT if is_float else EXACT
 
 
 def _same_mode(first: "Point | Line", *rest: "Point | Line") -> str:
@@ -66,6 +69,9 @@ def _same_mode(first: "Point | Line", *rest: "Point | Line") -> str:
 
 @dataclass(frozen=True)
 class Point:
+    """A point; exact coordinates are stored as Fractions.  `mode` is set
+    when the point is made."""
+
     x: Scalar
     y: Scalar
 
@@ -75,15 +81,18 @@ class Point:
             if not (math.isfinite(self.x) and math.isfinite(self.y)):
                 raise ValueError(f"non-finite point ({self.x}, {self.y})")
         else:
-            object.__setattr__(self, "x", Fraction(self.x))
-            object.__setattr__(self, "y", Fraction(self.y))
-
-    @property
-    def mode(self) -> str:
-        return scalar_mode(self.x)
+            if type(self.x) is not Fraction:
+                object.__setattr__(self, "x", Fraction(self.x))
+            if type(self.y) is not Fraction:
+                object.__setattr__(self, "y", Fraction(self.y))
+        object.__setattr__(self, "mode", mode)
 
     def to_float(self) -> "Point":
-        return self if self.mode == FLOAT else Point(float(self.x), float(self.y))
+        if self.mode == FLOAT:
+            return self
+        # float(Fraction) is this division: one correctly rounded quotient
+        x, y = self.x, self.y
+        return Point(x.numerator / x.denominator, y.numerator / y.denominator)
 
     def __repr__(self) -> str:
         return f"Point({self.x!r}, {self.y!r})"
@@ -130,7 +139,8 @@ class Line:
     entry is positive, so equal lines have equal triples.  An exact line is
     made with its float line, which `to_float` returns, so one beyond the
     float range raises ValueError when it is made.  Float mode:
-    a**2 + b**2 == 1 with the same sign convention.
+    a**2 + b**2 == 1 with the same sign convention.  `mode` is set when the
+    line is made, `from_canonical`'s float lines included.
     """
 
     a: Scalar
@@ -155,10 +165,7 @@ class Line:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-
-    @property
-    def mode(self) -> str:
-        return scalar_mode(self.a)
+        object.__setattr__(self, "mode", mode)
 
     def to_float(self) -> "Line":
         """The float line: the one made with an exact line, and a float line
@@ -183,6 +190,7 @@ class Line:
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
             object.__setattr__(self, "c", c)
+            object.__setattr__(self, "mode", FLOAT)
             return self
         return cls(a, b, c)
 

@@ -24,7 +24,9 @@ exact bisection's.
 
 The exact kernels that `folds`, `cyclotomic` and `geometry` share live here
 and nowhere else: `_add` and `_mul` on coefficient lists,
-`_over_common_denominator` and `_primitive`.
+`_over_common_denominator` and `_primitive`.  `_monic_from_ints` makes the
+monic `RatPoly` of an integer coefficient list in one pass, with no
+intermediate polynomial: `folds` builds its eliminants with it.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class RatPoly:
     coeffs: tuple
 
     def __init__(self, coeffs: Iterable[Coeff] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -111,8 +113,9 @@ class RatPoly:
 
     @cached_property
     def _float_coeffs_desc(self) -> tuple:
-        """float(c) for each coefficient, leading one first; built once."""
-        return tuple(float(c) for c in reversed(self.coeffs))
+        """float(c) for each coefficient, leading one first; built once.
+        float(Fraction) is the division of numerator by denominator."""
+        return tuple(c.numerator / c.denominator for c in reversed(self.coeffs))
 
     @cached_property
     def _int_coeffs(self) -> tuple:
@@ -235,6 +238,14 @@ class RatPoly:
                 continue
             terms.append(f"{c}*x^{k}" if k else f"{c}")
         return "RatPoly(" + " + ".join(terms) + ")"
+
+
+def _monic_from_ints(ints: Sequence[int]) -> RatPoly:
+    """RatPoly(ints).monic(), made straight from the integers: each
+    coefficient is Fraction(c, lc), lc the last nonzero one, and RatPoly
+    strips the zeros after it."""
+    lc = next((c for c in reversed(ints) if c), 1)
+    return RatPoly(Fraction(c, lc) for c in ints)
 
 
 def _as_poly(v) -> RatPoly:

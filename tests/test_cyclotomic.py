@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from hendecafold.cyclotomic import (
     MAX_CLASSIFY_N,
+    MAX_POLY_N,
     InvalidN,
     chebyshev_term,
     classify_constructible,
@@ -76,6 +77,13 @@ def test_halved_cyclotomic_rejects_even_and_small():
     for bad in (2, 4, 1, 0, -5):
         with pytest.raises(InvalidN):
             halved_cyclotomic(bad)
+
+
+def test_halved_cyclotomic_takes_n_up_to_the_cap_and_names_it_beyond():
+    assert halved_cyclotomic(MAX_POLY_N).poly.degree == (MAX_POLY_N - 1) // 2
+    for n in (MAX_POLY_N + 2, 10 ** 9 + 7):
+        with pytest.raises(InvalidN, match=r"^need n <= 4001, got \d+$"):
+            halved_cyclotomic(n)
 
 
 def test_vertex_cosines_rejects_small_n():

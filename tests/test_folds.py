@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -755,3 +756,61 @@ def test_two_fold_outputs_match_the_golden_digest():
     assert sum(line.startswith("DegenerateProblem") for line in lines) < 50
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "e77574b581db7c044d6ae591e5fc08f56016e239ad9cc9dc0d37bc165fed02eb"
+
+
+# -- golden single-fold outputs ------------------------------------------------
+
+def _single_fold_golden_problems():
+    """A seeded stream of every single-fold variant, 40 exact and 20 float
+    problems each.  Exact coordinates are small rationals, so parallel and
+    on-line inputs come up as well as general ones."""
+    rng = random.Random(2024)
+
+    def exact():
+        d = rng.choice((1, 1, 2, 3, 4))
+        return Fraction(rng.randint(-3 * d, 3 * d), d)
+
+    def floating():
+        return rng.uniform(-5, 5)
+
+    def make(kind, draw):
+        if kind is Point:
+            return Point(draw(), draw())
+        while True:
+            a, b = draw(), draw()
+            if a or b:
+                return Line(a, b, draw())
+
+    def args(kinds, draw):
+        # an argument may repeat the one before it of its kind, so that
+        # coincident points and lines are drawn too
+        made = {}
+        for kind in kinds:
+            if kind not in made or rng.random() >= 0.2:
+                made[kind] = make(kind, draw)
+            yield made[kind]
+
+    problems = []
+    for cls, _ in folds.SINGLE_FOLDS.values():
+        kinds = [f.type for f in dataclasses.fields(cls)]
+        for draw in [exact] * 40 + [floating] * 20:
+            problems.append(cls(*args(kinds, draw)))
+    return problems
+
+
+def _single_fold_record(problem):
+    """One line: each crease's triple as float hex, or the failure."""
+    try:
+        creases = solve_single_fold(problem)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return " | ".join(" ".join(v.hex() for v in (l.a, l.b, l.c)) for l in creases)
+
+
+def test_single_fold_outputs_match_the_golden_digest():
+    # every crease bit and every message of 420 solves over the seven variants
+    lines = [_single_fold_record(p) for p in _single_fold_golden_problems()]
+    assert sum(line.startswith("DegenerateProblem") for line in lines) < 60
+    assert sum(line == "" for line in lines) < 60
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "89dac6e09e6f5d60edcf3a6c46bed34da93dae7330f245493dbbea15a3e1aca4"

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -393,3 +396,66 @@ def test_exact_line_entries_behave_as_their_fractions(triple, spellings):
 ])
 def test_line_accepts_and_rejects_as_before(values, outcome):
     assert _line_outcome(*values) == outcome
+
+
+# -- the stored mode -----------------------------------------------------
+
+def _stored_mode_values():
+    from_canonical = Line.from_canonical(0.6, 0.8, -1.25)
+    assert "mode" in vars(from_canonical)  # the fast path, not a fallback
+    return [Point(fr(1, 3), -2), Point(0.5, -1.25), Line(fr(3, 7), -2, 5),
+            Line(0.3, -0.4, 2.0), from_canonical]
+
+
+@pytest.mark.parametrize("value", _stored_mode_values(), ids=repr)
+def test_the_stored_mode_survives_pickle_and_copy(value):
+    # verify's pool pickles problems; copies keep the instance dict
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+        assert twin.mode == value.mode
+        if isinstance(value, Line) and value.mode == geometry.EXACT:
+            assert twin.to_float() == value.to_float()
+
+
+@pytest.mark.parametrize("value", _stored_mode_values(), ids=repr)
+def test_replace_sets_the_mode_of_the_new_value(value):
+    name = "x" if isinstance(value, Point) else "c"
+    for new in (fr(5, 2), 2.5):
+        if geometry.scalar_mode(new) != value.mode:
+            with pytest.raises(MixedModes):
+                dataclasses.replace(value, **{name: new})
+            continue
+        twin = dataclasses.replace(value, **{name: new})
+        assert twin.mode == value.mode
+        assert [f.name for f in dataclasses.fields(twin)] == (
+            ["x", "y"] if isinstance(value, Point) else ["a", "b", "c"])
+
+
+@pytest.mark.parametrize("coordinate", [3, True, fr(-7, 4), 0.25, -0.0],
+                         ids=["int", "bool", "Fraction", "float", "negative_zero"])
+def test_the_stored_mode_agrees_with_scalar_mode(coordinate):
+    mode = geometry.scalar_mode(coordinate)
+    assert Point(coordinate, coordinate).mode == mode
+    other = 1.0 if mode == geometry.FLOAT else 1
+    assert Line(other, coordinate, coordinate).mode == mode
+    assert Line(coordinate, other, coordinate).to_float().mode == geometry.FLOAT
+
+
+def test_an_exact_point_keeps_its_fraction_coordinates():
+    x, y = fr(1, 3), fr(-5, 2)
+    p = Point(x, y)
+    assert p.x is x and p.y is y
+    assert type(Point(2, True).x) is Fraction and Point(2, True) == Point(fr(2), fr(1))
+
+
+@given(st.fractions(), st.integers(min_value=-1100, max_value=1100))
+def test_an_exact_point_converts_as_float_does(x, shift):
+    # shifted past the float range both ways: overflow raises the same error
+    y = x * Fraction(2) ** shift
+    try:
+        f = Point(x, y).to_float()
+    except OverflowError as exc:
+        with pytest.raises(OverflowError, match=f"^{exc}$"):
+            float(x), float(y)
+        return
+    assert (f.x.hex(), f.y.hex()) == (float(x).hex(), float(y).hex())

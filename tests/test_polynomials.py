@@ -23,6 +23,7 @@ from hendecafold.polynomials import (
     _chain_values,
     _homogeneous,
     _integer_sturm_chain,
+    _monic_from_ints,
     _mul,
     _over_common_denominator,
     count_real_roots,
@@ -1074,3 +1075,49 @@ def test_cyclotomic_recurrence_matches_the_step_it_replaced():
         prev, cur = cur, _next_term(prev, cur)
     for n in range(3, 122, 2):
         assert halved_cyclotomic(n).poly.coeffs == tuple(_halved_cyclotomic(n))
+
+
+# -- reference forms of the conversions ----------------------------------------
+
+# integer coefficient lists with trailing zeros, leading coefficients of
+# either sign and of size one, constants and the empty list
+int_coeff_lists = st.builds(
+    lambda body, lead, zeros: [*body, *lead, *[0] * zeros],
+    st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=7),
+    st.lists(st.sampled_from((-1, 1, -2, 3, -(10 ** 40) - 7)) | st.integers(), max_size=1),
+    st.integers(0, 3))
+
+
+@given(int_coeff_lists)
+def test_monic_from_ints_is_the_monic_of_the_integer_polynomial(ints):
+    got, want = _monic_from_ints(ints), RatPoly(ints).monic()
+    assert got == want
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@pytest.mark.parametrize("ints, coeffs", [
+    ([], ()), ([0, 0], ()), ([5], (1,)), ([-3, 0], (1,)), ([4, -1, 0], (-4, 1)),
+    ([3, 6, -4], (Fraction(-3, 4), Fraction(-3, 2), 1)), ([2, 0, 1], (2, 0, 1)),
+])
+def test_monic_from_ints_by_example(ints, coeffs):
+    assert _monic_from_ints(ints).coeffs == coeffs
+
+
+@given(st.lists(st.fractions() | st.integers(-10 ** 400, 10 ** 400), max_size=6))
+def test_float_coeffs_desc_converts_as_float_does(coeffs):
+    p = RatPoly(coeffs)
+    try:
+        want = tuple(float(c) for c in reversed(p.coeffs))
+    except OverflowError as exc:
+        with pytest.raises(OverflowError, match=f"^{exc}$"):
+            p._float_coeffs_desc
+        return
+    assert [c.hex() for c in p._float_coeffs_desc] == [c.hex() for c in want]
+
+
+def test_float_coeffs_desc_overflows_beyond_the_float_range():
+    p = RatPoly.of(1, Fraction(10 ** 400, 3))
+    with pytest.raises(OverflowError):
+        tuple(float(c) for c in reversed(p.coeffs))
+    with pytest.raises(OverflowError):
+        p._float_coeffs_desc

@@ -669,10 +669,12 @@ def test_cli_unreadable_input_file_is_exit_2(tmp_path, capsys, command, option, 
     assert line.startswith("error: ") and str(path) in line
 
 
-# the last n is a prime above classify's cap, which trial division would
-# take minutes to factor
+# the third n is a prime above classify's cap, which trial division would
+# take minutes to factor; the last is above poly's cap, whose coefficients
+# would take minutes to sum
 @pytest.mark.parametrize("argv", [["classify", "1"], ["poly", "12"],
-                                  ["classify", "1000000000000000003"]])
+                                  ["classify", "1000000000000000003"],
+                                  ["poly", "1000001"]])
 def test_cli_invalid_n_is_one_line_and_exit_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
