@@ -14,13 +14,16 @@ by homogeneous Horner, every later one from the two before it through the
 pseudo-division step that made it, one exact division per element instead
 of a Horner pass.  Isolation starts at +-2^e, Fujiwara's bound rounded up
 to a power of two, and bisects, but splits an interval many binary orders
-wide at a power of two.  Refinement finds the cell [j, j+1] * 2^-m holding
-the root, 2^-m the largest power of two <= tol, on the grid anchored at
-zero: a float Newton guess, which takes value and slope in one Horner pass,
-and one step from it, then Illinois regula falsi on the exact grid values
-with a bisection safeguard, then a short float Newton tail.  So a refined
-root depends on the polynomial and tol alone, and it is bit-identical to an
-exact bisection's.
+wide at a power of two.  Every point it makes is dyadic, so it is held as
+an integer pair (num, k) for num / 2^k and split with shifts and compares;
+only the returned intervals are Fractions.  Refinement finds the cell
+[j, j+1] * 2^-m holding the root, 2^-m the largest power of two <= tol, on
+the grid anchored at zero: a float Newton guess, which takes value and slope
+in one Horner pass and stops once Newton has converged, and one step from
+it, then Illinois regula falsi on the exact grid values with a bisection
+safeguard, then a short float Newton tail.  So a refined root depends on
+the polynomial and tol alone, and it is bit-identical to an exact
+bisection's.
 
 The exact kernels that `folds`, `cyclotomic` and `geometry` share live here
 and nowhere else: `_add` and `_mul` on coefficient lists,
@@ -133,6 +136,11 @@ class RatPoly:
         square-free, and in every case ending in gcd(self, self') up to a
         constant factor."""
         return _integer_sturm_chain(self)
+
+    @cached_property
+    def _grid_ints(self) -> dict:
+        """`refine_root`'s integer coefficients on its grid 2^-m, by m."""
+        return {}
 
     @cached_property
     def _other_basis(self):
@@ -515,28 +523,52 @@ def _root_bound_bits(f: Sequence[int]) -> int:
 _SPLIT_BITS = 64  # binary orders an interval spans before it is split in the exponent
 
 
-def _nonroot_between(chain, lo: Fraction, hi: Fraction) -> tuple:
+def _dyadic(num: int, k: int) -> tuple:
+    """num / 2^k, k >= 0, as a dyadic pair: (num', k') in lowest terms, so
+    num' is odd when k' > 0, and zero is (0, 0)."""
+    if not num:
+        return 0, 0
+    s = min((num & -num).bit_length() - 1, k)
+    return num >> s, k - s
+
+
+def _fraction(point: tuple) -> Fraction:
+    """A dyadic pair as a Fraction."""
+    num, k = point
+    return Fraction(num, 1 << k)
+
+
+def _nonroot_between(chain, lo: tuple, hi: tuple) -> tuple:
     """A point of (lo, hi) that is not a root of chain[0], and the sign
-    variations of the chain there.  The point is the midpoint, unless
-    (lo, hi) lies on one side of zero and the exponents of its ends differ by
-    more than `_SPLIT_BITS` (a zero end counts as 1): then it is the power of
-    two halfway between them, so isolation crosses binary orders quickly."""
-    mid = (lo + hi) / 2
-    if lo >= 0 or hi <= 0:
-        sign, near, far = (1, lo, hi) if lo >= 0 else (-1, -hi, -lo)
-        # E with 2^(E-1) < x < 2^(E+1), and 0 for x = 0
-        low, high = (x.numerator.bit_length() - x.denominator.bit_length() if x else 0
-                     for x in (near, far))
+    variations of the chain there.  Points are dyadic pairs (`_dyadic`), so
+    every step is an integer shift or compare, and the chain is evaluated at
+    den = 2^k.  The point is the midpoint, unless (lo, hi) lies on one side
+    of zero and the exponents of its ends differ by more than `_SPLIT_BITS`
+    (a zero end counts as 1): then it is the power of two halfway between
+    them, so isolation crosses binary orders quickly."""
+    (a, ka), (b, kb) = lo, hi
+    k = max(ka, kb)
+    a, b = a << (k - ka), b << (k - kb)  # both ends over 2^k
+    mid = _dyadic(a + b, k + 1)
+    if a >= 0 or b <= 0:
+        sign, near, far = (1, lo, hi) if a >= 0 else (-1, hi, lo)
+        # E with 2^(E-1) < |x| < 2^(E+1), and 0 for x = 0
+        low, high = (abs(num).bit_length() - kx - 1 if num else 0 for num, kx in (near, far))
         if high - low > _SPLIT_BITS:
-            mid = sign * Fraction(2) ** ((low + high) // 2)
-    width, k, cands = hi - lo, 4, (mid,)
+            e = (low + high) // 2
+            mid = (sign << e, 0) if e >= 0 else (sign, -e)
+    # fallbacks mid +- width / 2^j, j = 2, 3, ..., each over 2^top
+    (m, km), j, cands = mid, 2, (mid,)
     while True:
-        for cand in cands:
-            values = _chain_values(chain, cand.numerator, cand.denominator)
+        for num, kc in cands:
+            values = _chain_values(chain, num, 1 << kc)
             if values[0] != 0:
-                return cand, _variations(values)
-        cands = [c for c in (mid + width / k, mid - width / k) if lo < c < hi]
-        k *= 2
+                return (num, kc), _variations(values)
+        top = max(km, k) + j
+        centre, step, shift = m << (top - km), (b - a) << (top - k - j), top - k
+        cands = [_dyadic(c, top) for c in (centre + step, centre - step)
+                 if a << shift < c < b << shift]
+        j += 1
 
 
 def _separation_bits(f: Sequence[int]) -> int:
@@ -559,7 +591,8 @@ def isolate_real_roots(p: RatPoly) -> list:
     both ends take the chain's variations at infinity without an evaluation.
     Each interval holding more than one root is split at the point
     `_nonroot_between` picks: its midpoint, or a power of two when its ends
-    lie many binary orders apart on one side of zero.
+    lie many binary orders apart on one side of zero.  Interval ends are
+    dyadic pairs until they are returned.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -576,26 +609,31 @@ def isolate_real_roots(p: RatPoly) -> list:
     # the guard stays sound, as a kernel that never stops drives depth on.
     sep_bits = _separation_bits(chain[0])
     shallow = (e + 1 + sep_bits) // 2
-    bound = Fraction(1 << e)
     out = []
-    stack = [(-bound, bound, _variations_at_inf(chain, -1), _variations_at_inf(chain, 1), 0)]
+    stack = [((-1 << e, 0), (1 << e, 0), _variations_at_inf(chain, -1),
+              _variations_at_inf(chain, 1), 0)]
     while stack:
         lo, hi, vlo, vhi, depth = stack.pop()
         k = vlo - vhi
         if k == 0:
             continue
         if k == 1:
-            out.append(RootInterval(lo, hi))
+            out.append(RootInterval(_fraction(lo), _fraction(hi)))
             continue
-        if depth > shallow and hi - lo < Fraction(1, 1 << sep_bits):
-            raise RuntimeError(f"kernel fault: count {k} near {float(lo)!r} on an interval "
-                               f"narrower than the root separation 2^-{sep_bits}")
+        if depth > shallow:
+            (a, ka), (b, kb) = lo, hi
+            top = max(ka, kb)
+            if ((b << (top - kb)) - (a << (top - ka))) << sep_bits < 1 << top:
+                raise RuntimeError(f"kernel fault: count {k} near {float(_fraction(lo))!r} on "
+                                   f"an interval narrower than the root separation 2^-{sep_bits}")
         mid, vmid = _nonroot_between(chain, lo, hi)
         if not vhi <= vmid <= vlo:
-            raise RuntimeError(f"kernel fault: count {vmid} at {mid} outside [{vhi}, {vlo}]")
+            raise RuntimeError(f"kernel fault: count {vmid} at {_fraction(mid)} "
+                               f"outside [{vhi}, {vlo}]")
         stack.append((lo, mid, vlo, vmid, depth + 1))
         stack.append((mid, hi, vmid, vhi, depth + 1))
-    out.sort(key=lambda iv: iv.lo)
+    # each right half is popped, and its roots found, before the left half
+    out.reverse()
     return out
 
 
@@ -603,11 +641,14 @@ def _float_root_guess(g: RatPoly, lo: float, hi: float, left_sign: int,
                       resolution: float) -> float:
     """Float estimate of g's root in [lo, hi]; no precision is promised.
 
-    Each step takes g's value and slope in one Horner pass.  Newton steps
-    that would leave the bracket are replaced by bisection, and the bracket
-    follows the float signs of g, which may be wrong near the root.  The
-    step count is capped because the caller certifies and, if need be,
-    corrects the estimate with exact evaluations.
+    Each step takes g's value and slope in one Horner pass.  A Newton
+    iterate within `resolution` of x is returned at once: near the root it
+    often lands on the bracket end just moved to x, and bisecting away from
+    it only comes back.  Other Newton steps that would leave the bracket are
+    replaced by bisection, which stops once it moves x by `resolution` or
+    less, and the bracket follows the float signs of g, which may be wrong
+    near the root.  The step count is capped because the caller certifies
+    and, if need be, corrects the estimate with exact evaluations.
     """
     coeffs = g._float_coeffs_desc
     x = (lo + hi) / 2
@@ -618,11 +659,13 @@ def _float_root_guess(g: RatPoly, lo: float, hi: float, left_sign: int,
             fx = fx * x + c
         if fx == 0:
             break
+        nx = x - fx / dfx if dfx else math.nan
+        if abs(nx - x) <= resolution:
+            return nx
         if (fx > 0) == (left_sign > 0):
             lo = x
         else:
             hi = x
-        nx = x - fx / dfx if dfx else math.nan
         if not lo < nx < hi:
             nx = (lo + hi) / 2
         done = abs(nx - x) <= resolution
@@ -653,6 +696,9 @@ def _float_at(num: int, den: int) -> float:
 def _scaled_floor(num: int, den: int, m: int) -> int:
     """floor(num/den * 2^m) for den > 0."""
     return (num << m) // den if m >= 0 else num // (den << -m)
+
+
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float:
@@ -687,10 +733,13 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
         raise ValueError(f"{interval} does not bracket a simple root of {p!r}")
     m = 1 - math.frexp(tol)[1]
     # grid point j is (j << lift) / den, and den**d * g there is Horner in j
-    # on the coefficients c_i << (lift*i + shift*(d-i)), so they are scaled once
+    # on the coefficients c_i << (lift*i + shift*(d-i)), scaled once per g and m
     shift, lift = max(m, 0), max(-m, 0)
     den, d = 1 << shift, len(ints) - 1
-    grid_ints = [c << (lift * i + shift * (d - i)) for i, c in enumerate(ints)]
+    grid_ints = g._grid_ints.get(m)
+    if grid_ints is None:
+        grid_ints = g._grid_ints[m] = [c << (lift * i + shift * (d - i))
+                                       for i, c in enumerate(ints)]
     a = _scaled_floor(lo.numerator, lo.denominator, m)
     b = -_scaled_floor(-hi.numerator, hi.denominator, m)
     left_sign = 1 if flo > 0 else -1
@@ -735,7 +784,7 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
             j, secant = min(max(a + fa * (b - a) // (fa - fb), a + 1), b - 1), True
     x = _float_at((a + b) << lift, 2 * den)
     # the cell's ends, the one past the largest float clamped to it
-    top = int(sys.float_info.max) * den
+    top = _FLOAT_MAX * den
     lo_f, hi_f = (min(max(end << lift, -top), top) / den for end in (a, b))
     dg = g.derivative()
     try:

@@ -41,15 +41,16 @@ def decode_number(text: str) -> Scalar:
     try:
         if "/" in text:
             value = Fraction(text)
-        elif not any(ch in text for ch in ".eE"):
-            value = Fraction(int(text))
-        else:
+        elif "." in text or "e" in text or "E" in text:
             value = float(text)
+        else:
+            value = Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"unreadable number {text!r}") from exc
     try:
         # an exact number must convert too: the solvers work in floats
-        in_range = math.isfinite(value)
+        in_range = math.isfinite(value if type(value) is float
+                                 else value.numerator / value.denominator)
     except OverflowError:
         in_range = False
     if not in_range:

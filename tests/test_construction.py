@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -229,13 +230,39 @@ def test_verify_needs_all_vertices(state):
 # -- serialization ---------------------------------------------------------------
 
 def test_number_roundtrip():
-    from fractions import Fraction
     for value in (Fraction(-5, 2), Fraction(7), 1.5, -0.25, T11, 8.0):
         assert decode_number(encode_number(value)) == value
     assert encode_number(Fraction(-5, 2)) == "-5/2"
     assert encode_number(Fraction(7)) == "7"
     with pytest.raises(FormatError):
         decode_number("abc")
+
+
+# recorded from the decoder that converted every exact number through float()
+@pytest.mark.parametrize("text, kind, value", [
+    ("3", Fraction, Fraction(3)),
+    ("-3", Fraction, Fraction(-3)),
+    (" 3", Fraction, Fraction(3)),
+    ("1_0", Fraction, Fraction(10)),
+    ("+3/4", Fraction, Fraction(3, 4)),
+    ("1/2", Fraction, Fraction(1, 2)),
+    ("2.5", float, 2.5),
+    ("1e400", None, "number out of range '1e400'"),
+    ("inf", None, "unreadable number 'inf'"),
+    ("nan", None, "unreadable number 'nan'"),
+    ("1/0", None, "unreadable number '1/0'"),
+    ("abc", None, "unreadable number 'abc'"),
+    ("9" * 400, None, f"number out of range '{'9' * 400}'"),
+    ("1/" + "7" * 400, Fraction, Fraction(1, int("7" * 400))),
+])
+def test_decode_number_table(text, kind, value):
+    if kind is None:
+        with pytest.raises(FormatError) as err:
+            decode_number(text)
+        assert str(err.value) == value
+    else:
+        decoded = decode_number(text)
+        assert type(decoded) is kind and decoded == value
 
 
 def test_committed_script_file_is_the_built_in_script():

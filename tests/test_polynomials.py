@@ -500,13 +500,18 @@ def _benchmark_two_fold_stream(seed):
     return (params for params, _ in workload.inputs(seed))
 
 
+def _two_fold_eliminants(seed, count):
+    """The eliminants of the first `count` configs of that stream."""
+    for px, py, mx in itertools.islice(_benchmark_two_fold_stream(seed), count):
+        yield eliminate_to_quintic(TwoFoldConfig(
+            P=Point(px, py), Q=Point(0, 1), ell=Line(1, 0, 0), m=Line(1, 0, -mx),
+            n=Line(0, 1, 1)))
+
+
 def test_refine_root_matches_exact_bisection_on_two_fold_eliminants():
     # at the tol solve_two_fold refines with, on low-height quintics
     degrees = set()
-    for px, py, mx in itertools.islice(_benchmark_two_fold_stream(1), 300):
-        config = TwoFoldConfig(P=Point(px, py), Q=Point(0, 1), ell=Line(1, 0, 0),
-                               m=Line(1, 0, -mx), n=Line(0, 1, 1))
-        eliminant = eliminate_to_quintic(config)
+    for eliminant in _two_fold_eliminants(1, 300):
         degrees.add(eliminant.degree)
         assert_refines_like_bisection(eliminant, 1e-13)
     assert 5 in degrees
@@ -740,9 +745,19 @@ def test_ngon_roots_match_the_recorded_digest():
 
 # -- isolation from the power-of-two root bound ------------------------------------
 
+def _pair(x):
+    """A dyadic rational as the pair (num, k) that `_nonroot_between` takes,
+    num / 2^k in lowest terms."""
+    x = Fraction(x)
+    k = x.denominator.bit_length() - 1
+    assert x.denominator == 1 << k, f"{x} is not dyadic"
+    return x.numerator, k
+
+
 def reference_isolation(p, bound=None):
     """Isolation that evaluates the chain at both starting endpoints and at
-    every split point, from +-bound, by default the power-of-two bound."""
+    every split point, from +-bound, by default the power-of-two bound; a
+    bound given must be dyadic."""
     g = polynomials._basis(p)
     if g.degree <= 0:
         return []
@@ -750,12 +765,12 @@ def reference_isolation(p, bound=None):
     if bound is None:
         bound = Fraction(2 ** _bound_bits(p))
     out = []
-    stack = [(-bound, bound, polynomials._variations_at(chain, -bound),
+    stack = [(_pair(-bound), _pair(bound), polynomials._variations_at(chain, -bound),
               polynomials._variations_at(chain, bound))]
     while stack:
         lo, hi, vlo, vhi = stack.pop()
         if vlo - vhi == 1:
-            out.append(RootInterval(lo, hi))
+            out.append(RootInterval(polynomials._fraction(lo), polynomials._fraction(hi)))
         elif vlo - vhi > 1:
             mid, vmid = polynomials._nonroot_between(chain, lo, hi)
             stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
@@ -839,14 +854,70 @@ def test_power_of_two_bound_holds_every_root(p):
 ])
 def test_an_interval_is_split_in_the_exponent_only_on_one_side_of_zero(lo, hi, point):
     chain = RatPoly.of(1, 0, 1)._int_chain  # x^2 + 1: no real root
-    assert polynomials._nonroot_between(chain, Fraction(lo), Fraction(hi))[0] == point
+    assert polynomials._nonroot_between(chain, _pair(lo), _pair(hi))[0] == _pair(point)
 
 
 def test_a_split_point_that_is_a_root_falls_back_to_a_nonroot():
     p = RatPoly.of(-2**50, 1)
-    mid, _ = polynomials._nonroot_between(p._int_chain, Fraction(0), Fraction(2**100))
+    mid, _ = polynomials._nonroot_between(p._int_chain, _pair(0), _pair(2**100))
+    mid = polynomials._fraction(mid)
     assert 0 < mid < 2**100 and p(mid) != 0
     assert isolate_real_roots(p) == reference_isolation(p)
+
+
+# -- dyadic isolation against the Fraction isolation it replaced --------------------
+
+def _fraction_nonroot_between(chain, lo, hi):
+    """`_nonroot_between` as it was on Fraction endpoints."""
+    mid = (lo + hi) / 2
+    if lo >= 0 or hi <= 0:
+        sign, near, far = (1, lo, hi) if lo >= 0 else (-1, -hi, -lo)
+        low, high = (x.numerator.bit_length() - x.denominator.bit_length() if x else 0
+                     for x in (near, far))
+        if high - low > polynomials._SPLIT_BITS:
+            mid = sign * Fraction(2) ** ((low + high) // 2)
+    width, k, cands = hi - lo, 4, (mid,)
+    while True:
+        for cand in cands:
+            values = _chain_values(chain, cand.numerator, cand.denominator)
+            if values[0] != 0:
+                return cand, polynomials._variations(values)
+        cands = [c for c in (mid + width / k, mid - width / k) if lo < c < hi]
+        k *= 2
+
+
+def fraction_isolation(p):
+    """`isolate_real_roots` as it was on Fraction endpoints, without its
+    kernel-fault guards."""
+    g = polynomials._basis(p)
+    if g.degree <= 0:
+        return []
+    chain = g._int_chain
+    bound = Fraction(1 << polynomials._root_bound_bits(chain[0]))
+    out = []
+    stack = [(-bound, bound, polynomials._variations_at_inf(chain, -1),
+              polynomials._variations_at_inf(chain, 1))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo - vhi == 1:
+            out.append(RootInterval(lo, hi))
+        elif vlo - vhi > 1:
+            mid, vmid = _fraction_nonroot_between(chain, lo, hi)
+            stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    return sorted(out, key=lambda iv: iv.lo)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(_kernel_polys(), _wide_polys))
+def test_isolation_matches_the_fraction_isolation(p):
+    if p.degree >= 1:
+        assert isolate_real_roots(p) == fraction_isolation(p)
+
+
+def test_isolation_matches_the_fraction_isolation_on_ngon_and_two_fold_eliminants():
+    polys = [halved_cyclotomic(n).poly for n in range(3, 82, 2)]
+    for p in polys + list(_two_fold_eliminants(2, 300)):
+        assert isolate_real_roots(p) == fraction_isolation(p)
 
 
 # -- refined roots depend on the polynomial and tol alone ---------------------------
@@ -937,6 +1008,42 @@ def test_a_good_guess_costs_two_probes(monkeypatch):
         probes.clear()
         refine_root(QUINTIC, iv)
         assert len(probes) == 2
+
+
+class _CountedPasses(tuple):
+    """Float coefficients that count the Horner passes made over them."""
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def guess_passes(p, iv, tol):
+    """Horner passes the float guess makes for the root of p in iv."""
+    g = polynomials._basis(p)
+    coeffs = _CountedPasses(g._float_coeffs_desc)
+    coeffs.passes = 0
+    g.__dict__["_float_coeffs_desc"] = coeffs
+    left_sign = 1 if g(iv.lo) > 0 else -1
+    polynomials._float_root_guess(g, float(iv.lo), float(iv.hi), left_sign,
+                                  math.ldexp(1.0, -grid_bits(tol)))
+    return coeffs.passes
+
+
+def test_a_converged_newton_guess_is_not_bisected_back():
+    # Newton converges next to the bracket end it has just moved; a guess
+    # that tested the bracket first bisected away and back in 49 passes
+    p = RatPoly.of(Fraction(-1, 4), Fraction(19, 4), Fraction(-13, 2), Fraction(-23, 4),
+                   Fraction(-1, 4), 1)
+    assert guess_passes(p, RootInterval(Fraction(2), Fraction(4)), 1e-13) <= 8
+
+
+def test_no_two_fold_root_takes_a_long_float_guess():
+    # the guess took 32 passes or more on 122 of these 820 roots when it
+    # bisected away from a converged Newton iterate
+    passes = [guess_passes(p, iv, 1e-13) for p in _two_fold_eliminants(2, 300)
+              for iv in isolate_real_roots(p)]
+    assert len(passes) == 820 and max(passes) < 32
 
 
 # -- refinement beyond the float range ---------------------------------------------
