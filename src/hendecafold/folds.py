@@ -36,11 +36,13 @@ from typing import Union
 from .geometry import (
     DEFAULT_TOL,
     EXACT,
+    FLOAT,
     CoincidentPoints,
     Line,
     ParallelLines,
     Point,
     Scalar,
+    _made,
     distance,
     incident,
     intersect,
@@ -495,11 +497,11 @@ def solve_two_fold(config: TwoFoldConfig, tol: float = DEFAULT_TOL) -> list:
     for interval in isolate_real_roots(eliminant):
         t = refine_root(eliminant, interval, _ROOT_TOL)
         try:
-            delta = perpendicular_bisector(Q, Point(fx + t * dx, fy + t * dy))
+            delta = perpendicular_bisector(Q, _made(Point, FLOAT, fx + t * dx, fy + t * dy))
             ell_image = reflect_line(ell, delta)
             image = reflect_point(P, ell_image)
             h = line_residual(image, m)
-            on_m = Point(image.x - m.a * h, image.y - m.b * h)
+            on_m = _made(Point, FLOAT, image.x - m.a * h, image.y - m.b * h)
             gamma = perpendicular_bisector(P, on_m)
             S = intersect(delta, ell)
             Qp = reflect_point(Q, delta)

@@ -2,12 +2,12 @@
 
 Construction operations (reflection, intersection, bisectors) preserve the
 mode of their inputs: exact values (ints / Fractions) stay exact, floats stay
-float, and the two are never combined silently.  A point's or line's mode is
-fixed when it is made and stored as its `mode` attribute, which is not a
-dataclass field: equality, hashing and repr see the coordinates alone.
-Lines are kept in a canonical implicit form ``a*x + b*y + c = 0`` so that
-structural equality of the coefficient triple means geometric equality in
-exact mode.
+float, and the two are never combined silently.  Each class has one
+constructor, which works out the mode and the canonical fields and stores each
+once; `mode` is not a dataclass field, so equality, hashing and repr see the
+coordinates alone.  The operations make their results with `_made`, which
+skips the mode inference of a float.  Lines are kept in a canonical implicit
+form ``a*x + b*y + c = 0``: in exact mode, equal triples mean equal lines.
 
 Metric queries (`distance`, `point_distance`) return floats in either mode,
 since a Euclidean length is irrational in general; exact callers use
@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Union
 
 from . import DEFAULT_TOL
-from .polynomials import _over_common_denominator, _primitive
 
 Scalar = Union[int, Fraction, float]
 
@@ -33,6 +32,8 @@ _FLOAT_BITS = 1000
 
 EXACT = "exact"
 FLOAT = "float"
+
+_set = object.__setattr__  # field by field: a __dict__ update gives each value its own dict
 
 
 class CoincidentPoints(ValueError):
@@ -59,63 +60,66 @@ def _common_mode(first: Scalar, *rest: Scalar) -> str:
     return FLOAT if is_float else EXACT
 
 
-def _same_mode(first: "Point | Line", *rest: "Point | Line") -> str:
-    mode = first.mode
-    for o in rest:
-        if o.mode != mode:
-            raise MixedModes(f"operands have mixed modes: {(first, *rest)!r}")
-    return mode
+def _same_mode(first: "Point | Line", second: "Point | Line") -> str:
+    if first.mode != second.mode:
+        raise MixedModes(f"operands have mixed modes: {(first, second)!r}")
+    return first.mode
 
 
-@dataclass(frozen=True)
+def _made(cls, mode: str, *values: Scalar):
+    """cls(*values) for values known to be of `mode`: a float value skips the
+    mode inference, not the canonicalization or the finiteness checks."""
+    if mode == EXACT:
+        return cls(*values)
+    self = object.__new__(cls)
+    self._init(FLOAT, *values)
+    return self
+
+
+@dataclass(frozen=True, init=False)
 class Point:
-    """A point; exact coordinates are stored as Fractions.  `mode` is set
-    when the point is made."""
+    """A point; exact coordinates are stored as Fractions.  The constructor
+    stores each field and `mode` once; `_made` skips the mode inference."""
 
     x: Scalar
     y: Scalar
 
-    def __post_init__(self) -> None:
-        mode = _common_mode(self.x, self.y)
-        if mode == FLOAT:
-            if not (math.isfinite(self.x) and math.isfinite(self.y)):
-                raise ValueError(f"non-finite point ({self.x}, {self.y})")
-        else:
-            if type(self.x) is not Fraction:
-                object.__setattr__(self, "x", Fraction(self.x))
-            if type(self.y) is not Fraction:
-                object.__setattr__(self, "y", Fraction(self.y))
-        object.__setattr__(self, "mode", mode)
+    def __init__(self, x: Scalar, y: Scalar) -> None:
+        self._init(_common_mode(x, y), x, y)
+
+    def _init(self, mode: str, x: Scalar, y: Scalar) -> None:
+        if mode == EXACT:
+            x = x if type(x) is Fraction else Fraction(x)
+            y = y if type(y) is Fraction else Fraction(y)
+        elif not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite point ({x}, {y})")
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "mode", mode)
 
     def to_float(self) -> "Point":
         if self.mode == FLOAT:
             return self
         # float(Fraction) is this division: one correctly rounded quotient
         x, y = self.x, self.y
-        return Point(x.numerator / x.denominator, y.numerator / y.denominator)
+        return _made(Point, FLOAT, x.numerator / x.denominator, y.numerator / y.denominator)
 
     def __repr__(self) -> str:
         return f"Point({self.x!r}, {self.y!r})"
 
 
-def _canonical_exact(a: Fraction, b: Fraction, c: Fraction):
+def _canonical_exact(a: Scalar, b: Scalar, c: Scalar):
     """The coprime integer triple of a*x + b*y + c = 0, first nonzero entry
-    positive; ints are accepted as they are."""
-    ai, bi, ci = _primitive(_over_common_denominator(a, b, c)[0])
-    if ai < 0 or (ai == 0 and bi < 0):
-        ai, bi, ci = -ai, -bi, -ci
-    return ai, bi, ci
-
-
-def _canonical_float(a: float, b: float, c: float):
-    norm = math.hypot(a, b)
-    if not math.isfinite(norm) or norm == 0.0:
-        raise ValueError(f"degenerate line normal ({a}, {b})")
-    a, b, c = a / norm, b / norm, c / norm
-    if a < 0.0 or (a == 0.0 and b < 0.0):
-        a, b, c = -a, -b, -c
-    # squash signed zeros so canonical triples compare byte-identically
-    return a + 0.0, b + 0.0, c + 0.0
+    positive, in one pass over the numerators and denominators."""
+    (an, ad), (bn, bd), (cn, cd) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+    if not (an or bn):
+        raise ValueError("line needs a nonzero normal (a, b)")
+    d = math.lcm(ad, bd, cd)
+    an, bn, cn = an * (d // ad), bn * (d // bd), cn * (d // cd)
+    g = math.gcd(an, bn, cn)
+    if an < 0 or (an == 0 and bn < 0):
+        g = -g
+    return an // g, bn // g, cn // g
 
 
 def _float_line(a: int, b: int, c: int) -> "Line":
@@ -123,15 +127,15 @@ def _float_line(a: int, b: int, c: int) -> "Line":
     power of two that brings it to at most _FLOAT_BITS: exact barring overflow
     and underflow, and cancelled by the unit normal, so every line that fits
     in floats converts."""
-    bits = max(abs(a).bit_length(), abs(b).bit_length(), abs(c).bit_length())
-    scale = 1 << max(0, bits - _FLOAT_BITS)
+    # the bit length of the or of the magnitudes is the longest entry's
+    scale = 1 << max(0, (abs(a) | abs(b) | abs(c)).bit_length() - _FLOAT_BITS)
     try:
-        return Line(a / scale, b / scale, c / scale)
+        return _made(Line, FLOAT, a / scale, b / scale, c / scale)
     except ValueError:
         raise ValueError("line offset leaves the float range") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Line:
     """Implicit line a*x + b*y + c = 0, canonicalized on construction.
 
@@ -139,40 +143,45 @@ class Line:
     entry is positive, so equal lines have equal triples.  An exact line is
     made with its float line, which `to_float` returns, so one beyond the
     float range raises ValueError when it is made.  Float mode:
-    a**2 + b**2 == 1 with the same sign convention.  `mode` is set when the
-    line is made, `from_canonical`'s float lines included.
+    a**2 + b**2 == 1 with the same sign convention.  Made as a `Point` is.
     """
 
     a: Scalar
     b: Scalar
     c: Scalar
 
-    def __post_init__(self) -> None:
-        mode = _common_mode(self.a, self.b, self.c)
+    def __init__(self, a: Scalar, b: Scalar, c: Scalar) -> None:
+        self._init(_common_mode(a, b, c), a, b, c)
+
+    def _init(self, mode: str, a: Scalar, b: Scalar, c: Scalar) -> None:
         if mode == EXACT:
-            a, b, c = (v if isinstance(v, (int, Fraction)) else Fraction(v)
-                       for v in (self.a, self.b, self.c))
-            if not (a or b):
-                raise ValueError("line needs a nonzero normal (a, b)")
-            ints = _canonical_exact(a, b, c)
+            ints = _canonical_exact(*(v if isinstance(v, (int, Fraction)) else Fraction(v)
+                                      for v in (a, b, c)))
             # stored now, not cached later: a pool may be pickling the line
-            object.__setattr__(self, "_float", _float_line(*ints))
-            a, b, c = (Fraction(v) for v in ints)
+            _set(self, "_float", _float_line(*ints))
+            a, b, c = Fraction(ints[0]), Fraction(ints[1]), Fraction(ints[2])
         else:
-            a, b, c = _canonical_float(self.a, self.b, self.c)
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite line offset {self.c}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "mode", mode)
+            norm = math.hypot(a, b)
+            if not math.isfinite(norm) or norm == 0.0:
+                raise ValueError(f"degenerate line normal ({a}, {b})")
+            ca, cb, cc = a / norm, b / norm, c / norm
+            if ca < 0.0 or (ca == 0.0 and cb < 0.0):
+                ca, cb, cc = -ca, -cb, -cc
+            if not math.isfinite(cc):
+                raise ValueError(f"non-finite line offset {c}")
+            # squash signed zeros so canonical triples compare byte-identically
+            a, b, c = ca + 0.0, cb + 0.0, cc + 0.0
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "mode", mode)
 
     def to_float(self) -> "Line":
         """The float line: the one made with an exact line, and a float line
         canonicalized again (float canonicalization is not idempotent)."""
         if self.mode == EXACT:
             return self._float
-        return Line(self.a, self.b, self.c)
+        return _made(Line, FLOAT, self.a, self.b, self.c)
 
     @classmethod
     def from_canonical(cls, a: Scalar, b: Scalar, c: Scalar) -> "Line":
@@ -183,14 +192,14 @@ class Line:
         it.  Input that is not canonical, or not all float, falls back to
         normal construction, which rejects mixed modes.
         """
-        if all(isinstance(v, float) for v in (a, b, c)) \
+        if isinstance(a, float) and isinstance(b, float) and isinstance(c, float) \
                 and abs(math.hypot(a, b) - 1.0) <= 1e-12 \
                 and not (a < 0.0 or (a == 0.0 and b < 0.0)):
             self = object.__new__(cls)
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-            object.__setattr__(self, "c", c)
-            object.__setattr__(self, "mode", FLOAT)
+            _set(self, "a", a)
+            _set(self, "b", b)
+            _set(self, "c", c)
+            _set(self, "mode", FLOAT)
             return self
         return cls(a, b, c)
 
@@ -200,21 +209,19 @@ class Line:
 
 def line_through(p: Point, q: Point) -> Line:
     """Line containing both points (fold axiom: crease through two points)."""
-    _same_mode(p, q)
+    mode = _same_mode(p, q)
     if p == q:
         raise CoincidentPoints(f"no unique line through {p} twice")
-    return Line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
+    return _made(Line, mode, p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
 
 
 def perpendicular_bisector(p: Point, q: Point) -> Line:
     """Locus of points equidistant from p and q; reflects p onto q."""
-    _same_mode(p, q)
+    mode = _same_mode(p, q)
     if p == q:
         raise CoincidentPoints(f"perpendicular bisector of {p} and itself")
-    a = 2 * (q.x - p.x)
-    b = 2 * (q.y - p.y)
-    c = (p.x * p.x + p.y * p.y) - (q.x * q.x + q.y * q.y)
-    return Line(a, b, c)
+    return _made(Line, mode, 2 * (q.x - p.x), 2 * (q.y - p.y),
+                 (p.x * p.x + p.y * p.y) - (q.x * q.x + q.y * q.y))
 
 
 def line_residual(p: Point, l: Line) -> Scalar:
@@ -224,16 +231,15 @@ def line_residual(p: Point, l: Line) -> Scalar:
 
 
 def reflect_point(p: Point, axis: Line) -> Point:
-    _same_mode(p, axis)
     d = line_residual(p, axis) / (axis.a * axis.a + axis.b * axis.b)
-    return Point(p.x - 2 * axis.a * d, p.y - 2 * axis.b * d)
+    return _made(Point, p.mode, p.x - 2 * axis.a * d, p.y - 2 * axis.b * d)
 
 
 def reflect_line(l: Line, axis: Line) -> Line:
     """Image of every point of l under reflection across axis."""
-    _same_mode(l, axis)
+    mode = _same_mode(l, axis)
     k = (l.a * axis.a + l.b * axis.b) / (axis.a * axis.a + axis.b * axis.b)
-    return Line(l.a - 2 * axis.a * k, l.b - 2 * axis.b * k, l.c - 2 * axis.c * k)
+    return _made(Line, mode, l.a - 2 * axis.a * k, l.b - 2 * axis.b * k, l.c - 2 * axis.c * k)
 
 
 # Below this, two normalized float lines are treated as parallel; sin of the
@@ -249,13 +255,11 @@ def intersect(l1: Line, l2: Line) -> Point:
         raise ParallelLines(f"{l1} and {l2} do not meet in one point")
     x = (l1.b * l2.c - l2.b * l1.c) / det
     y = (l2.a * l1.c - l1.a * l2.c) / det
-    return Point(x, y)
+    return _made(Point, mode, x, y)
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    _same_mode(p, q)
-    half = Fraction(1, 2) if p.mode == EXACT else 0.5
-    return Point((p.x + q.x) * half, (p.y + q.y) * half)
+    return _made(Point, _same_mode(p, q), (p.x + q.x) / 2, (p.y + q.y) / 2)
 
 
 def incident(p: Point, l: Line, tol: Scalar = DEFAULT_TOL) -> bool:
@@ -284,7 +288,6 @@ def point_distance(p: Point, q: Point) -> float:
 
 def distance(p: Point, l: Line) -> float:
     """Euclidean point-to-line distance (float in either mode)."""
-    _same_mode(p, l)
     return abs(float(line_residual(p, l))) / math.hypot(float(l.a), float(l.b))
 
 

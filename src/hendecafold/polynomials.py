@@ -25,11 +25,11 @@ safeguard, then a short float Newton tail.  So a refined root depends on
 the polynomial and tol alone, and it is bit-identical to an exact
 bisection's.
 
-The exact kernels that `folds`, `cyclotomic` and `geometry` share live here
-and nowhere else: `_add` and `_mul` on coefficient lists,
-`_over_common_denominator` and `_primitive`.  `_monic_from_ints` makes the
-monic `RatPoly` of an integer coefficient list in one pass, with no
-intermediate polynomial: `folds` builds its eliminants with it.
+The exact kernels that `folds` and `cyclotomic` share live here: `_add` and
+`_mul` on coefficient lists, `_over_common_denominator` and `_primitive`;
+`geometry` scales a line's three entries in one pass of its own.
+`_monic_from_ints` makes the monic `RatPoly` of an integer coefficient list,
+and its integer form, in one pass: `folds` builds its eliminants with it.
 """
 
 from __future__ import annotations
@@ -128,7 +128,9 @@ class RatPoly:
 
     @cached_property
     def _derivative(self) -> "RatPoly":
-        return RatPoly(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        # not k * c, which takes Fraction.__rmul__'s ABC checks
+        return RatPoly(Fraction(k * c.numerator, c.denominator)
+                       for k, c in enumerate(self.coeffs) if k > 0)
 
     @cached_property
     def _int_chain(self) -> list:
@@ -249,11 +251,14 @@ class RatPoly:
 
 
 def _monic_from_ints(ints: Sequence[int]) -> RatPoly:
-    """RatPoly(ints).monic(), made straight from the integers: each
-    coefficient is Fraction(c, lc), lc the last nonzero one, and RatPoly
-    strips the zeros after it."""
+    """RatPoly(ints).monic() straight from the integers: coefficients
+    Fraction(c, lc), lc the last nonzero one, the zeros after it stripped,
+    and `_int_coeffs` (the lcm form) filled with sign(lc) * c // gcd(ints)."""
     lc = next((c for c in reversed(ints) if c), 1)
-    return RatPoly(Fraction(c, lc) for c in ints)
+    poly = RatPoly(Fraction(c, lc) for c in ints)
+    g = math.gcd(*ints) * (-1 if lc < 0 else 1)
+    poly.__dict__["_int_coeffs"] = tuple(c // g for c in ints[:len(poly.coeffs)])
+    return poly
 
 
 def _as_poly(v) -> RatPoly:

@@ -1,5 +1,8 @@
+import dataclasses
+import hashlib
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -264,6 +267,83 @@ def test_decode_number_table(text, kind, value):
         decoded = decode_number(text)
         assert type(decoded) is kind and decoded == value
 
+
+
+def _decode_golden_documents():
+    """A seeded stream of two-fold config documents: canonical-family exact,
+    tilted exact with non-unit denominators, float with unit-normal lines
+    (decoded as stored) and with non-unit lines (canonicalized), and a few
+    malformed ones."""
+    rng = random.Random(2026)
+
+    def rational(lo, hi, dens=(2, 3, 5, 7, 9, 12)):
+        d = rng.choice(dens)
+        return Fraction(rng.randint(lo * d, hi * d), d)
+
+    def unit_line():
+        angle = rng.uniform(-math.pi / 2, math.pi / 2)
+        return math.cos(angle), math.sin(angle), rng.uniform(-5, 5)
+
+    def document(P, Q, ell, m, n):
+        point = lambda p: {"point": [encode_number(v) for v in p]}
+        line = lambda l: {"line": [encode_number(v) for v in l]}
+        return {"format": "two-fold-config", "version": 1, "P": point(P), "Q": point(Q),
+                "ell": line(ell), "m": line(m), "n": line(n)}
+
+    docs = []
+    for _ in range(80):
+        mx = rational(-5, 5, (1, 2, 3, 4, 6, 8))
+        P = (rational(-5, 5, (1, 2, 3, 4, 6, 8)), rational(-6, 4, (1, 2, 3, 4, 6, 8)))
+        docs.append(document(P, (0, 1), (1, 0, 0), (1, 0, -mx), (0, 1, 1)))
+    for _ in range(80):
+        values = [rational(-5, 5) for _ in range(13)]
+        docs.append(document(values[:2], values[2:4], values[4:7], values[7:10], values[10:]))
+    for _ in range(60):
+        P, Q = [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(2)]
+        docs.append(document(P, Q, unit_line(), unit_line(), unit_line()))
+    for _ in range(60):
+        values = [rng.uniform(-5, 5) for _ in range(13)]
+        docs.append(document(values[:2], values[2:4], values[4:7], values[7:10], values[10:]))
+    breaks = [
+        ("m", {"line": ["1", "0.5", "2"]}), ("n", {"line": ["0", "0", "1"]}),
+        ("ell", {"line": ["0.0", "0.0", "1.0"]}), ("P", {"point": ["abc", "1"]}),
+        ("Q", {"point": ["1e400", "1"]}), ("n", {"line": ["1/1" + "0" * 400, "0", "2"]}),
+        ("m", {"line": ["1", "0"]}), ("ell", {"line": ["-0.6", "-0.8", "1.25"]}),
+        ("P", {"point": ["0.5", "-1.25"]}),
+    ]
+    for k, (key, value) in enumerate(breaks * 3):
+        doc = json.loads(json.dumps(docs[k * 11 % len(docs)]))
+        doc[key] = value
+        docs.append(doc)
+    for doc in docs[:5]:
+        # P on m, x = -m.c: the gamma fold degenerates
+        docs.append({**doc, "P": {"point": [encode_number(-Fraction(doc["m"]["line"][2])), "1"]}})
+    return [json.dumps(doc) for doc in docs]
+
+
+def _decode_record(text):
+    """One line: each decoded value's repr, mode and float form in hex, or
+    the FormatError message."""
+    try:
+        config = decode_two_fold_config(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+    parts = []
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        twin = value.to_float()
+        bits = " ".join(getattr(twin, g.name).hex() for g in dataclasses.fields(twin))
+        parts.append(f"{value!r} {value.mode} {bits}")
+    return " | ".join(parts)
+
+
+def test_decode_two_fold_config_matches_the_golden_digest():
+    # every decoded value, its mode and float form, and every message of 312
+    # config documents: a faster decode must leave this digest as it is
+    lines = [_decode_record(text) for text in _decode_golden_documents()]
+    assert 10 < sum(line.startswith("FormatError") for line in lines) < 40
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "fec0e56f5a144e70c1e2c93ce4ce6e5974dcc18d2ff9868f1549ee896b99ffb7"
 
 def test_committed_script_file_is_the_built_in_script():
     # the benchmark decodes this file; it must stay the built-in script

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hendecafold import geometry
 from hendecafold.geometry import (
@@ -459,3 +459,123 @@ def test_an_exact_point_converts_as_float_does(x, shift):
             float(x), float(y)
         return
     assert (f.x.hex(), f.y.hex()) == (float(x).hex(), float(y).hex())
+
+
+# -- the constructors against a reference copy of their dataclass form ----
+
+def _reference_canonical_float(a, b, c):
+    norm = math.hypot(a, b)
+    if not math.isfinite(norm) or norm == 0.0:
+        raise ValueError(f"degenerate line normal ({a}, {b})")
+    a, b, c = a / norm, b / norm, c / norm
+    if a < 0.0 or (a == 0.0 and b < 0.0):
+        a, b, c = -a, -b, -c
+    return a + 0.0, b + 0.0, c + 0.0
+
+
+def _reference_common_mode(*values):
+    modes = {isinstance(v, float) for v in values}
+    if len(modes) > 1:
+        raise MixedModes(f"mixed numeric modes in {values!r}")
+    return geometry.FLOAT if modes.pop() else geometry.EXACT
+
+
+def _reference_float_line(a, b, c):
+    triple = _reference_canonical_float(a, b, c)
+    if not math.isfinite(triple[2]):
+        raise ValueError(f"non-finite line offset {c}")
+    return triple
+
+
+def _reference_point(x, y):
+    """(fields, mode, float form) of Point(x, y) as the generated dataclass
+    __init__ followed by __post_init__ made it; the float form is a thunk,
+    as converting a huge exact point overflows."""
+    mode = _reference_common_mode(x, y)
+    if mode == geometry.FLOAT:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite point ({x}, {y})")
+        return (x, y), mode, lambda: (x, y)
+    x = x if type(x) is Fraction else Fraction(x)
+    y = y if type(y) is Fraction else Fraction(y)
+    return (x, y), mode, lambda: (x.numerator / x.denominator, y.numerator / y.denominator)
+
+
+def _reference_line(a, b, c):
+    """(fields, mode, float form) of Line(a, b, c), likewise."""
+    mode = _reference_common_mode(a, b, c)
+    if mode == geometry.FLOAT:
+        triple = _reference_float_line(a, b, c)
+        return triple, mode, lambda: _reference_float_line(*triple)
+    a, b, c = (v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (a, b, c))
+    if not (a or b):
+        raise ValueError("line needs a nonzero normal (a, b)")
+    ints = _fraction_canonical_exact(a, b, c)
+    shift = max(0, max(abs(v).bit_length() for v in ints) - geometry._FLOAT_BITS)
+    try:
+        twin = _reference_float_line(*(v / (1 << shift) for v in ints))
+    except ValueError:
+        raise ValueError("line offset leaves the float range") from None
+    return tuple(Fraction(v) for v in ints), mode, lambda: twin
+
+
+def _bits(values):
+    return [v.hex() if type(v) is float else (v, type(v)) for v in values]
+
+
+def _float_bits(convert):
+    try:
+        return _bits(convert())
+    except OverflowError as exc:
+        return [(OverflowError, str(exc))]
+
+
+def _fields(value):
+    return tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+
+
+def _construction_outcome(make, *values):
+    """Fields, mode, repr, hash and float bits of make(*values), or its
+    exception type and message."""
+    try:
+        made = make(*values)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    if isinstance(made, tuple):
+        fields, mode, floats = made
+        name = "Point" if len(fields) == 2 else "Line"
+        shown = f"{name}({', '.join(map(repr, fields))})"
+        return _bits(fields), mode, shown, hash(fields), _float_bits(floats)
+    twin = _float_bits(lambda: _fields(made.to_float()))
+    return _bits(_fields(made)), made.mode, repr(made), hash(made), twin
+
+
+constructor_scalars = st.one_of(
+    st.sampled_from((0, 1, -1, True, False, 0.0, -0.0, Fraction(0), "0", "-0",
+                     10 ** 400, -(10 ** 400) + 1, 2 ** 1100 + 1, Fraction(1, 10 ** 400),
+                     math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324,
+                     " -3/6 ", "1.5", "2e1", "x", "1/0", None)),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.fractions(max_denominator=10 ** 12),
+    st.floats(),
+    st.fractions(max_denominator=10 ** 6).map(str),
+)
+
+
+@given(constructor_scalars, constructor_scalars)
+@example(-0.0, 0.0)
+@example(Fraction(1, 3), Fraction(-5, 2))
+def test_point_matches_its_reference_construction(x, y):
+    assert _construction_outcome(Point, x, y) == _construction_outcome(_reference_point, x, y)
+    if type(x) is Fraction and type(y) is Fraction:
+        # exact Fraction coordinates are kept, not copied
+        p = Point(x, y)
+        assert p.x is x and p.y is y
+
+
+@given(constructor_scalars, constructor_scalars, constructor_scalars)
+@example(-0.0, 1.0, 2.0)  # a signed zero survives the division by the norm
+@example(5e-324, 0.0, 1e308)  # the offset overflows: the message shows c as given
+@example(-1.0, 0.0, -math.inf)
+def test_line_matches_its_reference_construction(a, b, c):
+    assert _construction_outcome(Line, a, b, c) == _construction_outcome(_reference_line, a, b, c)

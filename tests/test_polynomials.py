@@ -1202,6 +1202,14 @@ def test_monic_from_ints_is_the_monic_of_the_integer_polynomial(ints):
     assert all(type(c) is Fraction for c in got.coeffs)
 
 
+@given(int_coeff_lists)
+def test_monic_from_ints_fills_the_lcm_integer_form(ints):
+    # the integer form it stores is the one `_int_coeffs` would compute
+    got = _monic_from_ints(ints)
+    assert vars(got)["_int_coeffs"] == tuple(_over_common_denominator(*got.coeffs)[0])
+    assert all(type(c) is int for c in got._int_coeffs)
+
+
 @pytest.mark.parametrize("ints, coeffs", [
     ([], ()), ([0, 0], ()), ([5], (1,)), ([-3, 0], (1,)), ([4, -1, 0], (-4, 1)),
     ([3, 6, -4], (Fraction(-3, 4), Fraction(-3, 2), 1)), ([2, 0, 1], (2, 0, 1)),

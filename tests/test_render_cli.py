@@ -242,9 +242,12 @@ DATA = Path(__file__).parent / "data"
 @pytest.mark.parametrize("args, golden", [
     ([], "solve_hendecagon.txt"),
     (["--config", str(DATA / "tilted_config.json")], "solve_tilted.txt"),
+    (["--config", str(DATA / "float_config.json")], "solve_float.txt"),
 ])
 def test_cli_solve_prints_its_golden_report(capsys, args, golden):
-    # the tilted config is exact, with fraction entries in every line
+    # the tilted config is exact, with fraction entries in every line; the
+    # float config has one unit-normal line, decoded as stored, and two
+    # non-unit lines, canonicalized
     assert main(["solve", *args]) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text()
 
