@@ -12,6 +12,7 @@ imported on first use (PEP 562), so a command pays only for what it runs.
 """
 
 import importlib
+import math
 
 __version__ = "0.1.0"
 
@@ -19,6 +20,13 @@ __version__ = "0.1.0"
 #: here, where `geometry` and the command-line parser both read it, so the
 #: parser need not import `geometry`.
 DEFAULT_TOL = 1e-9
+
+
+def _checked_tol(tol: float) -> float:
+    """Return tol, or raise ValueError if it is not positive and finite."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    return tol
 
 
 class InputError(ValueError):

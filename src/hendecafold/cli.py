@@ -9,7 +9,6 @@ returns prints each warning it raised as one `warning:` line.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import warnings
@@ -18,7 +17,7 @@ from typing import TYPE_CHECKING
 
 # Each command imports the layers it runs, so `hendecafold --help` and
 # `classify` load only the algebra core that the package imports anyway.
-from . import DEFAULT_TOL, InputError
+from . import DEFAULT_TOL, InputError, _checked_tol
 from .cyclotomic import classify_constructible, halved_cyclotomic
 
 if TYPE_CHECKING:
@@ -157,12 +156,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _tolerance(text: str) -> float:
     try:
-        tol = float(text)
+        return _checked_tol(float(text))
     except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return tol
+        message = f"must be a positive finite number, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Union
 
+from . import DEFAULT_TOL, _checked_tol
 from .folds import (SINGLE_FOLDS, TwoFoldConfig, delta_line, gamma_line_from_t,
                     solve_single_fold, solve_two_fold)
 from .geometry import (
-    DEFAULT_TOL,
     Line,
     Point,
     Scalar,
@@ -267,6 +267,7 @@ def run_script(script: FoldScript, tol: float = DEFAULT_TOL) -> ConstructionStat
     length.  Landmarks are float mode and never overwritten, so a truncated
     script yields a prefix of the full run's registry, bit for bit.
     """
+    _checked_tol(tol)
     landmarks = dict(script.frame.edge_lines())
     residual_log = []
     for step in script.steps:
@@ -481,6 +482,7 @@ def verify_hendecagon(state: ConstructionState, tol: float = DEFAULT_TOL) -> Ver
     missing vertex and WrongLandmarkKind for a vertex or center that is not
     a point.
     """
+    _checked_tol(tol)
     center = _resolve(state.landmarks, None, "center", Point) \
         if "center" in state.landmarks else state.sheet.center
     vertices = [_resolve(state.landmarks, None, v, Point) for v in VERTEX_IDS]

@@ -33,16 +33,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
+from . import DEFAULT_TOL, _checked_tol
 from .geometry import (
-    DEFAULT_TOL,
     EXACT,
-    FLOAT,
     CoincidentPoints,
     Line,
     ParallelLines,
     Point,
     Scalar,
-    _made,
     distance,
     incident,
     intersect,
@@ -486,6 +484,7 @@ def solve_two_fold(config: TwoFoldConfig, tol: float = DEFAULT_TOL) -> list:
     a warning; one that leaves the float range raises ValueError, as does
     a foot of Q beyond it.
     """
+    _checked_tol(tol)
     eliminant = eliminate_to_quintic(config)
     foot, dir = config._image_track
     try:
@@ -497,11 +496,11 @@ def solve_two_fold(config: TwoFoldConfig, tol: float = DEFAULT_TOL) -> list:
     for interval in isolate_real_roots(eliminant):
         t = refine_root(eliminant, interval, _ROOT_TOL)
         try:
-            delta = perpendicular_bisector(Q, _made(Point, FLOAT, fx + t * dx, fy + t * dy))
+            delta = perpendicular_bisector(Q, Point(fx + t * dx, fy + t * dy))
             ell_image = reflect_line(ell, delta)
             image = reflect_point(P, ell_image)
             h = line_residual(image, m)
-            on_m = _made(Point, FLOAT, image.x - m.a * h, image.y - m.b * h)
+            on_m = Point(image.x - m.a * h, image.y - m.b * h)
             gamma = perpendicular_bisector(P, on_m)
             S = intersect(delta, ell)
             Qp = reflect_point(Q, delta)

@@ -4,9 +4,9 @@ Construction operations (reflection, intersection, bisectors) preserve the
 mode of their inputs: exact values (ints / Fractions) stay exact, floats stay
 float, and the two are never combined silently.  Each class has one
 constructor, which works out the mode and the canonical fields and stores each
-once; `mode` is not a dataclass field, so equality, hashing and repr see the
-coordinates alone.  The operations make their results with `_made`, which
-skips the mode inference of a float.  Lines are kept in a canonical implicit
+once; every value but a stored canonical float line (`Line.from_canonical`)
+is made through it.  `mode` is not a dataclass field, so equality, hashing
+and repr see the coordinates alone.  Lines are kept in a canonical implicit
 form ``a*x + b*y + c = 0``: in exact mode, equal triples mean equal lines.
 
 Metric queries (`distance`, `point_distance`) return floats in either mode,
@@ -66,28 +66,16 @@ def _same_mode(first: "Point | Line", second: "Point | Line") -> str:
     return first.mode
 
 
-def _made(cls, mode: str, *values: Scalar):
-    """cls(*values) for values known to be of `mode`: a float value skips the
-    mode inference, not the canonicalization or the finiteness checks."""
-    if mode == EXACT:
-        return cls(*values)
-    self = object.__new__(cls)
-    self._init(FLOAT, *values)
-    return self
-
-
 @dataclass(frozen=True, init=False)
 class Point:
     """A point; exact coordinates are stored as Fractions.  The constructor
-    stores each field and `mode` once; `_made` skips the mode inference."""
+    stores each field and `mode` once."""
 
     x: Scalar
     y: Scalar
 
     def __init__(self, x: Scalar, y: Scalar) -> None:
-        self._init(_common_mode(x, y), x, y)
-
-    def _init(self, mode: str, x: Scalar, y: Scalar) -> None:
+        mode = _common_mode(x, y)
         if mode == EXACT:
             x = x if type(x) is Fraction else Fraction(x)
             y = y if type(y) is Fraction else Fraction(y)
@@ -102,7 +90,7 @@ class Point:
             return self
         # float(Fraction) is this division: one correctly rounded quotient
         x, y = self.x, self.y
-        return _made(Point, FLOAT, x.numerator / x.denominator, y.numerator / y.denominator)
+        return Point(x.numerator / x.denominator, y.numerator / y.denominator)
 
     def __repr__(self) -> str:
         return f"Point({self.x!r}, {self.y!r})"
@@ -130,7 +118,7 @@ def _float_line(a: int, b: int, c: int) -> "Line":
     # the bit length of the or of the magnitudes is the longest entry's
     scale = 1 << max(0, (abs(a) | abs(b) | abs(c)).bit_length() - _FLOAT_BITS)
     try:
-        return _made(Line, FLOAT, a / scale, b / scale, c / scale)
+        return Line(a / scale, b / scale, c / scale)
     except ValueError:
         raise ValueError("line offset leaves the float range") from None
 
@@ -143,7 +131,8 @@ class Line:
     entry is positive, so equal lines have equal triples.  An exact line is
     made with its float line, which `to_float` returns, so one beyond the
     float range raises ValueError when it is made.  Float mode:
-    a**2 + b**2 == 1 with the same sign convention.  Made as a `Point` is.
+    a**2 + b**2 == 1 with the same sign convention.  The constructor stores
+    each field and `mode` once, as `Point`'s does.
     """
 
     a: Scalar
@@ -151,9 +140,7 @@ class Line:
     c: Scalar
 
     def __init__(self, a: Scalar, b: Scalar, c: Scalar) -> None:
-        self._init(_common_mode(a, b, c), a, b, c)
-
-    def _init(self, mode: str, a: Scalar, b: Scalar, c: Scalar) -> None:
+        mode = _common_mode(a, b, c)
         if mode == EXACT:
             ints = _canonical_exact(*(v if isinstance(v, (int, Fraction)) else Fraction(v)
                                       for v in (a, b, c)))
@@ -181,7 +168,7 @@ class Line:
         canonicalized again (float canonicalization is not idempotent)."""
         if self.mode == EXACT:
             return self._float
-        return _made(Line, FLOAT, self.a, self.b, self.c)
+        return Line(self.a, self.b, self.c)
 
     @classmethod
     def from_canonical(cls, a: Scalar, b: Scalar, c: Scalar) -> "Line":
@@ -189,11 +176,11 @@ class Line:
 
         Float canonicalization divides by a computed norm, which may move a
         stored canonical triple by an ulp; deserialization must not re-run
-        it.  Input that is not canonical, or not all float, falls back to
-        normal construction, which rejects mixed modes.
+        it.  Any other input, float or not, goes through the constructor,
+        which rejects mixed modes and non-finite values.
         """
         if isinstance(a, float) and isinstance(b, float) and isinstance(c, float) \
-                and abs(math.hypot(a, b) - 1.0) <= 1e-12 \
+                and math.isfinite(c) and abs(math.hypot(a, b) - 1.0) <= 1e-12 \
                 and not (a < 0.0 or (a == 0.0 and b < 0.0)):
             self = object.__new__(cls)
             _set(self, "a", a)
@@ -209,19 +196,19 @@ class Line:
 
 def line_through(p: Point, q: Point) -> Line:
     """Line containing both points (fold axiom: crease through two points)."""
-    mode = _same_mode(p, q)
+    _same_mode(p, q)
     if p == q:
         raise CoincidentPoints(f"no unique line through {p} twice")
-    return _made(Line, mode, p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
+    return Line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
 
 
 def perpendicular_bisector(p: Point, q: Point) -> Line:
     """Locus of points equidistant from p and q; reflects p onto q."""
-    mode = _same_mode(p, q)
+    _same_mode(p, q)
     if p == q:
         raise CoincidentPoints(f"perpendicular bisector of {p} and itself")
-    return _made(Line, mode, 2 * (q.x - p.x), 2 * (q.y - p.y),
-                 (p.x * p.x + p.y * p.y) - (q.x * q.x + q.y * q.y))
+    return Line(2 * (q.x - p.x), 2 * (q.y - p.y),
+                (p.x * p.x + p.y * p.y) - (q.x * q.x + q.y * q.y))
 
 
 def line_residual(p: Point, l: Line) -> Scalar:
@@ -232,14 +219,14 @@ def line_residual(p: Point, l: Line) -> Scalar:
 
 def reflect_point(p: Point, axis: Line) -> Point:
     d = line_residual(p, axis) / (axis.a * axis.a + axis.b * axis.b)
-    return _made(Point, p.mode, p.x - 2 * axis.a * d, p.y - 2 * axis.b * d)
+    return Point(p.x - 2 * axis.a * d, p.y - 2 * axis.b * d)
 
 
 def reflect_line(l: Line, axis: Line) -> Line:
     """Image of every point of l under reflection across axis."""
-    mode = _same_mode(l, axis)
+    _same_mode(l, axis)
     k = (l.a * axis.a + l.b * axis.b) / (axis.a * axis.a + axis.b * axis.b)
-    return _made(Line, mode, l.a - 2 * axis.a * k, l.b - 2 * axis.b * k, l.c - 2 * axis.c * k)
+    return Line(l.a - 2 * axis.a * k, l.b - 2 * axis.b * k, l.c - 2 * axis.c * k)
 
 
 # Below this, two normalized float lines are treated as parallel; sin of the
@@ -255,11 +242,12 @@ def intersect(l1: Line, l2: Line) -> Point:
         raise ParallelLines(f"{l1} and {l2} do not meet in one point")
     x = (l1.b * l2.c - l2.b * l1.c) / det
     y = (l2.a * l1.c - l1.a * l2.c) / det
-    return _made(Point, mode, x, y)
+    return Point(x, y)
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    return _made(Point, _same_mode(p, q), (p.x + q.x) / 2, (p.y + q.y) / 2)
+    _same_mode(p, q)
+    return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
 
 
 def incident(p: Point, l: Line, tol: Scalar = DEFAULT_TOL) -> bool:

@@ -41,6 +41,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
+from . import _checked_tol
+
 Coeff = Union[int, Fraction]
 
 
@@ -727,8 +729,7 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
     overflow the float range is skipped, and a root beyond it raises
     ValueError.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive")
+    _checked_tol(tol)
     g = _basis(p)
     ints = g._int_coeffs
     lo, hi = interval.lo, interval.hi

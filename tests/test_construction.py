@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -228,6 +229,20 @@ def test_verify_needs_all_vertices(state):
                              script=state.script)
     with pytest.raises(UnknownLandmark):
         verify_hendecagon(fake)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda state, tol: run_script(hendecagon_script(), tol),
+    lambda state, tol: verify_hendecagon(state, tol),
+    lambda state, tol: solve_two_fold(TwoFoldConfig.hendecagon(), tol),
+], ids=["run_script", "verify_hendecagon", "solve_two_fold"])
+def test_a_tol_that_is_not_positive_and_finite_is_refused(state, call, tol):
+    # a nan tol would pass every expectation and fail every check
+    message = re.escape(f"tol must be positive and finite, got {tol!r}")
+    with pytest.raises(ValueError, match=message) as exc:
+        call(state, tol)
+    assert type(exc.value) is ValueError
 
 
 # -- serialization ---------------------------------------------------------------

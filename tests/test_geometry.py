@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import math
 import pickle
 import random
@@ -88,6 +89,13 @@ def test_from_canonical_keeps_a_float_triple_and_rejects_mixed_modes():
                    (Fraction(1), 0.0, 0.0)):
         with pytest.raises(MixedModes):
             Line.from_canonical(*triple)
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+def test_from_canonical_refuses_a_non_finite_offset(c):
+    # a unit normal takes the stored-triple path, which checks the offset too
+    with pytest.raises(ValueError, match=f"^non-finite line offset {c}$"):
+        Line.from_canonical(1.0, 0.0, c)
 
 
 def test_to_float_scales_a_long_triple_that_fits():
@@ -579,3 +587,85 @@ def test_point_matches_its_reference_construction(x, y):
 @example(-1.0, 0.0, -math.inf)
 def test_line_matches_its_reference_construction(a, b, c):
     assert _construction_outcome(Line, a, b, c) == _construction_outcome(_reference_line, a, b, c)
+
+
+# -- a golden digest of every operation ------------------------------------
+
+def _digest_operands():
+    """Seeded exact and float points and lines, the float forms of the exact
+    ones among them, with coincident points and parallel, nearly parallel
+    and equal lines."""
+    rng = random.Random(27)
+
+    def fraction():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+    exact_points = [Point(fraction(), fraction()) for _ in range(7)]
+    exact_points += [exact_points[0], Point(0, 0)]
+    exact_lines = [Line(*t) for t in _seeded_triples(rng, fraction, 6)]
+    a, b, c = exact_lines[0].a, exact_lines[0].b, exact_lines[0].c
+    exact_lines += [Line(2 * a, 2 * b, 2 * c + 1), Line(-a, -b, -c), Line(0, 1, fraction())]
+    float_points = [p.to_float() for p in exact_points[:5]]
+    float_points += [Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
+    float_points += [float_points[-1], Point(-0.0, 0.0)]
+    float_lines = [l.to_float() for l in exact_lines[:5]]
+    float_lines += [Line(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5))
+                    for _ in range(3)]
+    fa, fb, fc = float_lines[-1].a, float_lines[-1].b, float_lines[-1].c
+    float_lines += [Line(fa, fb, fc + 1.0), Line(-fa, -fb, -fc), Line(0.0, -2.0, 3.0),
+                    Line(fa, fb * (1 + 1e-13), 2.0)]
+    return exact_points + float_points, exact_lines + float_lines
+
+
+def _seeded_triples(rng, fraction, count):
+    triples = []
+    while len(triples) < count:
+        t = (fraction(), fraction(), fraction())
+        if t[0] or t[1]:
+            triples.append(t)
+    return triples
+
+
+def _digest_record(name, op, *operands):
+    """One line: the output's repr, mode and float bits, or the exception
+    type and message."""
+    try:
+        out = op(*operands)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return f"{name} {type(exc).__name__}: {exc}"
+    if isinstance(out, (Point, Line)):
+        bits = " ".join(v.hex() for v in _fields(out) if type(v) is float)
+        return f"{name} {out!r} {out.mode} {bits}"
+    return f"{name} {out!r} {out.hex() if type(out) is float else ''}"
+
+
+def test_geometry_operations_match_the_golden_digest():
+    # every operation over every pair of seeded operands, mixed modes
+    # included: how the values are made must leave this digest as it is
+    points, lines = _digest_operands()
+    records = []
+    for p in points:
+        records.append(_digest_record("to_float", Point.to_float, p))
+        for q in points:
+            for name, op in (("line_through", line_through),
+                             ("perpendicular_bisector", perpendicular_bisector),
+                             ("midpoint", midpoint), ("dist_sq", dist_sq),
+                             ("point_distance", point_distance)):
+                records.append(_digest_record(name, op, p, q))
+        for l in lines:
+            for name, op in (("reflect_point", reflect_point), ("line_residual", line_residual),
+                             ("incident", incident), ("distance", distance)):
+                records.append(_digest_record(name, op, p, l))
+    for l in lines:
+        records.append(_digest_record("to_float", Line.to_float, l))
+        records.append(_digest_record("from_canonical", Line.from_canonical, l.a, l.b, l.c))
+        for k in lines:
+            for name, op in (("reflect_line", reflect_line), ("intersect", intersect),
+                             ("line_defect", line_defect)):
+                records.append(_digest_record(name, op, l, k))
+    assert len(records) == 19 * (1 + 19 * 5 + 21 * 4) + 21 * (2 + 21 * 3)
+    assert sum("MixedModes" in r for r in records) > 500
+    assert any("CoincidentPoints" in r for r in records)
+    assert any("ParallelLines" in r for r in records)
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "99dd8cf9b0b68b49020fe7a812a279b196d7e5cb03c38e3bdaf728311513f68a"
