@@ -2,12 +2,12 @@
 
 Coefficients are `fractions.Fraction`, stored in ascending degree order, so
 every ring operation is exact.  The root pipeline runs on integers: a
-polynomial's coefficients times the lcm of their denominators (a positive
-scale, so every sign is kept) start one primitive pseudo-remainder sequence
-(`_neg_prem`), cached on the polynomial.  It is the Sturm chain of a
-square-free polynomial and always ends in the gcd with the derivative, which
-gives the square-free part.  Isolation, counting and refinement all work on
-the monic square-free part, cached too.  Real roots are isolated into
+polynomial's primitive integer form (`_int_coeffs`, positive leading
+coefficient) starts one primitive pseudo-remainder sequence (`_neg_prem`),
+cached on the polynomial.  It is the Sturm chain of a square-free
+polynomial and always ends in the gcd with the derivative, which gives the
+square-free part.  Isolation, counting and refinement all work on the monic
+square-free part, cached too.  Real roots are isolated into
 rational intervals certified by Sturm sign-variation counts.  The chain is
 evaluated in integers at x = N/D (`_chain_values`): its first two elements
 by homogeneous Horner, every later one from the two before it through the
@@ -26,10 +26,10 @@ the polynomial and tol alone, and it is bit-identical to an exact
 bisection's.
 
 The exact kernels that `folds` and `cyclotomic` share live here: `_add` and
-`_mul` on coefficient lists, `_over_common_denominator` and `_primitive`;
-`geometry` scales a line's three entries in one pass of its own.
-`_monic_from_ints` makes the monic `RatPoly` of an integer coefficient list,
-and its integer form, in one pass: `folds` builds its eliminants with it.
+`_mul` on coefficient lists and `_over_common_denominator`; `geometry`
+scales a line's three entries in one pass of its own.  `_primitive` alone
+divides out content and sign.  `_monic_from_ints` makes `folds`' monic
+eliminants, and their primitive forms, from integer coefficient lists.
 """
 
 from __future__ import annotations
@@ -75,9 +75,10 @@ def _over_common_denominator(*values) -> tuple:
 
 
 def _primitive(q: Sequence[int]) -> list:
-    """A nonzero integer polynomial divided by its positive content (Knuth,
-    TAOCP vol. 2, 4.6.1)."""
-    g = math.gcd(*q)
+    """An integer polynomial over its content, signed so the leading
+    coefficient is positive: every nonzero rational multiple of it has this
+    same primitive form (Knuth, TAOCP vol. 2, 4.6.1)."""
+    g = -math.gcd(*q) if q and q[-1] < 0 else math.gcd(*q)
     return [c // g for c in q]
 
 
@@ -124,9 +125,9 @@ class RatPoly:
 
     @cached_property
     def _int_coeffs(self) -> tuple:
-        """The coefficients times the lcm of their denominators, a positive
-        scale, so the integer polynomial has self's sign everywhere."""
-        return tuple(_over_common_denominator(*self.coeffs)[0])
+        """The primitive integer form: `_primitive` of the coefficients over
+        their common denominator.  It has the signs of self when lc > 0."""
+        return tuple(_primitive(_over_common_denominator(*self.coeffs)[0]))
 
     @cached_property
     def _derivative(self) -> "RatPoly":
@@ -150,15 +151,8 @@ class RatPoly:
     def _other_basis(self):
         """The monic square-free part, or None when that is self: a cache
         holding self would be a reference cycle.  Read it through `_basis`."""
-        part = self.square_free_part()
-        g = part.monic()
-        if g is self:
-            return None
-        if part is self:
-            # a constant multiple of self has the same chain: it starts from
-            # the primitive integer form with a positive leading coefficient
-            g.__dict__["_int_chain"] = self._int_chain
-        return g
+        g = self.square_free_part().monic()
+        return None if g is self else g
 
     def __call__(self, x):
         """Horner evaluation; float input switches to float arithmetic."""
@@ -255,11 +249,10 @@ class RatPoly:
 def _monic_from_ints(ints: Sequence[int]) -> RatPoly:
     """RatPoly(ints).monic() straight from the integers: coefficients
     Fraction(c, lc), lc the last nonzero one, the zeros after it stripped,
-    and `_int_coeffs` (the lcm form) filled with sign(lc) * c // gcd(ints)."""
+    and `_int_coeffs` filled with `_primitive` of the integers."""
     lc = next((c for c in reversed(ints) if c), 1)
     poly = RatPoly(Fraction(c, lc) for c in ints)
-    g = math.gcd(*ints) * (-1 if lc < 0 else 1)
-    poly.__dict__["_int_coeffs"] = tuple(c // g for c in ints[:len(poly.coeffs)])
+    poly.__dict__["_int_coeffs"] = tuple(_primitive(ints[:len(poly.coeffs)]))
     return poly
 
 
@@ -445,21 +438,19 @@ def _chain_values(chain, num: int, den: int) -> list:
 
 
 def _integer_sturm_chain(g: RatPoly) -> list:
-    """Sturm chain of g in primitive integer polynomials.
+    """Sturm chain of g in primitive integer polynomials, up to g's sign.
 
-    It starts from g's integer form with a positive leading coefficient and
-    that form's derivative, then appends `_neg_prem` of the last two until a
-    constant or a zero remainder.  Each element is a positive multiple of
-    the same element of the Sturm sequence g, g', -rem(...), ... over Q, so
-    the sign variations are the same.  The remainders keep the step that made them,
-    so `_chain_values` evaluates all but the first two through the
-    recurrence.
+    It starts from `_int_coeffs` and its primitive derivative, then appends
+    `_neg_prem` of the last two until a constant or a zero remainder.  Each
+    element is a positive multiple of the same element of the Sturm sequence
+    f, f', -rem(...), ... over Q, f = +-g with lc(f) > 0, so the variations
+    are the same.  Remainders keep the step that made them, so
+    `_chain_values` evaluates all but the first two by the recurrence.
     """
     if g.is_zero:
         return []
-    f = _primitive(g._int_coeffs)
-    chain = [f if f[-1] > 0 else [-c for c in f]]
-    if len(f) > 1:
+    chain = [list(g._int_coeffs)]
+    if len(chain[0]) > 1:
         chain.append(_primitive([k * c for k, c in enumerate(chain[0])][1:]))
     while len(chain[-1]) > 1:
         rem = _neg_prem(chain[-2], chain[-1])

@@ -149,7 +149,8 @@ def _step_from_obj(obj) -> FoldStep:
 def _document(text: str, fmt: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer over Python's digit limit, or nesting too deep
         raise FormatError(f"not valid structured text: {exc}") from exc
     if not (isinstance(doc, dict) and doc.get("format") == fmt):
         raise FormatError(f"not a {fmt} document")
@@ -181,11 +182,13 @@ def decode_script(text: str) -> FoldScript:
     side = float(decode_number(_field(frame, "side", "frame")))
     if not side > 0:
         raise FormatError(f"frame side must be positive, got {side!r}")
+    sheet = Sheet(center=Point(float(cx), float(cy)), side=side)
+    if not all(map(math.isfinite, (sheet.xmin, sheet.xmax, sheet.ymin, sheet.ymax))):
+        raise FormatError(f"frame edges leave the float range: {frame!r}")
     steps = _field(doc, "steps", "script")
     if not (isinstance(steps, list) and steps):
         raise FormatError("steps must be a nonempty list")
-    return FoldScript(steps=tuple(_step_from_obj(o) for o in steps),
-                      frame=Sheet(center=Point(float(cx), float(cy)), side=side))
+    return FoldScript(steps=tuple(_step_from_obj(o) for o in steps), frame=sheet)
 
 
 def encode_two_fold_config(config: TwoFoldConfig) -> str:

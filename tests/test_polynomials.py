@@ -411,8 +411,9 @@ def test_sign_kernel_matches_exact_evaluation(coeffs, x):
     sign = (value > 0) - (value < 0)
     num, den = x.numerator, x.denominator
     # refinement checks its bracket at points num/den that need not be in
-    # lowest terms; den**d * p(num/den) keeps the sign for any den > 0
-    ints = p._int_coeffs
+    # lowest terms; den**d * p(num/den) keeps the sign for any den > 0, with
+    # p's coefficients over their common denominator, a positive scale
+    ints, _ = _over_common_denominator(*p.coeffs)
     signs = {(v > 0) - (v < 0) for v in (_homogeneous(ints, num, den),
                                          _homogeneous(ints, 6 * num, 6 * den))}
     assert signs == {sign}
@@ -549,7 +550,9 @@ def fraction_intervals(p):
 
     def reference_chain(g):
         chains.append(g)
-        return [q._int_coeffs for q in fraction_sturm_chain(g)]
+        # over the common denominator, a positive scale: a primitive form
+        # would make an element with a negative leading coefficient positive
+        return [_over_common_denominator(*q.coeffs)[0] for q in fraction_sturm_chain(g)]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polynomials, "_integer_sturm_chain", reference_chain)
@@ -706,9 +709,48 @@ def test_a_square_free_multiple_builds_one_chain(monkeypatch, scale):
     integer_sturm_chain = polynomials._integer_sturm_chain
     monkeypatch.setattr(polynomials, "_integer_sturm_chain", counted)
     ivs = isolate_real_roots(p)
-    assert calls == [p] and len(ivs) == 40
+    # p's chain finds p square-free, and its monic copy, the basis, builds its own
+    assert calls == [p, p._other_basis] and len(ivs) == 40
     monkeypatch.undo()
     assert ivs == isolate_real_roots(halved_cyclotomic(81).poly)
+
+
+@st.composite
+def _scaled_polys(draw):
+    """(p, c): p of degree 1 to 8, sometimes with a squared factor, and c a
+    nonzero rational of either sign."""
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+    def poly(degree):
+        body = draw(st.lists(coeff, min_size=degree, max_size=degree))
+        return RatPoly([*body, draw(coeff.filter(bool))])
+
+    degree = draw(st.integers(1, 8))
+    square = draw(st.integers(0, degree // 2))  # the degree of the squared factor
+    q = poly(square) if square else RatPoly.of(1)
+    c = draw(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6).filter(bool))
+    return q * q * poly(degree - 2 * square), c
+
+
+@settings(deadline=None, max_examples=120)
+@given(_scaled_polys(), st.sampled_from([1e-12, 1e-5, 0.75, 4.0]),
+       st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=7),
+                min_size=2, max_size=2).map(sorted))
+def test_isolation_and_refinement_ignore_a_constant_factor(pc, tol, bounds):
+    p, c = pc
+
+    def fresh():
+        # new objects, so that neither reads a cache the other filled
+        return RatPoly(p.coeffs), RatPoly(c * a for a in p.coeffs)
+
+    ivs = isolate_real_roots(fresh()[0])
+    assert isolate_real_roots(fresh()[1]) == ivs
+    f, g = fresh()
+    assert count_real_roots(g) == count_real_roots(f) == len(ivs)
+    assert count_real_roots(g, *bounds) == count_real_roots(f, *bounds)
+    f, g = fresh()
+    assert [refine_root(g, iv, tol).hex() for iv in ivs] == [
+        refine_root(f, iv, tol).hex() for iv in ivs]
 
 
 def test_refining_a_squared_polynomial_builds_its_square_free_part_once(monkeypatch):

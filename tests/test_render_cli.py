@@ -545,6 +545,22 @@ BAD_INPUTS = [
     ("frame_side_huge_exact", "script",
      lambda doc: {**doc, "frame": {**doc["frame"], "side": "1" + "0" * 400}},
      2, "number out of range"),
+    # each number fits, the right or bottom edge, center -+ side / 2, does not
+    ("frame_right_edge_beyond_float_range", "script",
+     lambda doc: {**doc, "frame": {"center": ["1.5e308", "0"], "side": "1e308"}},
+     2, "frame edges leave the float range"),
+    ("frame_bottom_edge_beyond_float_range_exact", "script",
+     lambda doc: {**doc, "frame": {"center": ["0", "-17" + "0" * 307], "side": "1" + "0" * 308}},
+     2, "frame edges leave the float range"),
+    # json.loads fails on nesting too deep for its parser and on an integer
+    # literal over Python's limit of 4,300 digits, not only on bad syntax
+    *((f"{kind}_nested_too_deep", kind, lambda doc: b"[" * 100_000,
+       2, "not valid structured text")
+      for kind in ("script", "config")),
+    *((f"{kind}_version_over_the_digit_limit", kind,
+       lambda doc: json.dumps(doc).replace('"version": 1', '"version": 1' + "0" * 4999).encode(),
+       2, "not valid structured text")
+      for kind in ("script", "config")),
     ("missing_variant", "script",
      _edit_step("fold_ell", lambda s: s["args"].pop("variant")),
      2, "unknown single_fold variant None"),
