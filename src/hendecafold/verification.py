@@ -5,7 +5,10 @@ oracle side of every check (trigonometric root values, chord lengths, dense
 sign scans, brute-force fold searches) never goes through the code path it
 certifies.  All randomness is seeded, so a verify run is reproducible, on
 any number of CPUs: criterion 7's dense scans run on a worker pool, but the
-parent draws every instance and reads the scans back in draw order.
+parent draws every instance and reads the scans back in draw order.  Each
+scan's samples use the grid and float operations of a plain per-point loop
+(kept in the tests as the reference), so they are that loop's bit for bit;
+a fixed grid is built once per process, on first use, never at import.
 
 One check is expected to fail by construction and is reported honestly:
 `gamma_parameterization_identity` asserts that the two closed-form gamma
@@ -269,25 +272,37 @@ def reflection_suite(rng: random.Random) -> str:
 
 
 def _crossings(values) -> list:
-    """Indices of the sign changes in `values`; an exact zero counts once."""
-    crossings, prev = [], None
-    for i, v in enumerate(values):
-        if v == 0.0:
-            crossings.append(i)
-            prev = None
-            continue
-        sign = v > 0
-        if prev is not None and sign != prev:
-            crossings.append(i)
-        prev = sign
-    return crossings
+    """Indices of the sign changes in `values`; an exact zero counts once.
+    Each value is read once, as a sign byte: 1 > 0, 2 zero, 0 < 0 or nan."""
+    signs = bytes([1 if v > 0 else 2 if v == 0.0 else 0 for v in values])
+    crossings = []
+    for pattern, shift in ((b"\x02", 0), (b"\x00\x01", 1), (b"\x01\x00", 1)):
+        i = signs.find(pattern)
+        while i >= 0:
+            crossings.append(i + shift)
+            i = signs.find(pattern, i + 1)
+    return sorted(crossings)
+
+
+@functools.cache
+def _scan_grid(lo: float, hi: float) -> tuple:
+    """The SCAN_SAMPLES points of a sign scan from lo to hi."""
+    return tuple(lo + (hi - lo) * i / (SCAN_SAMPLES - 1) for i in range(SCAN_SAMPLES))
 
 
 def sign_scan_root_count(p: RatPoly, lo: float, hi: float) -> int:
-    """Count sign crossings of the square-free part on a dense grid."""
-    g = p.square_free_part()
-    return len(_crossings(g(lo + (hi - lo) * i / (SCAN_SAMPLES - 1))
-                          for i in range(SCAN_SAMPLES)))
+    """Count sign crossings of the square-free part on a dense grid.
+
+    Horner's rule runs over the grid one coefficient at a time, with the
+    floats of `RatPoly.__call__`: each sample is g(x) bit for bit.  The grid
+    of each (lo, hi) is built once per process.
+    """
+    grid = _scan_grid(lo, hi)
+    values = [0.0] * len(grid)
+    for c in reversed(p.square_free_part().coeffs):
+        c = c.numerator / c.denominator
+        values = [v * x + c for v, x in zip(values, grid)]
+    return len(_crossings(values))
 
 
 def sturm_suite(rng: random.Random, submit):
@@ -318,12 +333,20 @@ def sturm_suite(rng: random.Random, submit):
 
 def oracle_count_point_onto_line_through_point(
         moving: Point, target: Line, pivot: Point) -> int:
-    """Dense search along the target line for images at the pivot radius."""
+    """Dense search along the target line for images at the pivot radius.
+    The grid scales with the radius, so each call builds its own."""
     h = line_residual(pivot, target)
     radius = math.hypot(moving.x - pivot.x, moving.y - pivot.y)
     span = radius + 1.0
-    return len(_crossings(math.hypot(h, -span + 2 * span * i / (SCAN_SAMPLES - 1)) - radius
-                          for i in range(SCAN_SAMPLES)))
+    return len(_crossings([math.hypot(h, -span + 2 * span * i / (SCAN_SAMPLES - 1)) - radius
+                           for i in range(SCAN_SAMPLES)]))
+
+
+@functools.cache
+def _o6_grid() -> tuple:
+    """The O6 scan's u: the window and 2.0 beyond each edge, in even steps."""
+    lo, hi = -O6_SPAN - 2.0, O6_SPAN + 2.0
+    return tuple(lo + i * ((hi - lo) / (O6_SAMPLES - 1)) for i in range(O6_SAMPLES))
 
 
 def oracle_count_two_points_onto_two_lines(problem: TwoPointsOntoTwoLines):
@@ -333,7 +356,8 @@ def oracle_count_two_points_onto_two_lines(problem: TwoPointsOntoTwoLines):
     first point's image sits at parameter u along its target line.
     Returns (count, trustworthy): not trustworthy when a crossing hugs the
     window edge, two crossings share a grid cell neighborhood, or the
-    residual dips near zero without crossing (tangency risk).
+    residual dips near zero without crossing (tangency risk).  The grid
+    of u is built once per process.
     """
     l1 = problem.target1.to_float()
     l2 = problem.target2.to_float()
@@ -344,29 +368,22 @@ def oracle_count_two_points_onto_two_lines(problem: TwoPointsOntoTwoLines):
     la, lb, lc = l2.a, l2.b, l2.c
     p1_sq = p1x ** 2 + p1y ** 2
 
-    lo, hi = -O6_SPAN - 2.0, O6_SPAN + 2.0
-    step = (hi - lo) / (O6_SAMPLES - 1)
+    grid = _o6_grid()
     values = []
-    for i in range(O6_SAMPLES):
-        u = lo + i * step
+    for u in grid:
         dxp = bx + u * vx
         dyp = by + u * vy
         ax, ay = dxp - p1x, dyp - p1y
         c = (p1_sq - dxp ** 2 - dyp ** 2) / 2.0
         d = (ax * p2x + ay * p2y + c) / (ax * ax + ay * ay)
-        values.append(la * (p2x - 2 * ax * d) + lb * (p2y - 2 * ay * d) + lc)
+        values.append(la * (p2x - 2.0 * ax * d) + lb * (p2y - 2.0 * ay * d) + lc)
     crossings = _crossings(values)
-    trustworthy = True
-    for idx in crossings:
-        if not (abs(lo + idx * step) <= O6_SPAN):
-            trustworthy = False
-    for i1, i2 in zip(crossings, crossings[1:]):
-        if i2 - i1 < 5:
-            trustworthy = False
     near = 1e-4 * (max(map(abs, values)) or 1.0)
+    dips = {i for i, v in enumerate(values) if -near < v < near} - {0, O6_SAMPLES - 1}
     covered = {j for idx in crossings for j in range(idx - 3, idx + 4)}
-    if any(abs(values[i]) < near and i not in covered for i in range(1, O6_SAMPLES - 1)):
-        trustworthy = False
+    trustworthy = (all(abs(grid[idx]) <= O6_SPAN for idx in crossings)
+                   and all(i2 - i1 >= 5 for i1, i2 in zip(crossings, crossings[1:]))
+                   and dips <= covered)
     return len(crossings), trustworthy
 
 

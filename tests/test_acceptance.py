@@ -9,6 +9,8 @@ test here asserts the exact relation that does hold.  The CLI verdict,
 including that FAIL, is pinned in test_render_cli.py.
 """
 
+import contextlib
+import functools
 import math
 import multiprocessing
 import random
@@ -330,3 +332,139 @@ def test_crossings_matches_the_reference_loop(values):
     want = _reference_crossings(values)
     assert verification._crossings(values) == want
     assert verification._crossings(v for v in values) == want
+
+
+# -- the other two dense-sampling oracles against their plain references -------
+
+def _reference_sign_scan_samples(p, lo, hi, samples=4001):
+    """sign_scan_root_count's samples as first written: one g(x) per point."""
+    g = p.square_free_part()
+    return [g(lo + (hi - lo) * i / (samples - 1)) for i in range(samples)]
+
+
+def _reference_point_onto_line_samples(moving, target, pivot, samples=4001):
+    """oracle_count_point_onto_line_through_point's samples as first written."""
+    h = line_residual(pivot, target)
+    radius = math.hypot(moving.x - pivot.x, moving.y - pivot.y)
+    span = radius + 1.0
+    return [math.hypot(h, -span + 2 * span * i / (samples - 1)) - radius
+            for i in range(samples)]
+
+
+def _reference_o6_samples(problem, span=45.0, samples=9001):
+    """The two-points-onto-two-lines oracle's samples, as
+    `_reference_oracle_count` computes them."""
+    l1, l2 = problem.target1.to_float(), problem.target2.to_float()
+    p1 = (float(problem.moving1.x), float(problem.moving1.y))
+    p2 = (float(problem.moving2.x), float(problem.moving2.y))
+    lo, hi = -span - 2.0, span + 2.0
+    step = (hi - lo) / (samples - 1)
+    return [_reference_o6_residual(lo + i * step, (-l1.a * l1.c, -l1.b * l1.c),
+                                   (-l1.b, l1.a), p1, p2, (l2.a, l2.b, l2.c))
+            for i in range(samples)]
+
+
+_REFERENCE_SAMPLES = {
+    "sign_scan_root_count": _reference_sign_scan_samples,
+    "oracle_count_point_onto_line_through_point": _reference_point_onto_line_samples,
+    "oracle_count_two_points_onto_two_lines": _reference_o6_samples,
+}
+
+
+def _assert_oracle_matches_reference(monkeypatch, oracle, *args):
+    """The oracle's count is the reference loop's count on the reference
+    samples, and the samples it scans are those, bit for bit."""
+    scanned = []
+    crossings = verification._crossings
+
+    def recording(values):
+        scanned.append(list(values))
+        return crossings(scanned[-1])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "_crossings", recording)
+        got = getattr(verification, oracle)(*args)
+    want = _REFERENCE_SAMPLES[oracle](*args)
+    assert len(scanned) == 1, (oracle, args)
+    assert list(map(float.hex, scanned[0])) == list(map(float.hex, want)), (oracle, args)
+    count = got[0] if isinstance(got, tuple) else got
+    assert count == len(_reference_crossings(want)), (oracle, args)
+
+
+def _record_scans(monkeypatch) -> list:
+    """The (oracle name, args) of every scan criterion 7 hands to its pool,
+    recorded in the parent; each scan then runs in-process."""
+    seen = []
+
+    @contextlib.contextmanager
+    def recording_pool(jobs):
+        def submit(fn, *args):
+            seen.append((fn.__name__, args))
+            return functools.partial(fn, *args)
+        yield submit
+
+    monkeypatch.setattr(verification, "_scan_pool", recording_pool)
+    return seen
+
+
+def test_scan_oracles_match_reference_on_suite_instances(monkeypatch):
+    seen = _record_scans(monkeypatch)
+    assert check_property_suites().passed
+    names = [name for name, _ in seen]
+    assert names.count("sign_scan_root_count") == verification.STURM_CASES
+    assert (names.count("oracle_count_point_onto_line_through_point")
+            == verification.FOLD_CASES)
+    assert names.count("oracle_count_two_points_onto_two_lines") >= verification.FOLD_CASES
+    for name, args in seen:
+        if name in _REFERENCE_SAMPLES:
+            _assert_oracle_matches_reference(monkeypatch, name, *args)
+
+
+def _with_roots(roots, scale=1):
+    p = RatPoly.of(scale)
+    for root in roots:
+        p = p * RatPoly.of(-root, 1)
+    return p
+
+
+def test_sign_scan_matches_reference_on_repeated_and_sampled_roots(monkeypatch):
+    # on [-4, 4] sample 2000 is 0.0 and every quarter is sampled exactly, so
+    # each root of these products is a sample, as it need not be on the others
+    assert _reference_sign_scan_samples(_with_roots([0]), -4.0, 4.0)[2000] == 0.0
+    rng = random.Random(29)
+    cases = [_with_roots([0]), _with_roots([0, 0, 0]), _with_roots([1, 1, Fraction(-3, 4)]),
+             _with_roots([Fraction(5, 4)] * 4 + [-2, -2], -3)]
+    for _ in range(40):
+        roots = [Fraction(rng.randint(-16, 16), 4) for _ in range(rng.randint(1, 4))]
+        roots += rng.choices(roots, k=rng.randint(0, 3))
+        cases.append(_with_roots(roots, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                                 rng.randint(1, 7))))
+    for p in cases:
+        for lo, hi in ((-4.0, 4.0), (-4.6, 4.6), (-3.3, 5.1)):
+            _assert_oracle_matches_reference(monkeypatch, "sign_scan_root_count", p, lo, hi)
+
+
+def _point_onto_line_problem(rng, disc=None):
+    """moving, target, pivot; with `disc`, the moving point sits where the
+    suite's tangency measure |moving - pivot|^2 - h^2 is about `disc`."""
+    while True:
+        pivot = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        a, b = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        if math.hypot(a, b) >= 0.1:
+            break
+    target = Line(a, b, rng.uniform(-3, 3))
+    if disc is None:
+        moving = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    else:
+        h = line_residual(pivot, target)
+        radius, angle = math.sqrt(max(h * h + disc, 0.0)), rng.uniform(0, 2 * math.pi)
+        moving = Point(pivot.x + radius * math.cos(angle), pivot.y + radius * math.sin(angle))
+    return moving, target, pivot
+
+
+def test_point_onto_line_oracle_matches_reference_near_tangency(monkeypatch):
+    rng = random.Random(31)
+    for k in range(150):
+        disc = None if k < 50 else rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -1)
+        _assert_oracle_matches_reference(monkeypatch, "oracle_count_point_onto_line_through_point",
+                                         *_point_onto_line_problem(rng, disc))

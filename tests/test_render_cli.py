@@ -454,6 +454,16 @@ def test_cli_verify_reports_six_of_seven(capsys):
     assert lines[-1] == "6/7 criteria passed"
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cli_verify_prints_its_golden_report(monkeypatch, capsys, cpus):
+    # the whole report, in-process on one CPU and with the oracle scans in
+    # two workers; every detail, scan-backed or not, is pinned byte for byte
+    from hendecafold import verification
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: cpus)
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out == (DATA / "verify.txt").read_text()
+
+
 def _dying_scan(*args):
     os._exit(3)
 

@@ -37,6 +37,22 @@ def test_only_running_the_oracle_scans_loads_the_pool_machinery():
     assert json.loads(out) == []
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="scans run in workers only with fork")
+def test_the_scan_grids_are_built_on_first_in_process_use_only():
+    # on 2 CPUs the scans run in workers, so the parent holds no grid
+    out = _python("import json, hendecafold.verification as v\n"
+                  "grids = (v._scan_grid, v._o6_grid)\n"
+                  "sizes = [[g.cache_info().currsize for g in grids]]\n"
+                  "v._usable_cpus = lambda: 2\n"
+                  "assert v.check_property_suites().passed\n"
+                  "sizes.append([g.cache_info().currsize for g in grids])\n"
+                  "v._usable_cpus = lambda: 1\n"
+                  "assert v.check_property_suites().passed\n"
+                  "sizes.append([g.cache_info().currsize for g in grids])\n"
+                  "print(json.dumps(sizes))")
+    assert json.loads(out) == [[0, 0], [0, 0], [1, 1]]
+
+
 def test_poly_loads_only_the_algebra_core():
     out = _python("import contextlib, io, json, sys\n"
                   "from hendecafold.cli import main\n"
