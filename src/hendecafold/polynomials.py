@@ -12,18 +12,20 @@ rational intervals certified by Sturm sign-variation counts.  The chain is
 evaluated in integers at x = N/D (`_chain_values`): its first two elements
 by homogeneous Horner, every later one from the two before it through the
 pseudo-division step that made it, one exact division per element instead
-of a Horner pass.  Isolation starts at +-2^e, Fujiwara's bound rounded up
-to a power of two, and bisects, but splits an interval many binary orders
-wide at a power of two.  Every point it makes is dyadic, so it is held as
+of a Horner pass (a degree-1 pseudo-quotient is evaluated inline).
+Isolation starts at +-2^e, Fujiwara's bound rounded up to a power of two,
+and bisects, but splits an interval many binary orders wide at a power of
+two.  Every point it makes is dyadic, so it is held as
 an integer pair (num, k) for num / 2^k and split with shifts and compares;
 only the returned intervals are Fractions.  Refinement finds the cell
 [j, j+1] * 2^-m holding the root, 2^-m the largest power of two <= tol, on
 the grid anchored at zero: a float Newton guess, which takes value and slope
-in one Horner pass and stops once Newton has converged, and one step from
-it, then Illinois regula falsi on the exact grid values with a bisection
-safeguard, then a short float Newton tail.  So a refined root depends on
-the polynomial and tol alone, and it is bit-identical to an exact
-bisection's.
+in one Horner pass and stops at a Newton step below the square root of the
+grid step or at its third bisection, and one step from it, then Illinois
+regula falsi on the exact grid values with a bisection safeguard, then a
+short float Newton tail that evaluates g once per step.  So a refined root
+depends on the polynomial and tol alone, and it is bit-identical to an
+exact bisection's.
 
 The exact kernels that `folds` and `cyclotomic` share live here: `_add` and
 `_mul` on coefficient lists and `_over_common_denominator`; `geometry`
@@ -422,18 +424,20 @@ def _chain_values(chain, num: int, den: int) -> list:
     of the two before it: content * c = quot * b - scale * a, multiplied by
     den**deg a at num/den, reads content * den**drop * C = Q * B - scale * A
     with Q = den**deg quot * quot(num/den), so C is one exact division away.
-    Every other element is evaluated by `_homogeneous`.  Either way C is
-    Horner's value exactly, so every sign variation is the same.
+    A degree-1 quot, the only kind in a normal chain, is evaluated inline
+    as q1 * num + q0 * den, and a longer one by `_homogeneous`, as is every
+    element without a step.  Either way C is Horner's value exactly, so
+    every sign variation is the same.
     """
     values = []
     for q in chain:
         step = getattr(q, "step", None)
         if step is None:
             values.append(_homogeneous(q, num, den))
-        else:
-            scale, quot, content, drop = step
-            values.append((_homogeneous(quot, num, den) * values[-1]
-                           - scale * values[-2]) // (content * den ** drop))
+            continue
+        scale, quot, content, drop = step
+        qv = quot[1] * num + quot[0] * den if len(quot) == 2 else _homogeneous(quot, num, den)
+        values.append((qv * values[-1] - scale * values[-2]) // (content * den ** drop))
     return values
 
 
@@ -640,16 +644,21 @@ def _float_root_guess(g: RatPoly, lo: float, hi: float, left_sign: int,
     """Float estimate of g's root in [lo, hi]; no precision is promised.
 
     Each step takes g's value and slope in one Horner pass.  A Newton
-    iterate within `resolution` of x is returned at once: near the root it
-    often lands on the bracket end just moved to x, and bisecting away from
-    it only comes back.  Other Newton steps that would leave the bracket are
-    replaced by bisection, which stops once it moves x by `resolution` or
-    less, and the bracket follows the float signs of g, which may be wrong
-    near the root.  The step count is capped because the caller certifies
-    and, if need be, corrects the estimate with exact evaluations.
+    iterate that moves x by less than max(resolution, sqrt(resolution)) is
+    returned at once: Newton converges quadratically, so from there it is
+    within about `resolution` of a simple root, and near the root it often
+    lands on the bracket end just moved to x, where bisecting away from it
+    only comes back.  Other Newton steps that would leave the bracket are
+    replaced by bisection, and the bracket follows the float signs of g,
+    which may be wrong near the root.  The third bisection, or one that
+    moves x by `resolution` or less, returns the bracket midpoint: there
+    the float signs are mostly noise, and the caller certifies and, if need
+    be, corrects the estimate with exact evaluations.  No guess takes more
+    than 64 passes.
     """
     coeffs = g._float_coeffs_desc
-    x = (lo + hi) / 2
+    near = max(resolution, math.sqrt(resolution))
+    x, bisections = (lo + hi) / 2, 0
     for _ in range(64):
         fx = dfx = 0.0
         for c in coeffs:
@@ -658,18 +667,17 @@ def _float_root_guess(g: RatPoly, lo: float, hi: float, left_sign: int,
         if fx == 0:
             break
         nx = x - fx / dfx if dfx else math.nan
-        if abs(nx - x) <= resolution:
+        if abs(nx - x) < near:
             return nx
         if (fx > 0) == (left_sign > 0):
             lo = x
         else:
             hi = x
         if not lo < nx < hi:
-            nx = (lo + hi) / 2
-        done = abs(nx - x) <= resolution
+            nx, bisections = (lo + hi) / 2, bisections + 1
+            if bisections == 3 or abs(nx - x) <= resolution:
+                return nx
         x = nx
-        if done:
-            break
     return x
 
 
@@ -714,11 +722,14 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
     halve the bracket is followed by a bisection, so no root takes more than
     2 * log2(b - a) + 2 probes.  Any search that brackets on this grid ends
     in the same cell, and it probes a grid point that is the root, so the
-    result is bit-identical to exact bisection's.  At most three float
-    Newton steps then polish the cell midpoint; a step that leaves the cell
-    or fails to shrink |p| is rejected.  A guess or polish that would
-    overflow the float range is skipped, and a root beyond it raises
-    ValueError.
+    result is bit-identical to exact bisection's, whatever the guess
+    (`_float_root_guess` stops at a Newton step below
+    max(2^-m, sqrt(2^-m)) or at its third bisection).  At most three float
+    Newton steps then polish the cell midpoint, each evaluating g' at x and
+    g at the new point, whose value the next step reuses as g(x); a step
+    that leaves the cell or fails to shrink |p| is rejected.  A guess or
+    polish that would overflow the float range is skipped, and a root
+    beyond it raises ValueError.
     """
     _checked_tol(tol)
     g = _basis(p)
@@ -785,14 +796,18 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
     lo_f, hi_f = (min(max(end << lift, -top), top) / den for end in (a, b))
     dg = g.derivative()
     try:
+        fx = g(x)
         for _ in range(3):
-            fx, dfx = g(x), dg(x)
+            dfx = dg(x)
             if dfx == 0.0:
                 break
             nx = x - fx / dfx
-            if not (lo_f <= nx <= hi_f) or abs(g(nx)) >= abs(fx):
+            if not lo_f <= nx <= hi_f:
                 break
-            x = nx
+            fnx = g(nx)
+            if abs(fnx) >= abs(fx):
+                break
+            x, fx = nx, fnx  # g(nx) is the next step's g(x)
     except OverflowError:
         pass  # a coefficient beyond the float range: the cell midpoint stands
     return min(max(x, lo_f), hi_f)

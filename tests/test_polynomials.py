@@ -655,6 +655,26 @@ def test_chain_recurrence_is_exact_on_non_normal_chains(coeffs):
     assert any(q.step[3] > 2 for q in chain[2:])  # deg a - deg c > 2: not normal
 
 
+def test_a_normal_chain_takes_horner_for_its_first_two_elements_only(monkeypatch):
+    # every later element of a normal chain has a degree-1 pseudo-quotient,
+    # evaluated inline by the recurrence
+    chain = _integer_sturm_chain(RatPoly(halved_cyclotomic(81).poly.coeffs))
+    assert all(len(q.step[1]) == 2 for q in chain[2:]) and len(chain) == 41
+    evaluated = []
+
+    def counted(q, num, den):
+        evaluated.append(q)
+        return homogeneous(q, num, den)
+
+    homogeneous = polynomials._homogeneous
+    monkeypatch.setattr(polynomials, "_homogeneous", counted)
+    for x in CHAIN_POINTS:
+        evaluated.clear()
+        values = _chain_values(chain, x.numerator, x.denominator)
+        assert len(evaluated) == 2 and evaluated[0] is chain[0] and evaluated[1] is chain[1]
+        assert values == [homogeneous(q, x.numerator, x.denominator) for q in chain]
+
+
 @pytest.mark.parametrize("coeffs, length", [
     ([-3], 1), ([Fraction(1, 2), -3], 2), ([0, 5], 2), ([-2, 0, 1], 3)])
 def test_chain_recurrence_is_exact_on_short_chains(coeffs, length):
@@ -1086,6 +1106,44 @@ def test_no_two_fold_root_takes_a_long_float_guess():
     passes = [guess_passes(p, iv, 1e-13) for p in _two_fold_eliminants(2, 300)
               for iv in isolate_real_roots(p)]
     assert len(passes) == 820 and max(passes) < 32
+
+
+def test_no_ngon_root_takes_a_long_float_guess():
+    # the guess made 8,702 passes over these 820 roots, and 32 for one, when
+    # it ran Newton down to the grid and bisected on float signs that are
+    # noise near the clustered roots
+    passes = [guess_passes(p, iv, 1e-12)
+              for p in (RatPoly(halved_cyclotomic(n).poly.coeffs) for n in range(3, 82, 2))
+              for iv in isolate_real_roots(p)]
+    assert len(passes) == 820 and sum(passes) <= 3500 and max(passes) <= 12
+
+
+def test_the_polish_evaluates_g_once_per_newton_step(monkeypatch):
+    # g at x once, then per step g' at x and g at the new point: g there is
+    # the next step's g(x), carried over, not evaluated again
+    cases = [(QUINTIC, 1e-12), (QUINTIC, 1e-6)]
+    cases += [(halved_cyclotomic(n).poly, 1e-12) for n in (11, 41, 81)]
+    cases += [(p, 1e-13) for p in _two_fold_eliminants(1, 30)]
+    calls = []
+    call = RatPoly.__call__
+
+    def counted(self, x):
+        calls.append(self)
+        return call(self, x)
+
+    most_steps = 0
+    for p, tol in cases:
+        g = polynomials._basis(p)
+        for iv in isolate_real_roots(p):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(RatPoly, "__call__", counted)
+                refine_root(p, iv, tol)
+            steps = sum(q is g.derivative() for q in calls)
+            assert steps <= 3 and len(calls) <= 1 + 2 * steps
+            assert all(q is g or q is g.derivative() for q in calls)
+            most_steps = max(most_steps, steps)
+    assert most_steps >= 2
 
 
 # -- refinement beyond the float range ---------------------------------------------
