@@ -4,8 +4,10 @@ Each criterion is an independent function returning a CriterionResult; the
 oracle side of every check (trigonometric root values, chord lengths, dense
 sign scans, brute-force fold searches) never goes through the code path it
 certifies.  All randomness is seeded, so a verify run is reproducible, on
-any number of CPUs: criterion 7's dense scans run on a worker pool, but the
-parent draws every instance and reads the scans back in draw order.  Each
+any number of CPUs.  `run_all` draws criterion 7's instances first and
+starts their dense scans on one queue, which forked workers (one per usable
+CPU beyond the first) and then the parent drain together; the parent runs
+criteria 1-6 meanwhile, and reads every scan back in draw order.  Each
 scan's samples use the grid and float operations of a plain per-point loop
 (kept in the tests as the reference), so they are that loop's bit for bit;
 a fixed grid is built once per process, on first use, never at import.
@@ -26,9 +28,11 @@ import functools
 import itertools
 import math
 import os
+import pickle
 import random
+import signal
 from collections import deque
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,15 +165,22 @@ def check_end_to_end_construction() -> CriterionResult:
         f"{worst:.3e}, |Q' - center| = {qp_dist:.12g}")
 
 
-def check_property_suites() -> CriterionResult:
-    # The parent draws every instance and keeps the solver side; the dense
-    # scans run on `_scan_pool` and are read back in draw order, so the
-    # verdict and its message do not depend on the number of CPUs.
-    with _scan_pool(1 + STURM_CASES + 2 * FOLD_CASES) as submit:
-        pending = (submit(reflection_suite, random.Random(SEED)),
-                   sturm_suite(random.Random(SEED + 1), submit),
-                   single_fold_count_suite(random.Random(SEED + 2), submit))
-        failures = [message for message in (read() for read in pending) if message]
+def check_property_suites(suites=None) -> CriterionResult:
+    """Reflections, Sturm counts and single-fold counts, each against an
+    oracle that does not share the code it checks.
+
+    `suites` is criterion 7 as `_property_suites` drew it and started its
+    scans, which lets `run_all` run criteria 1-6 while the scans run; with
+    None the check draws and starts it here.  The scans are read back in
+    draw order, so the verdict and its message do not depend on the number
+    of CPUs.
+    """
+    if suites is None:
+        with _property_suites() as suites:
+            return check_property_suites(suites)
+    # every suite's solver side first, while the workers scan; then the scans
+    verdicts = [solve() for solve in suites]
+    failures = [message for message in (verdict() for verdict in verdicts) if message]
     return CriterionResult(
         "property_suites", not failures,
         "; ".join(failures) if failures else
@@ -189,7 +200,17 @@ ALL_CRITERIA = (
 
 
 def run_all() -> list:
-    return [check() for check in ALL_CRITERIA]
+    """The result of every criterion, in order.
+
+    Criterion 7 (last) is drawn first and its scans started, so that
+    criteria 1-6, and then criterion 7's solver side, run in the parent
+    while forked workers scan; then the parent joins the workers on the
+    rest of the scans (see `_scan_pool`).
+    """
+    with _property_suites() as suites:
+        results = [check() for check in ALL_CRITERIA[:-1]]
+        results.append(check_property_suites(suites))
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -205,37 +226,131 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _scan_pool(jobs: int):
-    """Yields `submit(fn, *args)`, which returns a thunk for fn(*args).
+def _property_suites():
+    """Draws criterion 7's instances and starts their scans on `_scan_pool`.
 
-    The calls run on a fork pool with one worker per usable CPU and never
-    more workers than `jobs`; with one CPU, or without fork, each thunk
-    makes its call in-process when it is read.  No pool outlives the block.
-    A worker that dies raises OSError, as a fork that fails does.
+    Yields one thunk per suite that runs the suite's solver side and returns
+    its verdict: a thunk that reads the suite's scans and gives the first
+    mismatch, or "".
     """
-    workers = min(_usable_cpus(), jobs)
-    if workers < 2 or not hasattr(os, "fork"):
-        yield functools.partial
-        return
-    # imported here: about 1.8 MB of memory that no other command needs.
-    # fork, so that workers start with the package already imported; the
-    # executor forks them before it starts its own thread.
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    before = set(multiprocessing.active_children())
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            yield lambda fn, *args: pool.submit(fn, *args).result
-        except BrokenProcessPool as exc:
-            raise OSError(str(exc)) from exc
-        finally:
-            # drop the scans nobody will read, after a mismatch or an error
-            pool.shutdown(cancel_futures=True)
-            # a fork that fails part way leaves the workers it did start
-            # waiting for a manager thread that never ran
-            for worker in set(multiprocessing.active_children()) - before:
-                worker.terminate()
-                worker.join()
+    calls = []
+
+    def submit(fn, *args) -> int:
+        calls.append((fn, args))
+        return len(calls) - 1
+    # the queue runs in submission order: the longest scans first, the short
+    # Sturm scans last, so that no process waits long for another's last scan
+    reflection = submit(reflection_suite, random.Random(SEED))
+    folds = single_fold_count_suite(random.Random(SEED + 2), submit)
+    sturm = sturm_suite(random.Random(SEED + 1), submit)
+    # the reflection suite is all oracle: its verdict is its one scan
+    suites = (lambda scans: scans[reflection], sturm, folds)
+    with _scan_pool(calls) as scans:
+        yield [functools.partial(solve, scans) for solve in suites]
+
+
+# bytes per scan index in the queue.  The parent writes the whole queue
+# before any process reads it, so it must fit in a pipe's buffer (64 KiB on
+# Linux): criterion 7's first batch is 181 records
+_RECORD = 2
+
+
+def _outcome(fn, args) -> tuple:
+    """(True, fn(*args)), or (False, the exception it raised): like a
+    future, a scan keeps its exception until the scan is read."""
+    try:
+        return True, fn(*args)
+    except Exception as exc:
+        return False, exc
+
+
+def _take(queue: int):
+    """The scan indices taken from the pipe `queue`, one record per read,
+    until it is empty; each process that shares the queue takes its own."""
+    while record := os.read(queue, _RECORD):
+        yield int.from_bytes(record, "little")
+
+
+@contextmanager
+def _scan_pool(calls: list):
+    """Runs `calls`, each (fn, args), and yields one thunk per call, in
+    order, that returns fn(*args) or raises what it raised.
+
+    The parent writes every call's index into one pipe and then forks one
+    worker per usable CPU beyond the first, never more than there are
+    calls.  Each worker takes one index at a time; it has the calls through
+    fork, so they are not pickled, and it sends all its results back at
+    once, pickled, on a pipe of its own.  The parent is free until it reads
+    a thunk: the first read makes it take calls from the same queue until
+    the queue is empty, and then collect the workers' results.  With one
+    CPU, or without fork, the parent runs every call itself.
+
+    No worker outlives the block: on any error, each one still running is
+    killed and reaped.  A worker that dies raises OSError, as a fork that
+    fails does.
+    """
+    workers = min(_usable_cpus(), len(calls)) - 1 if hasattr(os, "fork") else 0
+    children = []             # (pid, read end of its result pipe), not yet reaped
+    queue, queue_end = os.pipe()
+    try:
+        with open(queue_end, "wb") as indices:
+            indices.write(b"".join(i.to_bytes(_RECORD, "little") for i in range(len(calls))))
+        for _ in range(workers):
+            results, end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(results)
+                os.close(end)
+                raise
+            if pid == 0:
+                _scan_worker(calls, queue, end)  # never returns
+            os.close(end)
+            children.append((pid, results))
+        outcomes = {}
+
+        def drain() -> None:
+            for i in _take(queue):
+                outcomes[i] = _outcome(*calls[i])
+            while children:
+                pid, results = children[0]
+                data = b"".join(iter(functools.partial(os.read, results, 1 << 16), b""))
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                os.close(results)
+                if status != 0:
+                    raise OSError(f"a verify scan worker terminated abruptly "
+                                  f"(exit status {status})")
+                outcomes.update(pickle.loads(data))
+
+        def read(i: int):
+            if not outcomes:
+                drain()
+            done, value = outcomes[i]
+            if not done:
+                raise value
+            return value
+        yield [functools.partial(read, i) for i in range(len(calls))]
+    finally:
+        for pid, results in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(results)
+        os.close(queue)
+
+
+def _scan_worker(calls: list, queue: int, results: int) -> None:
+    """A forked worker's whole life: take calls from `queue` until it is
+    empty, send their outcomes to `results`, and leave through os._exit, so
+    that it never runs the parent's exit handlers or flushes its stdio."""
+    status = 1
+    try:
+        outcomes = {i: _outcome(*calls[i]) for i in _take(queue)}
+        with open(results, "wb") as out:
+            pickle.dump(outcomes, out)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def reflection_suite(rng: random.Random) -> str:
@@ -273,8 +388,9 @@ def reflection_suite(rng: random.Random) -> str:
 
 def _crossings(values) -> list:
     """Indices of the sign changes in `values`; an exact zero counts once.
-    Each value is read once, as a sign byte: 1 > 0, 2 zero, 0 < 0 or nan."""
-    signs = bytes([1 if v > 0 else 2 if v == 0.0 else 0 for v in values])
+    Each value is read once, as a sign byte: 1 > 0, 2 zero, 0 < 0 or nan.
+    The test is against the float 0.0, which compares faster than the int."""
+    signs = bytes([1 if v > 0.0 else 2 if v == 0.0 else 0 for v in values])
     crossings = []
     for pattern, shift in ((b"\x02", 0), (b"\x00\x01", 1), (b"\x01\x00", 1)):
         i = signs.find(pattern)
@@ -308,8 +424,10 @@ def sign_scan_root_count(p: RatPoly, lo: float, hi: float) -> int:
 def sturm_suite(rng: random.Random, submit):
     """Sturm counts against sign scans on products of linear factors.
 
-    Draws the instances and hands their scans to `submit` (see
-    `_scan_pool`); the returned thunk gives the first mismatch, or "".
+    Draws the instances and hands each scan to `submit`, which gives its
+    index in the batch.  Given the batch's thunks (see `_scan_pool`), the
+    returned function runs the solver side and returns the verdict, a thunk
+    that reads the scans and gives the first mismatch, or "".
     """
     cases = []
     for _ in range(STURM_CASES):
@@ -320,15 +438,18 @@ def sturm_suite(rng: random.Random, submit):
             p = p * RatPoly.of(-root, 1)
         cases.append((roots, p, submit(sign_scan_root_count, p, -4.6, 4.6)))
 
-    def first_mismatch() -> str:
-        for roots, p, scan in cases:
-            certified = count_real_roots(p)
-            scanned = scan()
-            if certified != len(set(roots)) or scanned != certified:
-                return (f"root count mismatch for roots {roots}: "
-                        f"sturm {certified}, scan {scanned}")
-        return ""
-    return first_mismatch
+    def solve(scans):
+        certified = [count_real_roots(p) for _, p, _ in cases]
+
+        def first_mismatch() -> str:
+            for (roots, _, scan), count in zip(cases, certified):
+                scanned = scans[scan]()
+                if count != len(set(roots)) or scanned != count:
+                    return (f"root count mismatch for roots {roots}: "
+                            f"sturm {count}, scan {scanned}")
+            return ""
+        return first_mismatch
+    return solve
 
 
 def oracle_count_point_onto_line_through_point(
@@ -410,8 +531,12 @@ def single_fold_count_suite(rng: random.Random, submit):
     """Solution counts against dense-sampling searches, FOLD_CASES instances
     of each of two problems (two-points-onto-two-lines: trusted scans only).
 
-    Draws the instances and hands their scans to `submit` (see
-    `_scan_pool`); the returned thunk gives the first mismatch, or "".
+    Draws the instances and hands each scan to `submit`, which gives its
+    index in the batch.  Given the batch's thunks (see `_scan_pool`), the
+    returned function runs the solver side and returns the verdict, a thunk
+    that reads the scans and gives the first mismatch, or "".  When
+    untrusted scans use up the draw, the verdict draws what is missing and
+    scans it as a batch of its own.
     """
     through_point = []
     while len(through_point) < FOLD_CASES:
@@ -432,43 +557,54 @@ def single_fold_count_suite(rng: random.Random, submit):
             PointOntoLineThroughPoint(moving, target, pivot),
             submit(oracle_count_point_onto_line_through_point, moving, target, pivot)))
     problems = _two_points_onto_two_lines_problems(rng)
+    drawn = [(problem, submit(oracle_count_two_points_onto_two_lines, problem))
+             for problem in itertools.islice(problems, FOLD_CASES)]
 
-    def draw(count: int) -> list:
-        return [(problem, submit(oracle_count_two_points_onto_two_lines, problem))
-                for problem in itertools.islice(problems, count)]
-    two_lines = deque(draw(FOLD_CASES))
+    def solve(scans):
+        counts = [len(solve_single_fold(problem)) for problem, _ in through_point]
+        two_lines = deque((problem, _creases_in_window(problem), scans[scan])
+                          for problem, scan in drawn)
 
-    def first_mismatch() -> str:
-        for problem, scan in through_point:
-            got = len(solve_single_fold(problem))
-            want = scan()
-            if got != want:
-                return (f"point-onto-line-through-point count mismatch: "
-                        f"solver {got}, scan {want} for {problem}")
-        checked = 0
-        while checked < FOLD_CASES:
-            if not two_lines:
-                # untrusted scans used up the draw: draw what is missing
-                two_lines.extend(draw(FOLD_CASES - checked))
-            problem, scan = two_lines.popleft()
-            p1, l1 = problem.moving1, problem.target1
-            folds = solve_single_fold(problem)
-            # count solver creases inside the scanned window, via the image
-            # parameter of the first point along its target line
-            base = (-l1.a * l1.c, -l1.b * l1.c)
-            direction = (-l1.b, l1.a)
-            in_window = 0
-            for fold in folds:
-                image = reflect_point(p1, fold)
-                u = (image.x - base[0]) * direction[0] + (image.y - base[1]) * direction[1]
-                if abs(u) <= O6_SPAN:
-                    in_window += 1
-            want, trustworthy = scan()
-            if not trustworthy:
-                continue
-            if in_window != want:
-                return (f"two-points-onto-two-lines count mismatch: solver "
-                        f"{in_window} in window, scan {want} for {problem}")
-            checked += 1
-        return ""
-    return first_mismatch
+        def first_mismatch() -> str:
+            for (problem, scan), got in zip(through_point, counts):
+                want = scans[scan]()
+                if got != want:
+                    return (f"point-onto-line-through-point count mismatch: "
+                            f"solver {got}, scan {want} for {problem}")
+            checked = 0
+            with ExitStack() as batches:
+                while checked < FOLD_CASES:
+                    if not two_lines:
+                        # untrusted scans used up the draw: draw what is missing
+                        more = list(itertools.islice(problems, FOLD_CASES - checked))
+                        late = batches.enter_context(_scan_pool(
+                            [(oracle_count_two_points_onto_two_lines, (problem,))
+                             for problem in more]))
+                        two_lines.extend((problem, _creases_in_window(problem), scan)
+                                         for problem, scan in zip(more, late))
+                    problem, in_window, scan = two_lines.popleft()
+                    want, trustworthy = scan()
+                    if not trustworthy:
+                        continue
+                    if in_window != want:
+                        return (f"two-points-onto-two-lines count mismatch: solver "
+                                f"{in_window} in window, scan {want} for {problem}")
+                    checked += 1
+            return ""
+        return first_mismatch
+    return solve
+
+
+def _creases_in_window(problem: TwoPointsOntoTwoLines) -> int:
+    """The solver's creases that put the first point's image inside the O6
+    scan's window, by the image's parameter u along the first target line."""
+    p1, l1 = problem.moving1, problem.target1
+    base = (-l1.a * l1.c, -l1.b * l1.c)
+    direction = (-l1.b, l1.a)
+    in_window = 0
+    for fold in solve_single_fold(problem):
+        image = reflect_point(p1, fold)
+        u = (image.x - base[0]) * direction[0] + (image.y - base[1]) * direction[1]
+        if abs(u) <= O6_SPAN:
+            in_window += 1
+    return in_window

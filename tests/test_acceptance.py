@@ -12,7 +12,7 @@ including that FAIL, is pinned in test_render_cli.py.
 import contextlib
 import functools
 import math
-import multiprocessing
+import os
 import random
 from fractions import Fraction
 
@@ -118,16 +118,23 @@ def test_criterion_7_property_suites():
     assert _report(check_property_suites()).passed
 
 
-# -- criterion 7 on a scan pool and in-process ---------------------------------
+# -- criterion 7 with forked scan workers and in-process -----------------------
+
+def _assert_no_child_left():
+    """This process has no child, running or unreaped: unlike
+    multiprocessing.active_children(), waitpid sees raw forks too."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 def _suites_on(monkeypatch, cpus):
-    """check_property_suites with `cpus` usable CPUs: a fork pool of that
-    many workers from 2 up, the in-process path at 1."""
+    """check_property_suites with `cpus` usable CPUs: the parent and
+    `cpus` - 1 forked workers share the scans; at 1 the parent runs them all."""
     monkeypatch.setattr(verification, "_usable_cpus", lambda: cpus)
     try:
         return check_property_suites()
     finally:
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
 
 
 def test_property_suites_fan_out_matches_in_process(monkeypatch):
@@ -171,14 +178,15 @@ def _half_trusted_oracle(problem):
 
 def test_property_suites_draw_until_enough_scans_are_trusted(monkeypatch):
     # about half the scans untrusted: the first draw falls short and the
-    # suite draws more, on both paths the same problems
+    # suite draws more, each late draw a batch of its own after the first
+    # batch has finished; the same problems on one, two and three CPUs
     monkeypatch.setattr(verification, "oracle_count_two_points_onto_two_lines",
                         _half_trusted_oracle)
     results = {}
-    for cpus in (2, 1):
+    for cpus in (3, 2, 1):
         seen = _record_o6_draw(monkeypatch)
         results[cpus] = _suites_on(monkeypatch, cpus), seen
-    assert results[1] == results[2]
+    assert results[1] == results[2] == results[3]
     result, seen = results[2]
     assert result.passed
     trusted = [problem.moving1.x < 0 for problem in seen]
@@ -190,11 +198,61 @@ def _failing_scan(*args):
     raise ArithmeticError("planted scan failure")
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_property_suites_leave_no_worker_when_a_scan_raises(monkeypatch, cpus):
     monkeypatch.setattr(verification, "sign_scan_root_count", _failing_scan)
     with pytest.raises(ArithmeticError, match="planted scan failure"):
         _suites_on(monkeypatch, cpus)
+
+
+class _Interrupt(BaseException):
+    """Like KeyboardInterrupt: no scan keeps it for its read."""
+
+
+def _interrupted_in_the_parent(scan):
+    parent = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise _Interrupt("planted interrupt")
+        return scan(*args)
+    return interrupted
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_property_suites_leave_no_worker_when_the_parents_share_is_interrupted(
+        monkeypatch, cpus):
+    # raised in the parent's own share of the scans, while the workers scan
+    name = "oracle_count_point_onto_line_through_point"
+    monkeypatch.setattr(verification, name,
+                        _interrupted_in_the_parent(getattr(verification, name)))
+    with pytest.raises(_Interrupt, match="planted interrupt"):
+        _suites_on(monkeypatch, cpus)
+
+
+def _failing_criterion():
+    raise ArithmeticError("planted criterion failure")
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_run_all_leaves_no_worker_when_criteria_1_to_6_raise(monkeypatch, cpus):
+    # the workers are forked before criteria 1-6 run, and are still
+    # scanning when one of them raises
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: cpus)
+    criteria = list(verification.ALL_CRITERIA)
+    criteria[2] = _failing_criterion
+    monkeypatch.setattr(verification, "ALL_CRITERIA", tuple(criteria))
+    with pytest.raises(ArithmeticError, match="planted criterion failure"):
+        verification.run_all()
+    assert len(forks) == cpus - 1
+    _assert_no_child_left()
 
 
 # -- the two-points-onto-two-lines oracle against its plain reference ---------
@@ -397,11 +455,9 @@ def _record_scans(monkeypatch) -> list:
     seen = []
 
     @contextlib.contextmanager
-    def recording_pool(jobs):
-        def submit(fn, *args):
-            seen.append((fn.__name__, args))
-            return functools.partial(fn, *args)
-        yield submit
+    def recording_pool(calls):
+        seen.extend((fn.__name__, args) for fn, args in calls)
+        yield [functools.partial(fn, *args) for fn, args in calls]
 
     monkeypatch.setattr(verification, "_scan_pool", recording_pool)
     return seen

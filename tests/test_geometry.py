@@ -417,7 +417,7 @@ def _stored_mode_values():
 
 @pytest.mark.parametrize("value", _stored_mode_values(), ids=repr)
 def test_the_stored_mode_survives_pickle_and_copy(value):
-    # verify's pool pickles problems; copies keep the instance dict
+    # a pickle carries the stored mode; copies keep the instance dict
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
         assert twin.mode == value.mode

@@ -1169,7 +1169,7 @@ def test_coefficients_beyond_the_float_range_need_no_float_guess():
     assert [refine_root(p, iv) for iv in isolate_real_roots(p)] == [-1e200, 1e200]
 
 
-# -- pickling, as the verify scan pool sends polynomials ---------------------------
+# -- pickling ----------------------------------------------------------------------
 
 def test_a_pickle_carries_the_coefficients_and_no_cache():
     p = QUINTIC * RatPoly.of(Fraction(-1, 3), 1)

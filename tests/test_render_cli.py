@@ -4,7 +4,6 @@ import errno
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -454,18 +453,26 @@ def test_cli_verify_reports_six_of_seven(capsys):
     assert lines[-1] == "6/7 criteria passed"
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_cli_verify_prints_its_golden_report(monkeypatch, capsys, cpus):
-    # the whole report, in-process on one CPU and with the oracle scans in
-    # two workers; every detail, scan-backed or not, is pinned byte for byte
+    # the whole report, in-process on one CPU and with the oracle scans
+    # shared by the parent and one or two forked workers; every detail,
+    # scan-backed or not, is pinned byte for byte
     from hendecafold import verification
     monkeypatch.setattr(verification, "_usable_cpus", lambda: cpus)
     assert main(["verify"]) == 1
     assert capsys.readouterr().out == (DATA / "verify.txt").read_text()
 
 
-def _dying_scan(*args):
-    os._exit(3)
+def _dying_in_a_worker(scan):
+    """`scan`, except that in a forked worker it kills the process."""
+    parent = os.getpid()
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return scan(*args)
+    return dying
 
 
 def _fork_failing_at(call):
@@ -483,9 +490,16 @@ def _fork_failing_at(call):
 @pytest.mark.parametrize("failure", ["first_fork", "second_fork", "worker_dies"])
 def test_cli_verify_pool_failure_is_one_line_exit_1(monkeypatch, capsys, failure):
     from hendecafold import verification
-    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    # three CPUs: the parent and two forked workers, so a second fork is made
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 3)
     if failure == "worker_dies":
-        monkeypatch.setattr(verification, "sign_scan_root_count", _dying_scan)
+        # every kind of scan dies in a worker, never in the parent, so the
+        # first scan a worker takes kills it
+        for name in ("reflection_suite", "sign_scan_root_count",
+                     "oracle_count_point_onto_line_through_point",
+                     "oracle_count_two_points_onto_two_lines"):
+            monkeypatch.setattr(verification, name,
+                                _dying_in_a_worker(getattr(verification, name)))
         message = "terminated abruptly"
     else:
         monkeypatch.setattr(os, "fork", _fork_failing_at(1 if failure == "first_fork" else 2))
@@ -494,8 +508,9 @@ def test_cli_verify_pool_failure_is_one_line_exit_1(monkeypatch, capsys, failure
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and message in err
-    # a worker started before the failing fork is stopped, not left waiting
-    assert multiprocessing.active_children() == []
+    # a worker started before the failure is killed and reaped, not left running
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -- malformed input exits 2, failing runs exit 1, each with one line ----------

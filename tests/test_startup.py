@@ -30,16 +30,24 @@ def test_importing_the_cli_loads_only_the_algebra_core():
     assert set(json.loads(out)) == CORE | {"hendecafold.cli"}
 
 
-def test_only_running_the_oracle_scans_loads_the_pool_machinery():
+def test_verify_on_two_cpus_loads_no_pool_machinery():
+    # the scans are shared through raw forks and pipes, not a process pool
     pool = ("multiprocessing", "concurrent")
-    out = _python("import sys, json, hendecafold.cli, hendecafold.verification\n"
-                  f"print(json.dumps([m for m in sys.modules if m.startswith({pool!r})]))")
-    assert json.loads(out) == []
+    out = _python("import contextlib, io, json, sys\n"
+                  "import hendecafold.verification as v\n"
+                  "from hendecafold.cli import main\n"
+                  "v._usable_cpus = lambda: 2\n"
+                  "with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+                  "    status = main(['verify'])\n"
+                  "print(json.dumps([status, text.getvalue().splitlines()[-1],\n"
+                  f"                  [m for m in sys.modules if m.startswith({pool!r})]]))")
+    assert json.loads(out) == [1, "6/7 criteria passed", []]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="scans run in workers only with fork")
 def test_the_scan_grids_are_built_on_first_in_process_use_only():
-    # on 2 CPUs the scans run in workers, so the parent holds no grid
+    # on 2 CPUs the parent shares the scans with one worker, so it builds
+    # each grid on its first scan of that kind, as on 1 CPU; none at import
     out = _python("import json, hendecafold.verification as v\n"
                   "grids = (v._scan_grid, v._o6_grid)\n"
                   "sizes = [[g.cache_info().currsize for g in grids]]\n"
@@ -50,7 +58,7 @@ def test_the_scan_grids_are_built_on_first_in_process_use_only():
                   "assert v.check_property_suites().passed\n"
                   "sizes.append([g.cache_info().currsize for g in grids])\n"
                   "print(json.dumps(sizes))")
-    assert json.loads(out) == [[0, 0], [0, 0], [1, 1]]
+    assert json.loads(out) == [[0, 0], [1, 1], [1, 1]]
 
 
 def test_poly_loads_only_the_algebra_core():
