@@ -144,7 +144,7 @@ class Line:
         if mode == EXACT:
             ints = _canonical_exact(*(v if isinstance(v, (int, Fraction)) else Fraction(v)
                                       for v in (a, b, c)))
-            # stored now, not cached later: a pool may be pickling the line
+            # made now, not on first use: a line beyond the float range fails here
             _set(self, "_float", _float_line(*ints))
             a, b, c = Fraction(ints[0]), Fraction(ints[1]), Fraction(ints[2])
         else:

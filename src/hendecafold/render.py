@@ -4,11 +4,13 @@ One document per requested figure: the sheet, every landmark visible by that
 figure (creases style-coded by their mountain/valley/crease metadata, points
 as labeled dots), with the figure's new landmarks highlighted.  A final
 document shows the finished polygon.  One pass over the landmark registry
-derives each shown landmark's first figure and its markup in both styles,
-as drawn in a later figure and as drawn new (highlight colour, 1.8x stroke
-and, for a line, its label); each plate selects from those parts.  Output
-bytes depend only on the input state and spec: floats are printed with a
-fixed format and landmarks are drawn in registry order.
+formats each shown landmark once and derives its first figure and its markup
+in both styles, as drawn in a later figure and as drawn new (highlight
+colour, 1.8x stroke and, for a line, its label); each plate concatenates
+those parts, each led by its newline, below a head and sheet formatted once
+per call.  Output bytes depend only on the input state and spec: floats are
+printed with a fixed format and landmarks are drawn in registry order.
+Files are written as UTF-8 bytes with `\n` line ends on every platform.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ def _fmt(v: float) -> str:
     return "0.0000" if s == "-0.0000" else s
 
 
+# a crease's stroke width as drawn later and as drawn new
+_WIDTH, _BOLD = _fmt(STROKE_WIDTH), _fmt(STROKE_WIDTH * 1.8)
+
+
 def _viewport(sheet: Sheet) -> tuple:
     return (sheet.xmin - MARGIN, sheet.ymin - MARGIN,
             sheet.xmax + MARGIN, sheet.ymax + MARGIN)
@@ -82,23 +88,26 @@ def _clip_line(l: Line, box: tuple):
     return uniq[0], uniq[-1]
 
 
-def _svg_line(p1, p2, color, width, dash="", cls="") -> str:
-    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+def _svg_line(ends: tuple, cls: str, dash: str, styles: tuple) -> list:
+    """The line's markup in each (colour, formatted width) style."""
+    (x1, y1), (x2, y2) = ends
     cls_attr = f' class="{cls}"' if cls else ""
-    return (f'<line{cls_attr} x1="{_fmt(p1[0])}" y1="{_fmt(-p1[1])}" '
-            f'x2="{_fmt(p2[0])}" y2="{_fmt(-p2[1])}" '
-            f'stroke="{color}" stroke-width="{_fmt(width)}"{dash_attr} />')
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    head = (f'\n<line{cls_attr} x1="{_fmt(x1)}" y1="{_fmt(-y1)}" '
+            f'x2="{_fmt(x2)}" y2="{_fmt(-y2)}" stroke="')
+    return [f'{head}{color}" stroke-width="{width}"{dash_attr} />'
+            for color, width in styles]
 
 
-def _svg_point(p: Point, color: str, label: str) -> list:
-    parts = [f'<circle cx="{_fmt(p.x)}" cy="{_fmt(-p.y)}" r="0.07" '
-             f'fill="{color}" />']
-    if label:
-        parts.append(
-            f'<text x="{_fmt(p.x + 0.12)}" y="{_fmt(-p.y - 0.12)}" '
-            f'font-family="sans-serif" font-size="0.3" fill="{color}">'
-            f'{escape(label)}</text>')
-    return parts
+def _svg_point(p: Point, label: str, colors: tuple) -> list:
+    """The labeled dot's markup in each colour."""
+    dot = f'\n<circle cx="{_fmt(p.x)}" cy="{_fmt(-p.y)}" r="0.07" fill="'
+    if not label:
+        return [f'{dot}{color}" />' for color in colors]
+    text = (f'<text x="{_fmt(p.x + 0.12)}" y="{_fmt(-p.y - 0.12)}" '
+            f'font-family="sans-serif" font-size="0.3" fill="')
+    label = escape(label)
+    return [f'{dot}{color}" />\n{text}{color}">{label}</text>' for color in colors]
 
 
 def _landmark_parts(state: ConstructionState, box: tuple) -> list:
@@ -117,8 +126,7 @@ def _landmark_parts(state: ConstructionState, box: tuple) -> list:
         step, i = owner[name]
         figure = step.figures[min(i, len(step.figures) - 1)]
         if isinstance(value, Point):
-            parts.append((figure, _svg_point(value, INK_COLOR, name),
-                          _svg_point(value, HIGHLIGHT_COLOR, name)))
+            parts.append((figure, *_svg_point(value, name, (INK_COLOR, HIGHLIGHT_COLOR))))
             continue
         clipped = _clip_line(value, box)
         ends, cls = clipped, "crease"
@@ -127,60 +135,59 @@ def _landmark_parts(state: ConstructionState, box: tuple) -> list:
             ends, cls = ((p.x, p.y), (q.x, q.y)), "side"
         dash = DASHES.get(step.mv, DASHES["crease"])
         color = CREASE_COLOR if step.mv == "crease" else FOLD_COLOR
-        later, new = [], []
-        if ends:
-            later.append(_svg_line(*ends, color, STROKE_WIDTH, dash, cls))
-            new.append(_svg_line(*ends, HIGHLIGHT_COLOR, STROKE_WIDTH * 1.8, dash, cls))
+        later, new = _svg_line(ends, cls, dash, ((color, _WIDTH), (HIGHLIGHT_COLOR, _BOLD))) \
+            if ends else ("", "")
         if clipped:
-            new.append(_line_label(clipped, name, HIGHLIGHT_COLOR))
+            new += _line_label(clipped, name)
         parts.append((figure, later, new))
     return parts
 
 
-def _line_label(clipped: tuple, name: str, color: str) -> str:
+def _line_label(clipped: tuple, name: str) -> str:
     (x1, y1), (x2, y2) = clipped
     lx, ly = x1 + 0.82 * (x2 - x1), y1 + 0.82 * (y2 - y1)
-    return (f'<text x="{_fmt(lx + 0.1)}" y="{_fmt(-ly - 0.1)}" '
+    return (f'\n<text x="{_fmt(lx + 0.1)}" y="{_fmt(-ly - 0.1)}" '
             f'font-family="sans-serif" font-size="0.3" font-style="italic" '
-            f'fill="{color}">{escape(name)}</text>')
+            f'fill="{HIGHLIGHT_COLOR}">{escape(name)}</text>')
 
 
-def _sheet_rect(sheet: Sheet) -> str:
-    return (f'<rect x="{_fmt(sheet.xmin)}" y="{_fmt(-sheet.ymax)}" '
-            f'width="{_fmt(sheet.side)}" height="{_fmt(sheet.side)}" '
-            f'fill="#fdfbf4" stroke="#555555" stroke-width="0.04" />')
-
-
-def _final_doc(state: ConstructionState, vertices: dict, box: tuple) -> str:
-    body = [_sheet_rect(state.sheet)]
-    points = list(vertices.values())
-    for v, w in zip(points, points[1:] + points[:1]):
-        body.append(_svg_line((v.x, v.y), (w.x, w.y), INK_COLOR,
-                              STROKE_WIDTH * 1.8, cls="side"))
-    center = state.landmarks.get("center")
-    if isinstance(center, Point):
-        body.extend(_svg_point(center, INK_COLOR, "center"))
-    for name, v in vertices.items():
-        body.extend(_svg_point(v, INK_COLOR, name))
-    return _document("Finished polygon", f"The regular hendecagon, radius {RADIUS:g}.",
-                     body, box)
-
-
-def _document(title: str, caption: str, body: list, box: tuple) -> str:
+def _frame(sheet: Sheet, box: tuple) -> tuple:
+    """The markup every plate shares: the head up to the title's text, the
+    caption's <text> open tag and the sheet."""
     xmin, ymin, xmax, ymax = box
     width, height = xmax - xmin, ymax - ymin
-    head = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width * 56)}" height="{_fmt(height * 56)}" '
-        f'viewBox="{_fmt(xmin)} {_fmt(-ymax)} {_fmt(width)} {_fmt(height)}">',
-        f'<title>{escape(title)}</title>',
-    ]
+    head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{_fmt(width * 56)}" height="{_fmt(height * 56)}" '
+            f'viewBox="{_fmt(xmin)} {_fmt(-ymax)} {_fmt(width)} {_fmt(height)}">\n'
+            '<title>')
+    caption = (f'<text x="{_fmt(xmin + 0.15)}" y="{_fmt(-ymax + 0.45)}" '
+               f'font-family="sans-serif" font-size="0.26" fill="#333333">')
+    rect = (f'<rect x="{_fmt(sheet.xmin)}" y="{_fmt(-sheet.ymax)}" '
+            f'width="{_fmt(sheet.side)}" height="{_fmt(sheet.side)}" '
+            f'fill="#fdfbf4" stroke="#555555" stroke-width="0.04" />')
+    return head, caption, rect
+
+
+def _document(frame: tuple, title: str, caption: str, body: str) -> str:
+    head, caption_tag, rect = frame
     if caption:
-        head.append(f'<text x="{_fmt(xmin + 0.15)}" y="{_fmt(-ymax + 0.45)}" '
-                    f'font-family="sans-serif" font-size="0.26" '
-                    f'fill="#333333">{escape(caption)}</text>')
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+        caption = f"\n{caption_tag}{escape(caption)}</text>"
+    return f"{head}{escape(title)}</title>{caption}\n{rect}{body}\n</svg>\n"
+
+
+def _final_doc(state: ConstructionState, vertices: dict, frame: tuple) -> str:
+    body = []
+    points = list(vertices.values())
+    for v, w in zip(points, points[1:] + points[:1]):
+        body += _svg_line(((v.x, v.y), (w.x, w.y)), "side", "", ((INK_COLOR, _BOLD),))
+    center = state.landmarks.get("center")
+    if isinstance(center, Point):
+        body += _svg_point(center, "center", (INK_COLOR,))
+    for name, v in vertices.items():
+        body += _svg_point(v, name, (INK_COLOR,))
+    return _document(frame, "Finished polygon",
+                     f"The regular hendecagon, radius {RADIUS:g}.", "".join(body))
 
 
 def emit_svg(state: ConstructionState, spec: DiagramSpec = None) -> list:
@@ -196,37 +203,40 @@ def emit_svg(state: ConstructionState, spec: DiagramSpec = None) -> list:
     figures = spec.figures
     if figures is None:
         figures = {f for step in steps for f in step.figures}
+    captions = {figure: [] for figure in sorted(set(figures))}
+    for step in steps:
+        if step.annotation:
+            for figure in set(step.figures):
+                if figure in captions:
+                    captions[figure].append(step.annotation)
+    frame = _frame(state.sheet, box)
     parts = _landmark_parts(state, box)
     docs = []
-    for figure in sorted(set(figures)):
-        body = [_sheet_rect(state.sheet)]
-        for first, later, new in parts:
-            if first < figure:
-                body.extend(later)
-            elif first == figure:
-                body.extend(new)
-        caption = " ".join(s.annotation for s in steps
-                           if figure in s.figures and s.annotation)
+    for figure, caption in captions.items():
+        body = "".join([later if first < figure else new
+                        for first, later, new in parts if first <= figure])
         docs.append((f"step_{figure:02d}",
-                     _document(f"Figure {figure}", caption, body, box)))
+                     _document(frame, f"Figure {figure}", " ".join(caption), body)))
     if figures and max(figures) >= state.script.max_figure() and \
             (vertices := polygon_vertices(state)):
-        docs.append(("final", _final_doc(state, vertices, box)))
+        docs.append(("final", _final_doc(state, vertices, frame)))
     return docs
 
 
-def _open_untruncated(path, flags: int) -> int:
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 def overwrite_text(path, text: str) -> None:
-    """Write text as UTF-8, with the bytes `Path.write_text` writes, over the
-    file's old bytes and then cut to the new length.  Opening with O_TRUNC
-    instead frees an existing file's blocks, allocates them again and
+    """Write text as UTF-8 bytes, `\\n` line ends on every platform, over the
+    file's old bytes and then cut the file to the new length.  Opening with
+    O_TRUNC instead frees an existing file's blocks, allocates them again and
     starts writeback at close, which costs more than the write."""
-    with open(path, "w", encoding="utf-8", opener=_open_untruncated) as f:
-        f.write(text)
-        f.truncate()
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def write_svgs(docs: list, out_dir) -> list:

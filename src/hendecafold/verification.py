@@ -499,13 +499,35 @@ def oracle_count_two_points_onto_two_lines(problem: TwoPointsOntoTwoLines):
         d = (ax * p2x + ay * p2y + c) / (ax * ax + ay * ay)
         values.append(la * (p2x - 2.0 * ax * d) + lb * (p2y - 2.0 * ay * d) + lc)
     crossings = _crossings(values)
-    near = 1e-4 * (max(map(abs, values)) or 1.0)
-    dips = {i for i, v in enumerate(values) if -near < v < near} - {0, O6_SAMPLES - 1}
-    covered = {j for idx in crossings for j in range(idx - 3, idx + 4)}
     trustworthy = (all(abs(grid[idx]) <= O6_SPAN for idx in crossings)
                    and all(i2 - i1 >= 5 for i1, i2 in zip(crossings, crossings[1:]))
-                   and dips <= covered)
+                   and not _uncovered_dip(values, crossings))
     return len(crossings), trustworthy
+
+
+def _uncovered_dip(values: list, crossings: list) -> bool:
+    """Whether a sample, not at either end and more than 3 indices from every
+    crossing, lies within 1e-4 of the largest |sample| of zero.
+
+    Between two crossings' windows every sample has one sign, so with every
+    sample finite (a finite sum) one min or max per uncovered stretch finds
+    a dip.  Otherwise the per-sample test runs: a nan sample reads as
+    negative to `_crossings` and upsets min and max.
+    """
+    if not math.isfinite(sum(values)):
+        near = 1e-4 * (max(map(abs, values)) or 1.0)
+        dips = {i for i, v in enumerate(values) if -near < v < near} - {0, len(values) - 1}
+        return not dips <= {j for idx in crossings for j in range(idx - 3, idx + 4)}
+    near = 1e-4 * (max(max(values), -min(values)) or 1.0)
+    start = 1
+    # a crossing past the end closes the last stretch before the last sample
+    for idx in crossings + [len(values) + 2]:
+        if start < idx - 3:
+            stretch = values[start:idx - 3]
+            if min(stretch) < near if stretch[0] > 0.0 else max(stretch) > -near:
+                return True
+        start = idx + 4
+    return False
 
 
 def _two_points_onto_two_lines_problems(rng: random.Random):

@@ -370,6 +370,30 @@ def test_o6_oracle_matches_reference_near_tangency():
                 == _reference_oracle_count(problem)), problem
 
 
+def _reference_uncovered_dip(values, crossings):
+    scale = max(abs(v) for v in values) or 1.0
+    return any(abs(values[i]) < 1e-4 * scale
+               and not any(abs(i - c) <= 3 for c in crossings)
+               for i in range(1, len(values) - 1))
+
+
+def test_o6_dip_rule_matches_the_per_sample_rule_on_crafted_samples():
+    # short lists of signed zeros, near-zero, subnormal, huge, nan and inf
+    # samples reach both the min/max path and the per-sample one
+    rng = random.Random(3)
+    pool = (0.0, -0.0, 2.0, -3.0, 1e-5, -1e-5, 5e-5, -5e-5, 1e-320, 1e308,
+            math.nan, math.inf, -math.inf)
+    outcomes = set()
+    for _ in range(5000):
+        choices = pool if rng.random() < 0.5 else pool[:10]
+        values = [rng.choice(choices) for _ in range(rng.randrange(1, 40))]
+        crossings = verification._crossings(values)
+        got = verification._uncovered_dip(values, crossings)
+        assert got == _reference_uncovered_dip(values, crossings), values
+        outcomes.add((math.isfinite(sum(values)), got))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def _reference_crossings(values):
     """The sign-change loop each oracle carried before `_crossings`."""
     crossings, prev = [], None

@@ -28,7 +28,12 @@ from hendecafold.construction import (
     run_script,
 )
 from hendecafold.render import DiagramSpec, IoFailure, emit_svg, write_svgs
-from hendecafold.scriptio import encode_number, encode_script, encode_two_fold_config
+from hendecafold.scriptio import (
+    decode_script,
+    encode_number,
+    encode_script,
+    encode_two_fold_config,
+)
 from hendecafold.folds import TwoFoldConfig
 from hendecafold.geometry import Line, Point
 
@@ -144,6 +149,65 @@ def test_a_crease_along_a_line_ignores_stray_point_arguments():
     assert dict(emit_svg(run_script(replace(script, steps=steps)))) == stray
 
 
+def _golden_plate_cases():
+    """(label, state, spec) for the plate golden: the hendecagon and scripts
+    that reach every branch of the markup."""
+    script = hendecagon_script()
+    state = run_script(script)
+    yield "hendecagon", state, DiagramSpec()
+    for figures in ((3, 5, 20), (8, 9), (1, 14, 14)):
+        yield f"hendecagon {figures}", state, DiagramSpec(figures=figures)
+    yield "up to figure 7", run_script(script.up_to_figure(7)), DiagramSpec()
+    with pytest.warns(UserWarning, match="skipping degenerate fold parameter"):
+        degenerate = run_script(decode_script(json.dumps(_degenerate_root_script_doc())))
+    yield "degenerate root", degenerate, DiagramSpec()
+    odd = tuple(replace(s, annotation="Fold A & B: x < y > z, é → ∞")
+                if s.id == "fold_ell" else s for s in script.steps) + (
+        FoldStep(id="mark_odd", kind="mark_point", args={"l1": "ell", "l2": "n"},
+                 outputs=("c&<é→>",), figures=(3,), annotation="<c> & é → c"),
+        FoldStep(id="fold_odd", kind="single_fold",
+                 args={"variant": "line_onto_line", "moving": "sheet_left",
+                       "target": "sheet_right"},
+                 outputs=("ell→&<é>",), figures=(20,), mv="valley"))
+    yield "escaped text", run_script(replace(script, steps=odd)), DiagramSpec()
+    # figures reversed, so registry order runs against figure order, and a
+    # two-output step that lists figure 3 twice
+    shuffled = tuple(replace(s, figures=(3, 3, 5)) if s.id == "fold_rotate_A"
+                     else replace(s, figures=tuple(21 - f for f in s.figures))
+                     for s in script.steps)
+    yield "shuffled figures", run_script(replace(script, steps=shuffled)), DiagramSpec()
+    # the corner (-4, 3) reflected across the right edge is (12, 3); the
+    # vertical through it misses the viewport, a segment to it does not
+    far = (
+        FoldStep(id="corner", kind="mark_point",
+                 args={"l1": "sheet_left", "l2": "sheet_top"}, outputs=("A",), figures=(1,)),
+        FoldStep(id="pivot", kind="mark_point",
+                 args={"l1": "sheet_right", "l2": "sheet_top"}, outputs=("B",), figures=(1,)),
+        FoldStep(id="reflect", kind="rotate_length",
+                 args={"center": "B", "frm": "A", "axis": "sheet_right"},
+                 outputs=("F",), figures=(2,), annotation="Off the sheet."),
+        FoldStep(id="miss", kind="single_fold",
+                 args={"variant": "perpendicular", "through": "F", "to": "sheet_top"},
+                 outputs=("x12",), figures=(2,), annotation="A crease out of view."),
+        FoldStep(id="segment", kind="crease_segment", args={"p": "A", "q": "F"},
+                 outputs=("AF",), figures=(3,), mv="mountain"))
+    yield "missed viewport", run_script(FoldScript(steps=far, frame=script.frame)), \
+        DiagramSpec()
+
+
+# sha256 over each case's label and the name and bytes of each of its plates
+_PLATES_SHA256 = "b43fdfb9f54ead35fd4d22f27f7727b271448aaf6f894061b45ecaa6b6855c30"
+
+
+def test_plates_match_the_golden_digest():
+    digest = hashlib.sha256()
+    for label, state, spec in _golden_plate_cases():
+        digest.update(label.encode() + b"\0")
+        for name, text in emit_svg(state, spec):
+            digest.update(name.encode() + b"\0" + text.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == _PLATES_SHA256
+
+
 def test_write_svgs(tmp_path, state):
     paths = write_svgs(emit_svg(state, DiagramSpec(figures=(1,))), tmp_path)
     assert [p.name for p in paths] == ["step_01.svg"]
@@ -174,6 +238,44 @@ def test_write_svgs_of_identical_text_advances_the_mtime(tmp_path):
     write_svgs([("x", "<svg/>\n")], tmp_path)
     assert path.stat().st_mtime_ns > 0
     assert path.read_text(encoding="utf-8") == "<svg/>\n"
+
+
+_NON_ASCII_PLATE = '<svg>\n<text>A &amp; B: é → ∞</text>\n</svg>\n'
+
+
+def test_write_svgs_writes_non_ascii_text_as_its_utf8_bytes(tmp_path):
+    [path] = write_svgs([("x", _NON_ASCII_PLATE)], tmp_path)
+    assert path.read_bytes() == _NON_ASCII_PLATE.encode("utf-8")
+
+
+def test_write_svgs_onto_a_directory_raises_io_failure(tmp_path):
+    (tmp_path / "x.svg").mkdir()
+    with pytest.raises(IoFailure, match="x.svg"):
+        write_svgs([("x", "<svg/>\n")], tmp_path)
+
+
+def test_write_svgs_finishes_a_plate_through_short_writes(tmp_path, monkeypatch):
+    sizes = []
+
+    def short_write(fd, data):
+        sizes.append(len(data))
+        return write(fd, bytes(data[:7]))
+
+    write = os.write
+    data = _NON_ASCII_PLATE.encode("utf-8") * 3
+    monkeypatch.setattr(os, "write", short_write)
+    [path] = write_svgs([("x", data.decode("utf-8"))], tmp_path)
+    monkeypatch.undo()
+    assert path.read_bytes() == data
+    assert sizes == list(range(len(data), 0, -7))
+
+
+def test_cli_construct_onto_a_directory_is_one_line_exit_1(tmp_path, capsys):
+    blocker = tmp_path / "out" / "step_01.svg"
+    blocker.mkdir(parents=True)
+    assert main(["construct", "--out", str(tmp_path / "out")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot write diagrams to") and str(blocker) in line
 
 
 # -- CLI ------------------------------------------------------------------------
