@@ -48,8 +48,8 @@ _HOME = {
         "isolate_real_roots", "refine_root",
     ), "polynomials"),
     **dict.fromkeys((
-        "ConstructibilityReport", "NgonPolynomial", "chebyshev_term",
-        "classify_constructible", "halved_cyclotomic", "vertex_cosines",
+        "ConstructibilityReport", "NgonPolynomial", "classify_constructible",
+        "halved_cyclotomic",
     ), "cyclotomic"),
     **dict.fromkeys((
         "SingleFoldProblem", "TwoFoldConfig", "TwoFoldSolution", "delta_line",

@@ -19,7 +19,7 @@ other vertices around the circle by reflections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Union
 
 from . import DEFAULT_TOL, _checked_tol
@@ -130,10 +130,6 @@ class FoldStep:
 class FoldScript:
     steps: tuple
     frame: Sheet
-
-    def up_to_figure(self, figure: int) -> "FoldScript":
-        kept = tuple(s for s in self.steps if min(s.figures) <= figure)
-        return replace(self, steps=kept)
 
     def max_figure(self) -> int:
         return max(f for s in self.steps for f in s.figures)

@@ -12,7 +12,6 @@ greater than 3; `classify_constructible` produces the full witness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import InputError
@@ -60,26 +59,14 @@ class ConstructibilityReport:
     obstructions: tuple
 
 
-def chebyshev_term(k: int) -> RatPoly:
-    """Polynomial expressing z**k + z**(-k) in t = z + 1/z.
-
-    Runs the recurrence p0 = 2, p1 = t, p_{k+1} = t*p_k - p_{k-1}.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    prev, cur = [2], [0, 1]
-    for _ in range(k):
-        prev, cur = cur, _add([0, *cur], [-c for c in prev])
-    return RatPoly(prev)
-
-
 def halved_cyclotomic(n: int) -> NgonPolynomial:
     """Degree-(n-1)/2 polynomial in t = 2*cos satisfied by the n-gon vertices.
 
     Sums 1 + sum_{k=1}^{(n-1)/2} (z^k + z^-k) expressed in t, i.e. the
     symmetrized (z^n - 1)/(z - 1); monic.  The domain is odd n with
     3 <= n <= `MAX_POLY_N` = 4001.
-    The terms are those of `chebyshev_term`, taken from one running
+    The term z^k + z^-k is p_k(t), with p0 = 2, p1 = t and
+    p_{k+1} = t*p_k - p_{k-1}; the terms come from one pass of that
     recurrence on integer coefficient lists, so the sum costs O(n^2) integer
     operations rather than O(n^3), and one RatPoly is built at the end.
     Every term from k = 1 on is monic, so the sum is monic as it stands.
@@ -94,13 +81,6 @@ def halved_cyclotomic(n: int) -> NgonPolynomial:
         prev, cur = cur, _add([0, *cur], [-c for c in prev])
         acc = _add(acc, cur)
     return NgonPolynomial(n, RatPoly(acc))
-
-
-def vertex_cosines(n: int) -> list:
-    """[2*cos(2*pi*k/n) for k = 1..n//2], descending."""
-    if n < 3:
-        raise InvalidN(f"need n >= 3, got {n}")
-    return [2.0 * math.cos(2.0 * math.pi * k / n) for k in range(1, n // 2 + 1)]
 
 
 def _factorize(n: int) -> dict:

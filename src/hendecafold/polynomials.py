@@ -96,11 +96,6 @@ class RatPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __reduce__(self):
-        # pickle the coefficients alone: the cached forms below are rebuilt
-        # on demand, and a pickle taken while they are filled stays whole
-        return RatPoly, (self.coeffs,)
-
     @classmethod
     def of(cls, *coeffs: Coeff) -> "RatPoly":
         return cls(coeffs)
@@ -264,9 +259,6 @@ def _as_poly(v) -> RatPoly:
     if isinstance(v, (int, Fraction)):
         return RatPoly.of(v)
     raise TypeError(f"cannot treat {v!r} as a polynomial")
-
-
-X = RatPoly.of(0, 1)
 
 
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:

@@ -41,6 +41,11 @@ from hendecafold.folds import SINGLE_FOLDS, TwoFoldConfig, solve_single_fold, so
 T11 = 2 * math.cos(2 * math.pi / 11)
 
 
+def up_to_figure(script, figure):
+    """The script cut to the steps whose first figure is at most `figure`."""
+    return replace(script, steps=tuple(s for s in script.steps if min(s.figures) <= figure))
+
+
 @pytest.fixture(scope="module")
 def state():
     return run_script(hendecagon_script())
@@ -81,7 +86,7 @@ def test_vertex_count_and_values(state):
 
 
 def test_truncated_script_yields_frame_configuration(state):
-    partial = run_script(hendecagon_script().up_to_figure(7))
+    partial = run_script(up_to_figure(hendecagon_script(), 7))
     marks = partial.landmarks
     assert marks["P"] == Point(-2.5, -3.0)
     assert marks["Q"] == Point(0.0, 1.0)

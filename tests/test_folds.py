@@ -42,12 +42,12 @@ from hendecafold.geometry import (
 from hendecafold.polynomials import (
     RatFunc,
     RatPoly,
-    X,
     isolate_real_roots,
     refine_root,
 )
 
 QUINTIC = RatPoly.of(1, 3, -3, -4, 1, 1)
+X = RatPoly.of(0, 1)
 ROOTS_11 = [2 * math.cos(2 * math.pi * k / 11) for k in range(1, 6)]
 
 

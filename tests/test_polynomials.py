@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hendecafold import polynomials
-from hendecafold.cyclotomic import chebyshev_term, halved_cyclotomic
+from hendecafold.cyclotomic import halved_cyclotomic
 from hendecafold.folds import TwoFoldConfig, _integral, eliminate_to_quintic
 from hendecafold.geometry import EXACT, Line, Point
 from hendecafold.polynomials import (
     RatFunc,
     RatPoly,
     RootInterval,
-    X,
     _add,
     _chain_values,
     _homogeneous,
@@ -34,6 +33,7 @@ from hendecafold.polynomials import (
 
 # the hendecagon quintic, ascending coefficients
 QUINTIC = RatPoly.of(1, 3, -3, -4, 1, 1)
+X = RatPoly.of(0, 1)
 
 
 def bisect_oracle(f, lo, hi, tol=1e-12):
@@ -256,6 +256,39 @@ def test_count_real_roots_takes_a_float_infinity_as_an_open_end():
     assert count_real_roots(p, 0, math.inf) == count_real_roots(p, 0) == 1
     assert count_real_roots(p, -math.inf, 0) == count_real_roots(p, None, 0) == 1
     assert count_real_roots(p, math.inf) == count_real_roots(p, None, -math.inf) == 0
+
+
+def test_count_real_roots_at_a_range_end_that_is_a_multiple_root():
+    # every element of p's own Sturm chain vanishes at the double root 1, so
+    # that chain reads no variation there; the square-free part's does
+    p = RatPoly.of(-1, 1) * RatPoly.of(-1, 1) * RatPoly.of(-3, 1)  # (x-1)^2 (x-3)
+    assert count_real_roots(p, None, 1) == 1
+    assert count_real_roots(p, 1, 3) == 1
+    assert count_real_roots(p, 0, 1) == 1
+    assert count_real_roots(p, 1, None) == 1
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.fractions(min_value=-4, max_value=4, max_denominator=4),
+       st.integers(2, 4),
+       st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4), max_size=4),
+       st.one_of(st.none(), st.fractions(min_value=-5, max_value=5, max_denominator=4)),
+       st.booleans(), st.booleans(),
+       st.sampled_from([1, -1, Fraction(3, 2), Fraction(-2, 7)]))
+def test_count_real_roots_at_a_multiple_root_end_counts_the_distinct_roots_in_range(
+        end, multiplicity, others, other_end, end_is_lo, times_x2_plus_1, scale):
+    p = RatPoly.of(scale)
+    for r in [end] * multiplicity + others:
+        p = p * RatPoly.of(-r, 1)
+    if times_x2_plus_1:
+        p = p * RatPoly.of(1, 0, 1)
+    if other_end is None:
+        lo, hi = (end, None) if end_is_lo else (None, end)
+    else:
+        lo, hi = sorted((end, other_end))
+    want = sum(1 for r in {end, *others}
+               if (lo is None or r > lo) and (hi is None or r <= hi))
+    assert count_real_roots(p, lo, hi) == want
 
 
 def test_count_real_roots_of_the_zero_polynomial_raises_as_isolation_does():
@@ -1171,14 +1204,15 @@ def test_coefficients_beyond_the_float_range_need_no_float_guess():
 
 # -- pickling ----------------------------------------------------------------------
 
-def test_a_pickle_carries_the_coefficients_and_no_cache():
+def test_a_pickle_round_trips_a_polynomial_with_filled_caches():
     p = QUINTIC * RatPoly.of(Fraction(-1, 3), 1)
     count_real_roots(p)
     p(0.5)  # fills the chain and the float coefficients
     copy = pickle.loads(pickle.dumps(p))
     assert copy == p and copy.coeffs == p.coeffs
-    assert vars(copy) == {"coeffs": p.coeffs}
     assert count_real_roots(copy) == count_real_roots(p)
+    assert ([refine_root(copy, iv) for iv in isolate_real_roots(copy)]
+            == [refine_root(p, iv) for iv in isolate_real_roots(p)])
 
 
 # -- the shared exact kernels, against the code each one replaced ---------------
@@ -1278,8 +1312,10 @@ def _halved_cyclotomic(n: int) -> list:
 def test_cyclotomic_recurrence_matches_the_step_it_replaced():
     prev, cur = [2], [0, 1]
     for k in range(61):
-        assert chebyshev_term(k).coeffs == tuple(prev)
+        # the step `halved_cyclotomic` runs inline
+        step = _add([0, *cur], [-c for c in prev])
         prev, cur = cur, _next_term(prev, cur)
+        assert step == cur
     for n in range(3, 122, 2):
         assert halved_cyclotomic(n).poly.coeffs == tuple(_halved_cyclotomic(n))
 
