@@ -4,13 +4,16 @@ Each criterion is an independent function returning a CriterionResult; the
 oracle side of every check (trigonometric root values, chord lengths, dense
 sign scans, brute-force fold searches) never goes through the code path it
 certifies.  All randomness is seeded, so a verify run is reproducible, on
-any number of CPUs.  `run_all` draws criterion 7's instances first and
-starts their dense scans on one queue, which forked workers (one per usable
-CPU beyond the first) and then the parent drain together; the parent runs
-criteria 1-6 meanwhile, and reads every scan back in draw order.  Each
-scan's samples use the grid and float operations of a plain per-point loop
-(kept in the tests as the reference), so they are that loop's bit for bit;
-a fixed grid is built once per process, on first use, never at import.
+any number of CPUs.  `run_all` draws criterion 7 first, as one list of
+cases, each of which runs one instance's solver side and its dense-scan
+oracle together, and starts them on one queue, which forked workers (one
+per usable CPU beyond the first) and then the parent drain together; the
+parent runs criteria 1-6 meanwhile, and reads every case back in draw
+order.  Cases drawn late, when untrusted scans use up the first draw, run
+in the parent.  Each scan's samples use the grid and float operations of a
+plain per-point loop (kept in the tests as the reference), so they are that
+loop's bit for bit; a fixed grid is built once per process, on first use,
+never at import.
 
 One check is expected to fail by construction and is reported honestly:
 `gamma_parameterization_identity` asserts that the two closed-form gamma
@@ -31,8 +34,7 @@ import os
 import pickle
 import random
 import signal
-from collections import deque
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,22 +167,31 @@ def check_end_to_end_construction() -> CriterionResult:
         f"{worst:.3e}, |Q' - center| = {qp_dist:.12g}")
 
 
-def check_property_suites(suites=None) -> CriterionResult:
+def check_property_suites(started=None) -> CriterionResult:
     """Reflections, Sturm counts and single-fold counts, each against an
     oracle that does not share the code it checks.
 
-    `suites` is criterion 7 as `_property_suites` drew it and started its
-    scans, which lets `run_all` run criteria 1-6 while the scans run; with
-    None the check draws and starts it here.  The scans are read back in
+    `started` is criterion 7 as `_property_suites` drew it and started its
+    cases, which lets `run_all` run criteria 1-6 while the cases run; with
+    None the check draws and starts it here.  The cases are read back in
     draw order, so the verdict and its message do not depend on the number
-    of CPUs.
+    of CPUs.  When untrusted scans use up the two-points-onto-two-lines
+    cases, the check draws what is missing from the same stream and runs it
+    in this process.
     """
-    if suites is None:
-        with _property_suites() as suites:
-            return check_property_suites(suites)
-    # every suite's solver side first, while the workers scan; then the scans
-    verdicts = [solve() for solve in suites]
-    failures = [message for message in (verdict() for verdict in verdicts) if message]
+    if started is None:
+        with _property_suites() as started:
+            return check_property_suites(started)
+    join, problems = started
+    reflection, *values = join()
+    through_point, two_lines, sturm = (values[:FOLD_CASES], values[FOLD_CASES:2 * FOLD_CASES],
+                                       values[2 * FOLD_CASES:])
+    trusted = (message for message in itertools.chain(two_lines, map(_two_lines_case, problems))
+               if message is not None)
+    single_fold = (next(filter(None, through_point), "")
+                   or next(filter(None, itertools.islice(trusted, FOLD_CASES)), ""))
+    failures = [message for message in (reflection, next(filter(None, sturm), ""), single_fold)
+                if message]
     return CriterionResult(
         "property_suites", not failures,
         "; ".join(failures) if failures else
@@ -202,14 +213,13 @@ ALL_CRITERIA = (
 def run_all() -> list:
     """The result of every criterion, in order.
 
-    Criterion 7 (last) is drawn first and its scans started, so that
-    criteria 1-6, and then criterion 7's solver side, run in the parent
-    while forked workers scan; then the parent joins the workers on the
-    rest of the scans (see `_scan_pool`).
+    Criterion 7 (last) is drawn first and its cases started, so that
+    criteria 1-6 run in the parent while forked workers take cases; then
+    the parent joins the workers on the rest of the cases (see `_scan_pool`).
     """
-    with _property_suites() as suites:
+    with _property_suites() as started:
         results = [check() for check in ALL_CRITERIA[:-1]]
-        results.append(check_property_suites(suites))
+        results.append(check_property_suites(started))
     return results
 
 
@@ -227,37 +237,55 @@ def _usable_cpus() -> int:
 
 @contextmanager
 def _property_suites():
-    """Draws criterion 7's instances and starts their scans on `_scan_pool`.
+    """Draws criterion 7 as one list of cases and starts them on `_scan_pool`.
 
-    Yields one thunk per suite that runs the suite's solver side and returns
-    its verdict: a thunk that reads the suite's scans and gives the first
-    mismatch, or "".
+    Each case is (fn, args): fn runs one instance's solver side and its
+    oracle, and returns "" when they agree, the mismatch message when they
+    do not, or None for an untrusted two-points-onto-two-lines scan.  Yields
+    the pool's join, which gives the values in draw order, and the stream
+    the two-points-onto-two-lines problems came from.
     """
-    calls = []
+    rng = random.Random(SEED + 2)
+    through_point = []
+    while len(through_point) < FOLD_CASES:
+        moving = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        pivot = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        a, b = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        if math.hypot(a, b) < 0.1:
+            continue
+        target = Line(a, b, rng.uniform(-3, 3))
+        if point_distance(moving, pivot) < 0.2:
+            continue
+        # reject near-tangency: the crossing count is not grid-stable there
+        h = line_residual(pivot, target)
+        disc = point_distance(moving, pivot) ** 2 - h * h
+        if abs(disc) < 0.1:
+            continue
+        through_point.append((_through_point_case,
+                              (PointOntoLineThroughPoint(moving, target, pivot),)))
+    problems = _two_points_onto_two_lines_problems(rng)
+    two_lines = [(_two_lines_case, (problem,))
+                 for problem in itertools.islice(problems, FOLD_CASES)]
+    rng = random.Random(SEED + 1)
+    sturm = [(_sturm_case, ([Fraction(rng.randint(-16, 16), 4)
+                             for _ in range(rng.randint(1, 6))],))
+             for _ in range(STURM_CASES)]
+    # the queue runs in draw order: the longest cases first, the short
+    # Sturm cases last, so that no process waits long for another's last case
+    with _scan_pool([(reflection_suite, (random.Random(SEED),)),
+                     *through_point, *two_lines, *sturm]) as join:
+        yield join, problems
 
-    def submit(fn, *args) -> int:
-        calls.append((fn, args))
-        return len(calls) - 1
-    # the queue runs in submission order: the longest scans first, the short
-    # Sturm scans last, so that no process waits long for another's last scan
-    reflection = submit(reflection_suite, random.Random(SEED))
-    folds = single_fold_count_suite(random.Random(SEED + 2), submit)
-    sturm = sturm_suite(random.Random(SEED + 1), submit)
-    # the reflection suite is all oracle: its verdict is its one scan
-    suites = (lambda scans: scans[reflection], sturm, folds)
-    with _scan_pool(calls) as scans:
-        yield [functools.partial(solve, scans) for solve in suites]
 
-
-# bytes per scan index in the queue.  The parent writes the whole queue
+# bytes per case index in the queue.  The parent writes the whole queue
 # before any process reads it, so it must fit in a pipe's buffer (64 KiB on
-# Linux): criterion 7's first batch is 181 records
+# Linux): criterion 7's queue, the only one a check writes, is 131 records
 _RECORD = 2
 
 
 def _outcome(fn, args) -> tuple:
     """(True, fn(*args)), or (False, the exception it raised): like a
-    future, a scan keeps its exception until the scan is read."""
+    future, a call keeps its exception until the join reads it."""
     try:
         return True, fn(*args)
     except Exception as exc:
@@ -265,7 +293,7 @@ def _outcome(fn, args) -> tuple:
 
 
 def _take(queue: int):
-    """The scan indices taken from the pipe `queue`, one record per read,
+    """The call indices taken from the pipe `queue`, one record per read,
     until it is empty; each process that shares the queue takes its own."""
     while record := os.read(queue, _RECORD):
         yield int.from_bytes(record, "little")
@@ -273,17 +301,18 @@ def _take(queue: int):
 
 @contextmanager
 def _scan_pool(calls: list):
-    """Runs `calls`, each (fn, args), and yields one thunk per call, in
-    order, that returns fn(*args) or raises what it raised.
+    """Runs `calls`, each (fn, args), and yields a join: a thunk that
+    returns every fn(*args), in order, or raises what the first call in
+    order that raised raised.
 
     The parent writes every call's index into one pipe and then forks one
     worker per usable CPU beyond the first, never more than there are
     calls.  Each worker takes one index at a time; it has the calls through
     fork, so they are not pickled, and it sends all its results back at
-    once, pickled, on a pipe of its own.  The parent is free until it reads
-    a thunk: the first read makes it take calls from the same queue until
-    the queue is empty, and then collect the workers' results.  With one
-    CPU, or without fork, the parent runs every call itself.
+    once, pickled, on a pipe of its own.  The parent is free until it calls
+    the join, which makes it take calls from the same queue until the queue
+    is empty, and then collect the workers' results.  With one CPU, or
+    without fork, the parent runs every call itself.
 
     No worker outlives the block: on any error, each one still running is
     killed and reaped.  A worker that dies raises OSError, as a fork that
@@ -307,11 +336,9 @@ def _scan_pool(calls: list):
                 _scan_worker(calls, queue, end)  # never returns
             os.close(end)
             children.append((pid, results))
-        outcomes = {}
 
-        def drain() -> None:
-            for i in _take(queue):
-                outcomes[i] = _outcome(*calls[i])
+        def join() -> list:
+            outcomes = {i: _outcome(*calls[i]) for i in _take(queue)}
             while children:
                 pid, results = children[0]
                 data = b"".join(iter(functools.partial(os.read, results, 1 << 16), b""))
@@ -322,15 +349,12 @@ def _scan_pool(calls: list):
                     raise OSError(f"a verify scan worker terminated abruptly "
                                   f"(exit status {status})")
                 outcomes.update(pickle.loads(data))
-
-        def read(i: int):
-            if not outcomes:
-                drain()
-            done, value = outcomes[i]
-            if not done:
-                raise value
-            return value
-        yield [functools.partial(read, i) for i in range(len(calls))]
+            ordered = [outcomes[i] for i in range(len(calls))]
+            for done, value in ordered:
+                if not done:
+                    raise value
+            return [value for _, value in ordered]
+        yield join
     finally:
         for pid, results in children:
             os.kill(pid, signal.SIGKILL)
@@ -421,35 +445,18 @@ def sign_scan_root_count(p: RatPoly, lo: float, hi: float) -> int:
     return len(_crossings(values))
 
 
-def sturm_suite(rng: random.Random, submit):
-    """Sturm counts against sign scans on products of linear factors.
-
-    Draws the instances and hands each scan to `submit`, which gives its
-    index in the batch.  Given the batch's thunks (see `_scan_pool`), the
-    returned function runs the solver side and returns the verdict, a thunk
-    that reads the scans and gives the first mismatch, or "".
-    """
-    cases = []
-    for _ in range(STURM_CASES):
-        degree = rng.randint(1, 6)
-        roots = [Fraction(rng.randint(-16, 16), 4) for _ in range(degree)]
-        p = RatPoly.of(1)
-        for root in roots:
-            p = p * RatPoly.of(-root, 1)
-        cases.append((roots, p, submit(sign_scan_root_count, p, -4.6, 4.6)))
-
-    def solve(scans):
-        certified = [count_real_roots(p) for _, p, _ in cases]
-
-        def first_mismatch() -> str:
-            for (roots, _, scan), count in zip(cases, certified):
-                scanned = scans[scan]()
-                if count != len(set(roots)) or scanned != count:
-                    return (f"root count mismatch for roots {roots}: "
-                            f"sturm {count}, scan {scanned}")
-            return ""
-        return first_mismatch
-    return solve
+def _sturm_case(roots: list) -> str:
+    """The Sturm count of the product of x - root over `roots` against its
+    sign scan and its distinct roots."""
+    p = RatPoly.of(1)
+    for root in roots:
+        p = p * RatPoly.of(-root, 1)
+    count = count_real_roots(p)
+    scanned = sign_scan_root_count(p, -4.6, 4.6)
+    if count != len(set(roots)) or scanned != count:
+        return (f"root count mismatch for roots {roots}: "
+                f"sturm {count}, scan {scanned}")
+    return ""
 
 
 def oracle_count_point_onto_line_through_point(
@@ -549,77 +556,21 @@ def _two_points_onto_two_lines_problems(rng: random.Random):
         yield TwoPointsOntoTwoLines(p1, l1, p2, l2)
 
 
-def single_fold_count_suite(rng: random.Random, submit):
-    """Solution counts against dense-sampling searches, FOLD_CASES instances
-    of each of two problems (two-points-onto-two-lines: trusted scans only).
-
-    Draws the instances and hands each scan to `submit`, which gives its
-    index in the batch.  Given the batch's thunks (see `_scan_pool`), the
-    returned function runs the solver side and returns the verdict, a thunk
-    that reads the scans and gives the first mismatch, or "".  When
-    untrusted scans use up the draw, the verdict draws what is missing and
-    scans it as a batch of its own.
-    """
-    through_point = []
-    while len(through_point) < FOLD_CASES:
-        moving = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        pivot = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        a, b = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        if math.hypot(a, b) < 0.1:
-            continue
-        target = Line(a, b, rng.uniform(-3, 3))
-        if point_distance(moving, pivot) < 0.2:
-            continue
-        # reject near-tangency: the crossing count is not grid-stable there
-        h = line_residual(pivot, target)
-        disc = point_distance(moving, pivot) ** 2 - h * h
-        if abs(disc) < 0.1:
-            continue
-        through_point.append((
-            PointOntoLineThroughPoint(moving, target, pivot),
-            submit(oracle_count_point_onto_line_through_point, moving, target, pivot)))
-    problems = _two_points_onto_two_lines_problems(rng)
-    drawn = [(problem, submit(oracle_count_two_points_onto_two_lines, problem))
-             for problem in itertools.islice(problems, FOLD_CASES)]
-
-    def solve(scans):
-        counts = [len(solve_single_fold(problem)) for problem, _ in through_point]
-        two_lines = deque((problem, _creases_in_window(problem), scans[scan])
-                          for problem, scan in drawn)
-
-        def first_mismatch() -> str:
-            for (problem, scan), got in zip(through_point, counts):
-                want = scans[scan]()
-                if got != want:
-                    return (f"point-onto-line-through-point count mismatch: "
-                            f"solver {got}, scan {want} for {problem}")
-            checked = 0
-            with ExitStack() as batches:
-                while checked < FOLD_CASES:
-                    if not two_lines:
-                        # untrusted scans used up the draw: draw what is missing
-                        more = list(itertools.islice(problems, FOLD_CASES - checked))
-                        late = batches.enter_context(_scan_pool(
-                            [(oracle_count_two_points_onto_two_lines, (problem,))
-                             for problem in more]))
-                        two_lines.extend((problem, _creases_in_window(problem), scan)
-                                         for problem, scan in zip(more, late))
-                    problem, in_window, scan = two_lines.popleft()
-                    want, trustworthy = scan()
-                    if not trustworthy:
-                        continue
-                    if in_window != want:
-                        return (f"two-points-onto-two-lines count mismatch: solver "
-                                f"{in_window} in window, scan {want} for {problem}")
-                    checked += 1
-            return ""
-        return first_mismatch
-    return solve
+def _through_point_case(problem: PointOntoLineThroughPoint) -> str:
+    """The solver's crease count against the dense search's."""
+    got = len(solve_single_fold(problem))
+    want = oracle_count_point_onto_line_through_point(
+        problem.moving, problem.target, problem.pivot)
+    if got != want:
+        return (f"point-onto-line-through-point count mismatch: "
+                f"solver {got}, scan {want} for {problem}")
+    return ""
 
 
-def _creases_in_window(problem: TwoPointsOntoTwoLines) -> int:
+def _two_lines_case(problem: TwoPointsOntoTwoLines):
     """The solver's creases that put the first point's image inside the O6
-    scan's window, by the image's parameter u along the first target line."""
+    scan's window, by the image's parameter u along the first target line,
+    against the scan's count; None when the scan is not trustworthy."""
     p1, l1 = problem.moving1, problem.target1
     base = (-l1.a * l1.c, -l1.b * l1.c)
     direction = (-l1.b, l1.a)
@@ -629,4 +580,10 @@ def _creases_in_window(problem: TwoPointsOntoTwoLines) -> int:
         u = (image.x - base[0]) * direction[0] + (image.y - base[1]) * direction[1]
         if abs(u) <= O6_SPAN:
             in_window += 1
-    return in_window
+    want, trustworthy = oracle_count_two_points_onto_two_lines(problem)
+    if not trustworthy:
+        return None
+    if in_window != want:
+        return (f"two-points-onto-two-lines count mismatch: solver "
+                f"{in_window} in window, scan {want} for {problem}")
+    return ""

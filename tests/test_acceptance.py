@@ -9,8 +9,6 @@ test here asserts the exact relation that does hold.  The CLI verdict,
 including that FAIL, is pinned in test_render_cli.py.
 """
 
-import contextlib
-import functools
 import math
 import os
 import random
@@ -137,6 +135,18 @@ def _suites_on(monkeypatch, cpus):
         _assert_no_child_left()
 
 
+def _count_forks(monkeypatch) -> list:
+    """A list that gets one entry per os.fork call from here on."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
 def test_property_suites_fan_out_matches_in_process(monkeypatch):
     fanned = _suites_on(monkeypatch, 2)
     assert fanned.passed
@@ -178,14 +188,17 @@ def _half_trusted_oracle(problem):
 
 def test_property_suites_draw_until_enough_scans_are_trusted(monkeypatch):
     # about half the scans untrusted: the first draw falls short and the
-    # suite draws more, each late draw a batch of its own after the first
-    # batch has finished; the same problems on one, two and three CPUs
+    # check draws more and runs them in the parent, after the queue is
+    # empty, forking nothing more; the same problems on one, two and three CPUs
     monkeypatch.setattr(verification, "oracle_count_two_points_onto_two_lines",
                         _half_trusted_oracle)
+    forks = _count_forks(monkeypatch)
     results = {}
     for cpus in (3, 2, 1):
         seen = _record_o6_draw(monkeypatch)
+        forks.clear()
         results[cpus] = _suites_on(monkeypatch, cpus), seen
+        assert len(forks) == cpus - 1
     assert results[1] == results[2] == results[3]
     result, seen = results[2]
     assert result.passed
@@ -200,9 +213,12 @@ def _failing_scan(*args):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_property_suites_leave_no_worker_when_a_scan_raises(monkeypatch, cpus):
-    monkeypatch.setattr(verification, "sign_scan_root_count", _failing_scan)
-    with pytest.raises(ArithmeticError, match="planted scan failure"):
-        _suites_on(monkeypatch, cpus)
+    # an oracle's scan, or a solver side, which runs on the same queue
+    for name in ("sign_scan_root_count", "count_real_roots", "solve_single_fold"):
+        with monkeypatch.context() as patch:
+            patch.setattr(verification, name, _failing_scan)
+            with pytest.raises(ArithmeticError, match="planted scan failure"):
+                _suites_on(patch, cpus)
 
 
 class _Interrupt(BaseException):
@@ -238,13 +254,7 @@ def _failing_criterion():
 def test_run_all_leaves_no_worker_when_criteria_1_to_6_raise(monkeypatch, cpus):
     # the workers are forked before criteria 1-6 run, and are still
     # scanning when one of them raises
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        forks.append(None)
-        return fork()
-    monkeypatch.setattr(os, "fork", counting_fork)
+    forks = _count_forks(monkeypatch)
     monkeypatch.setattr(verification, "_usable_cpus", lambda: cpus)
     criteria = list(verification.ALL_CRITERIA)
     criteria[2] = _failing_criterion
@@ -474,22 +484,26 @@ def _assert_oracle_matches_reference(monkeypatch, oracle, *args):
 
 
 def _record_scans(monkeypatch) -> list:
-    """The (oracle name, args) of every scan criterion 7 hands to its pool,
-    recorded in the parent; each scan then runs in-process."""
+    """The (oracle name, args) of every scan criterion 7 makes, on one CPU,
+    so that the parent makes them all and records each call."""
     seen = []
 
-    @contextlib.contextmanager
-    def recording_pool(calls):
-        seen.extend((fn.__name__, args) for fn, args in calls)
-        yield [functools.partial(fn, *args) for fn, args in calls]
+    def recording(name, oracle):
+        def record(*args):
+            seen.append((name, args))
+            return oracle(*args)
+        return record
 
-    monkeypatch.setattr(verification, "_scan_pool", recording_pool)
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)
+    for name in _REFERENCE_SAMPLES:
+        monkeypatch.setattr(verification, name, recording(name, getattr(verification, name)))
     return seen
 
 
 def test_scan_oracles_match_reference_on_suite_instances(monkeypatch):
-    seen = _record_scans(monkeypatch)
-    assert check_property_suites().passed
+    with monkeypatch.context() as patch:
+        seen = _record_scans(patch)
+        assert check_property_suites().passed
     names = [name for name, _ in seen]
     assert names.count("sign_scan_root_count") == verification.STURM_CASES
     assert (names.count("oracle_count_point_onto_line_through_point")

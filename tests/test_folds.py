@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hendecafold import folds
+from hendecafold import folds, verification
 from hendecafold.folds import (
     DegenerateParameter,
     DegenerateProblem,
@@ -692,6 +692,147 @@ def test_gamma_equals_both_parameterizations_at_solutions(hendecagon_solutions):
         assert line_defect(sol.gamma, gamma_line_from_t(sol.t)) < 1e-9
         assert line_defect(sol.gamma, gamma_line_from_s(sol.s)) < 1e-9
         assert line_defect(sol.delta, delta_line(sol.t)) < 1e-12
+
+
+# -- the two-fold count against an independent sign scan -----------------------
+
+_TWO_FOLD_SPAN, _TWO_FOLD_SAMPLES = 45.0, 9001
+
+
+def _unit(line):
+    a, b, c = float(line.a), float(line.b), float(line.c)
+    norm = math.hypot(a, b)
+    return a / norm, b / norm, c / norm
+
+
+def _two_fold_track(config):
+    """The foot of Q on n and n's unit direction, in plain floats: Q'(u) is
+    the foot plus u times the direction, u the arclength along n."""
+    a, b, c = _unit(config.n)
+    qx, qy = float(config.Q.x), float(config.Q.y)
+    off = a * qx + b * qy + c
+    return (qx - a * off, qy - b * off), (-b, a)
+
+
+def _two_fold_scan(config):
+    """(crossings, trustworthy) of the miss of P on m as Q'(u) runs along n.
+
+    At each u the sheet is folded along the bisector of Q and Q'(u); ell's
+    image under that fold is gamma, and P reflected across gamma misses m
+    by the signed residual sampled here.  The u grid and the three trust
+    rules are those of the O6 oracle: every crossing inside the window, no
+    two within 5 samples, and no near-zero dip away from a crossing.
+    """
+    (fx, fy), (dx, dy) = _two_fold_track(config)
+    qx, qy = float(config.Q.x), float(config.Q.y)
+    px, py = float(config.P.x), float(config.P.y)
+    ea, eb, ec = _unit(config.ell)
+    ma, mb, mc = _unit(config.m)
+    e0x, e0y = -ea * ec, -eb * ec          # a point of ell; (-eb, ea) runs along it
+    lo, hi = -_TWO_FOLD_SPAN - 2.0, _TWO_FOLD_SPAN + 2.0
+    grid = [lo + i * (hi - lo) / (_TWO_FOLD_SAMPLES - 1) for i in range(_TWO_FOLD_SAMPLES)]
+    values = []
+    for u in grid:
+        # the bisector: normal w = Q' - Q through the midpoint
+        wx, wy = fx + u * dx - qx, fy + u * dy - qy
+        w2 = wx * wx + wy * wy
+        wc = -(wx * (qx + wx / 2.0) + wy * (qy + wy / 2.0))
+        # ell's point and direction, reflected across it
+        k = 2.0 * (wx * e0x + wy * e0y + wc) / w2
+        rx, ry = e0x - k * wx, e0y - k * wy
+        k = 2.0 * (wx * -eb + wy * ea) / w2
+        gx, gy = -eb - k * wx, ea - k * wy
+        # P reflected across gamma, the line through (rx, ry) along (gx, gy)
+        k = 2.0 * (gy * (px - rx) - gx * (py - ry)) / (gx * gx + gy * gy)
+        values.append(ma * (px - k * gy) + mb * (py + k * gx) + mc)
+    crossings = verification._crossings(values)
+    trustworthy = (all(abs(grid[i]) <= _TWO_FOLD_SPAN for i in crossings)
+                   and all(j - i >= 5 for i, j in zip(crossings, crossings[1:]))
+                   and not verification._uncovered_dip(values, crossings))
+    return len(crossings), trustworthy
+
+
+def _two_fold_count_in_window(config):
+    """The solver's crease pairs whose Q' lies inside the scan's window, by
+    the arclength of Qp from the foot; a skipped degenerate root raises."""
+    (fx, fy), (dx, dy) = _two_fold_track(config)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solutions = solve_two_fold(config)
+    except folds.NoRealSolutions:
+        return 0
+    return sum(abs((sol.Qp.x - fx) * dx + (sol.Qp.y - fy) * dy) <= _TWO_FOLD_SPAN
+               for sol in solutions)
+
+
+def _count_oracle_configs():
+    """A seeded stream of configs with Q at least 0.3 from n, 55 of each of
+    four kinds: float, exact canonical-family, exact with tilted lines and
+    non-unit denominators, and exact in general position."""
+    rng = random.Random(2018)
+
+    def rational(lo, hi, dens=range(1, 9)):
+        d = rng.choice(dens)
+        return Fraction(rng.randint(lo * d, hi * d), d)
+
+    def floating():
+        normals = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
+        if min(math.hypot(a, b) for a, b in normals) < 0.1:
+            return None
+        return TwoFoldConfig(Point(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                             Point(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                             *(Line(a, b, rng.uniform(-3, 3)) for a, b in normals))
+
+    def canonical():
+        return TwoFoldConfig(P=Point(rational(-5, 5), rational(-6, 4)), Q=Point(0, 1),
+                             ell=Line(1, 0, 0), m=Line(1, 0, -rational(-5, 5)),
+                             n=Line(0, 1, 1))
+
+    def tilted():
+        v = [rational(-5, 5, (2, 3, 5, 7, 9, 12)) for _ in range(13)]
+        return TwoFoldConfig(Point(*v[:2]), Point(*v[2:4]),
+                             *(Line(*v[k:k + 3]) for k in (4, 7, 10)))
+
+    def general():
+        def line():
+            a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+            return Line(a or 1, b, Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3, 4))))
+        coords = [Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3, 4))) for _ in range(4)]
+        return TwoFoldConfig(P=Point(*coords[:2]), Q=Point(*coords[2:]),
+                             ell=line(), m=line(), n=line())
+
+    configs = []
+    for kind in (floating, canonical, tilted, general):
+        made = 0
+        while made < 55:
+            try:
+                config = kind()
+            except (DegenerateProblem, ValueError):
+                continue
+            if config is None or abs(line_residual(config.Q.to_float(),
+                                                   config.n.to_float())) < 0.3:
+                continue
+            configs.append(config)
+            made += 1
+    return configs
+
+
+def test_two_fold_count_matches_an_independent_sign_scan():
+    # the solver's crease pairs, counted inside the window, against the
+    # sign crossings of a scan that shares none of the elimination's algebra:
+    # a missing fold pair, not only an unsound one, fails here
+    count, trustworthy = _two_fold_scan(TwoFoldConfig.hendecagon())
+    assert (count, trustworthy) == (5, True)
+    assert _two_fold_count_in_window(TwoFoldConfig.hendecagon()) == 5
+    configs = _count_oracle_configs()
+    trusted = 0
+    for config in configs:
+        count, trustworthy = _two_fold_scan(config)
+        if trustworthy:
+            assert _two_fold_count_in_window(config) == count, config
+            trusted += 1
+    assert trusted >= 0.9 * len(configs)
 
 
 # -- golden two-fold outputs ---------------------------------------------------
