@@ -46,11 +46,17 @@ class StepFailed(ValueError):
     def __init__(self, step_id: str, residual: float, detail: str = ""):
         self.step_id = step_id
         self.residual = residual
+        self.detail = detail
         if residual == math.inf:
             message = f"step {step_id!r} failed"
         else:
             message = f"step {step_id!r} missed an expectation by {residual:.3e}"
         super().__init__(message + (f" ({detail})" if detail else ""))
+
+    def __reduce__(self):
+        # pickled as its own arguments, not the message: a verify criterion
+        # that raises it in a forked worker sends it back to the parent
+        return type(self), (self.step_id, self.residual, self.detail)
 
 
 class WrongLandmarkKind(TypeError, ValueError):
@@ -68,6 +74,10 @@ class UnknownLandmark(KeyError, ValueError):
     def __str__(self) -> str:
         where = f"step {self.step_id!r}: " if self.step_id else ""
         return f"{where}unknown landmark {self.ref!r}"
+
+
+# how far outside its edges a point still counts as on the sheet
+_SHEET_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,9 +111,9 @@ class Sheet:
             "sheet_top": Line(0.0, 1.0, -self.ymax),
         }
 
-    def contains(self, p: Point, slack: float = 1e-9) -> bool:
-        return (self.xmin - slack <= p.x <= self.xmax + slack
-                and self.ymin - slack <= p.y <= self.ymax + slack)
+    def contains(self, p: Point) -> bool:
+        return (self.xmin - _SHEET_SLACK <= p.x <= self.xmax + _SHEET_SLACK
+                and self.ymin - _SHEET_SLACK <= p.y <= self.ymax + _SHEET_SLACK)
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,14 @@ Each criterion is an independent function returning a CriterionResult; the
 oracle side of every check (trigonometric root values, chord lengths, dense
 sign scans, brute-force fold searches) never goes through the code path it
 certifies.  All randomness is seeded, so a verify run is reproducible, on
-any number of CPUs.  `run_all` draws criterion 7 first, as one list of
-cases, each of which runs one instance's solver side and its dense-scan
-oracle together, and starts them on one queue, which forked workers (one
-per usable CPU beyond the first) and then the parent drain together; the
-parent runs criteria 1-6 meanwhile, and reads every case back in draw
-order.  Cases drawn late, when untrusted scans use up the first draw, run
-in the parent.  Each scan's samples use the grid and float operations of a
-plain per-point loop (kept in the tests as the reference), so they are that
+any number of CPUs.  `run_all` runs every criterion as one queue of calls:
+criteria 1-6, then criterion 7 drawn as one list of cases, each of which
+runs one instance's solver side and its dense-scan oracle together.
+Forked workers (one per usable CPU beyond the first) and the parent drain
+the queue together, and the parent reads every value back in queue order.
+Cases drawn late, when untrusted scans use up the first draw, run in the
+parent.  Each scan's samples use the grid and float operations of a plain
+per-point loop (kept in the tests as the reference), so they are that
 loop's bit for bit; a fixed grid is built once per process, on first use,
 never at import.
 
@@ -34,7 +34,6 @@ import os
 import pickle
 import random
 import signal
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -167,36 +166,11 @@ def check_end_to_end_construction() -> CriterionResult:
         f"{worst:.3e}, |Q' - center| = {qp_dist:.12g}")
 
 
-def check_property_suites(started=None) -> CriterionResult:
+def check_property_suites() -> CriterionResult:
     """Reflections, Sturm counts and single-fold counts, each against an
-    oracle that does not share the code it checks.
-
-    `started` is criterion 7 as `_property_suites` drew it and started its
-    cases, which lets `run_all` run criteria 1-6 while the cases run; with
-    None the check draws and starts it here.  The cases are read back in
-    draw order, so the verdict and its message do not depend on the number
-    of CPUs.  When untrusted scans use up the two-points-onto-two-lines
-    cases, the check draws what is missing from the same stream and runs it
-    in this process.
-    """
-    if started is None:
-        with _property_suites() as started:
-            return check_property_suites(started)
-    join, problems = started
-    reflection, *values = join()
-    through_point, two_lines, sturm = (values[:FOLD_CASES], values[FOLD_CASES:2 * FOLD_CASES],
-                                       values[2 * FOLD_CASES:])
-    trusted = (message for message in itertools.chain(two_lines, map(_two_lines_case, problems))
-               if message is not None)
-    single_fold = (next(filter(None, through_point), "")
-                   or next(filter(None, itertools.islice(trusted, FOLD_CASES)), ""))
-    failures = [message for message in (reflection, next(filter(None, sturm), ""), single_fold)
-                if message]
-    return CriterionResult(
-        "property_suites", not failures,
-        "; ".join(failures) if failures else
-        "reflection involution/isometry, Sturm vs sign scan, "
-        "single-fold counts vs dense sampling all agree")
+    oracle that does not share the code it checks."""
+    cases, problems = _property_suites()
+    return _property_verdict(_scan_pool(cases), problems)
 
 
 ALL_CRITERIA = (
@@ -213,18 +187,17 @@ ALL_CRITERIA = (
 def run_all() -> list:
     """The result of every criterion, in order.
 
-    Criterion 7 (last) is drawn first and its cases started, so that
-    criteria 1-6 run in the parent while forked workers take cases; then
-    the parent joins the workers on the rest of the cases (see `_scan_pool`).
+    Criteria 1-6 and criterion 7's cases are one queue of calls, run by one
+    `_scan_pool`, so forked workers and the parent share all of them.
     """
-    with _property_suites() as started:
-        results = [check() for check in ALL_CRITERIA[:-1]]
-        results.append(check_property_suites(started))
-    return results
+    criteria = [(check, ()) for check in ALL_CRITERIA[:-1]]
+    cases, problems = _property_suites()
+    values = _scan_pool(criteria + cases)
+    return [*values[:len(criteria)], _property_verdict(values[len(criteria):], problems)]
 
 
 # ----------------------------------------------------------------------
-# property-suite internals (criterion 7)
+# the call queue, and criterion 7's cases
 # ----------------------------------------------------------------------
 
 def _usable_cpus() -> int:
@@ -235,15 +208,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@contextmanager
 def _property_suites():
-    """Draws criterion 7 as one list of cases and starts them on `_scan_pool`.
+    """Criterion 7 drawn as one list of cases, and the stream the
+    two-points-onto-two-lines problems came from.
 
     Each case is (fn, args): fn runs one instance's solver side and its
     oracle, and returns "" when they agree, the mismatch message when they
-    do not, or None for an untrusted two-points-onto-two-lines scan.  Yields
-    the pool's join, which gives the values in draw order, and the stream
-    the two-points-onto-two-lines problems came from.
+    do not, or None for an untrusted two-points-onto-two-lines scan.
     """
     rng = random.Random(SEED + 2)
     through_point = []
@@ -272,20 +243,41 @@ def _property_suites():
              for _ in range(STURM_CASES)]
     # the queue runs in draw order: the longest cases first, the short
     # Sturm cases last, so that no process waits long for another's last case
-    with _scan_pool([(reflection_suite, (random.Random(SEED),)),
-                     *through_point, *two_lines, *sturm]) as join:
-        yield join, problems
+    return [(reflection_suite, (random.Random(SEED),)),
+            *through_point, *two_lines, *sturm], problems
 
 
-# bytes per case index in the queue.  The parent writes the whole queue
+def _property_verdict(values: list, problems) -> CriterionResult:
+    """Criterion 7's result from its cases' values, in draw order, so that
+    the verdict and its message do not depend on the number of CPUs.  When
+    untrusted scans use up the two-points-onto-two-lines cases, the missing
+    ones are drawn from `problems` and run in this process."""
+    reflection, *values = values
+    through_point, two_lines, sturm = (values[:FOLD_CASES], values[FOLD_CASES:2 * FOLD_CASES],
+                                       values[2 * FOLD_CASES:])
+    trusted = (message for message in itertools.chain(two_lines, map(_two_lines_case, problems))
+               if message is not None)
+    single_fold = (next(filter(None, through_point), "")
+                   or next(filter(None, itertools.islice(trusted, FOLD_CASES)), ""))
+    failures = [message for message in (reflection, next(filter(None, sturm), ""), single_fold)
+                if message]
+    return CriterionResult(
+        "property_suites", not failures,
+        "; ".join(failures) if failures else
+        "reflection involution/isometry, Sturm vs sign scan, "
+        "single-fold counts vs dense sampling all agree")
+
+
+# bytes per call index in the queue.  The parent writes the whole queue
 # before any process reads it, so it must fit in a pipe's buffer (64 KiB on
-# Linux): criterion 7's queue, the only one a check writes, is 131 records
+# Linux): a verify run writes one queue, of 137 records (6 criteria and
+# criterion 7's 131 cases)
 _RECORD = 2
 
 
 def _outcome(fn, args) -> tuple:
     """(True, fn(*args)), or (False, the exception it raised): like a
-    future, a call keeps its exception until the join reads it."""
+    future, a call keeps its exception until the pool reads it back."""
     try:
         return True, fn(*args)
     except Exception as exc:
@@ -299,22 +291,20 @@ def _take(queue: int):
         yield int.from_bytes(record, "little")
 
 
-@contextmanager
-def _scan_pool(calls: list):
-    """Runs `calls`, each (fn, args), and yields a join: a thunk that
-    returns every fn(*args), in order, or raises what the first call in
-    order that raised raised.
+def _scan_pool(calls: list) -> list:
+    """fn(*args) for every (fn, args) in `calls`, in order; if any call
+    raised, raises the exception of the first in order that did.
 
     The parent writes every call's index into one pipe and then forks one
     worker per usable CPU beyond the first, never more than there are
     calls.  Each worker takes one index at a time; it has the calls through
     fork, so they are not pickled, and it sends all its results back at
-    once, pickled, on a pipe of its own.  The parent is free until it calls
-    the join, which makes it take calls from the same queue until the queue
-    is empty, and then collect the workers' results.  With one CPU, or
-    without fork, the parent runs every call itself.
+    once, pickled, on a pipe of its own.  The parent takes calls from the
+    same queue until the queue is empty, and then collects the workers'
+    results.  With one CPU, or without fork, the parent runs every call
+    itself.
 
-    No worker outlives the block: on any error, each one still running is
+    No worker outlives the call: on any error, each one still running is
     killed and reaped.  A worker that dies raises OSError, as a fork that
     fails does.
     """
@@ -336,25 +326,22 @@ def _scan_pool(calls: list):
                 _scan_worker(calls, queue, end)  # never returns
             os.close(end)
             children.append((pid, results))
-
-        def join() -> list:
-            outcomes = {i: _outcome(*calls[i]) for i in _take(queue)}
-            while children:
-                pid, results = children[0]
-                data = b"".join(iter(functools.partial(os.read, results, 1 << 16), b""))
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[0]
-                os.close(results)
-                if status != 0:
-                    raise OSError(f"a verify scan worker terminated abruptly "
-                                  f"(exit status {status})")
-                outcomes.update(pickle.loads(data))
-            ordered = [outcomes[i] for i in range(len(calls))]
-            for done, value in ordered:
-                if not done:
-                    raise value
-            return [value for _, value in ordered]
-        yield join
+        outcomes = {i: _outcome(*calls[i]) for i in _take(queue)}
+        while children:
+            pid, results = children[0]
+            data = b"".join(iter(functools.partial(os.read, results, 1 << 16), b""))
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            os.close(results)
+            if status != 0:
+                raise OSError(f"a verify scan worker terminated abruptly "
+                              f"(exit status {status})")
+            outcomes.update(pickle.loads(data))
+        ordered = [outcomes[i] for i in range(len(calls))]
+        for done, value in ordered:
+            if not done:
+                raise value
+        return [value for _, value in ordered]
     finally:
         for pid, results in children:
             os.kill(pid, signal.SIGKILL)

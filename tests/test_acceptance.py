@@ -252,8 +252,9 @@ def _failing_criterion():
 
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_run_all_leaves_no_worker_when_criteria_1_to_6_raise(monkeypatch, cpus):
-    # the workers are forked before criteria 1-6 run, and are still
-    # scanning when one of them raises
+    # criteria 1-6 share one queue with criterion 7's cases: the workers
+    # are forked before any call runs, and one of them, or the parent,
+    # takes the raising criterion while the others still scan
     forks = _count_forks(monkeypatch)
     monkeypatch.setattr(verification, "_usable_cpus", lambda: cpus)
     criteria = list(verification.ALL_CRITERIA)

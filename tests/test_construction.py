@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -25,8 +26,11 @@ from hendecafold.construction import (
     run_script,
     verify_hendecagon,
 )
-from hendecafold import geometry
-from hendecafold.geometry import Line, Point, line_through, point_distance
+from hendecafold import InputError, geometry
+from hendecafold.cyclotomic import InvalidN
+from hendecafold.geometry import (CoincidentPoints, Line, MixedModes, ParallelLines, Point,
+                                  line_through, point_distance)
+from hendecafold.render import IoFailure
 from hendecafold.scriptio import (
     FormatError,
     decode_number,
@@ -36,7 +40,9 @@ from hendecafold.scriptio import (
     encode_script,
     encode_two_fold_config,
 )
-from hendecafold.folds import SINGLE_FOLDS, TwoFoldConfig, solve_single_fold, solve_two_fold
+from hendecafold.folds import (SINGLE_FOLDS, DegenerateParameter, DegenerateProblem,
+                               NoRealSolutions, TwoFoldConfig, solve_single_fold,
+                               solve_two_fold)
 
 T11 = 2 * math.cos(2 * math.pi / 11)
 
@@ -153,6 +159,38 @@ def test_a_negative_select_fails_either_fold_step_alike(step_id, found):
     with pytest.raises(StepFailed, match=f"wanted solution -1, found {found}") as err:
         run_script(replace(script, steps=steps))
     assert err.value.step_id == step_id
+
+
+def _exception_cases():
+    return [
+        StepFailed("fold_ell", math.inf, "planted"),
+        StepFailed("fold_ell", 2.5e-3),
+        StepFailed("twofold", 0.125, "wanted solution 7, found 5"),
+        UnknownLandmark("nope", "bad"),
+        UnknownLandmark("nope"),
+        WrongLandmarkKind("landmark 'ell' is a Line, not a Point"),
+        FormatError("unsupported version 2"),
+        InvalidN("n must be odd, got 4"),
+        InputError("cannot read script.json"),
+        DegenerateProblem("the target lines are parallel"),
+        DegenerateParameter("t = 1 is singular"),
+        NoRealSolutions("no real root"),
+        CoincidentPoints("P and Q coincide"),
+        ParallelLines("lines do not meet"),
+        MixedModes("exact and float scalars mixed"),
+        IoFailure("cannot write diagrams to out/step_01.svg"),
+    ]
+
+
+@pytest.mark.parametrize("exc", _exception_cases(), ids=lambda exc: type(exc).__name__)
+def test_every_package_exception_survives_pickling(exc):
+    # a verify criterion may raise in a forked worker, which sends the
+    # exception back to the parent pickled
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is type(exc)
+    assert str(copy) == str(exc)
+    assert copy.args == exc.args
+    assert vars(copy) == vars(exc)
 
 
 # -- rotate_length and expected_vertices ---------------------------------------

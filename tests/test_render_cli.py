@@ -4,6 +4,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -616,6 +617,44 @@ def test_cli_verify_pool_failure_is_one_line_exit_1(monkeypatch, capsys, failure
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and message in err
     # a worker started before the failure is killed and reaped, not left running
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raising_in_a_worker():
+    """A criterion that raises StepFailed in a forked worker; in the parent
+    it takes about 50 ms and passes, so that a worker takes one of
+    criteria 1-6."""
+    from hendecafold.construction import StepFailed
+    from hendecafold.verification import CriterionResult
+    parent = os.getpid()
+
+    def criterion():
+        if os.getpid() != parent:
+            raise StepFailed("fold_ell", math.inf, "planted")
+        time.sleep(0.05)
+        return CriterionResult("planted", True, "")
+    return criterion
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_cli_verify_criterion_failing_in_a_worker_is_one_line_exit_1(
+        monkeypatch, capsys, cpus):
+    # the worker's StepFailed comes back pickled and prints the line it
+    # prints when a criterion raises it in the process itself
+    from hendecafold import verification
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(verification, "ALL_CRITERIA",
+                        (_raising_in_a_worker(),) * 6 + verification.ALL_CRITERIA[-1:])
+    fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: step 'fold_ell' failed (planted)"]
+    assert len(forks) == cpus - 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
