@@ -44,19 +44,15 @@ class StepFailed(ValueError):
     expectation by `residual`."""
 
     def __init__(self, step_id: str, residual: float, detail: str = ""):
-        self.step_id = step_id
-        self.residual = residual
-        self.detail = detail
-        if residual == math.inf:
-            message = f"step {step_id!r} failed"
-        else:
-            message = f"step {step_id!r} missed an expectation by {residual:.3e}"
-        super().__init__(message + (f" ({detail})" if detail else ""))
+        super().__init__(step_id, residual, detail)
+        self.step_id, self.residual, self.detail = step_id, residual, detail
 
-    def __reduce__(self):
-        # pickled as its own arguments, not the message: a verify criterion
-        # that raises it in a forked worker sends it back to the parent
-        return type(self), (self.step_id, self.residual, self.detail)
+    def __str__(self) -> str:
+        if self.residual == math.inf:
+            what = "failed"
+        else:
+            what = f"missed an expectation by {self.residual:.3e}"
+        return f"step {self.step_id!r} {what}" + (f" ({self.detail})" if self.detail else "")
 
 
 class WrongLandmarkKind(TypeError, ValueError):

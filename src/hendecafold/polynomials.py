@@ -147,8 +147,12 @@ class RatPoly:
     @cached_property
     def _other_basis(self):
         """The monic square-free part, or None when that is self: a cache
-        holding self would be a reference cycle.  Read it through `_basis`."""
+        holding self would be a reference cycle.  Read it through `_basis`.
+        The monic copy of a square-free self has self's primitive form, so
+        it shares self's chain instead of building a second one."""
         g = self.square_free_part().monic()
+        if g is not self and g.degree == self.degree:  # self is square-free
+            g.__dict__["_int_chain"] = self._int_chain
         return None if g is self else g
 
     def __call__(self, x):

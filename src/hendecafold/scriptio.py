@@ -125,8 +125,10 @@ def _step_from_obj(obj) -> FoldStep:
     if not (isinstance(figures, list) and figures
             and all(type(f) is int and f >= 1 for f in figures)):
         raise FormatError(f"{where}: figures must be a nonempty list of positive integers")
-    if not (isinstance(annotation, str) and isinstance(mv, str)):
-        raise FormatError(f"{where}: annotation and mv must be strings")
+    if not isinstance(annotation, str):
+        raise FormatError(f"{where}: annotation must be a string")
+    if mv not in ("mountain", "valley", "crease"):
+        raise FormatError(f"{where}: mv must be mountain, valley or crease, got {mv!r}")
     if not isinstance(expect, dict):
         raise FormatError(f"{where}: expect must be an object")
     try:

@@ -1,14 +1,15 @@
 """Self-contained acceptance checks, runnable from the command line.
 
-Each criterion is an independent function returning a CriterionResult; the
-oracle side of every check (trigonometric root values, chord lengths, dense
-sign scans, brute-force fold searches) never goes through the code path it
-certifies.  All randomness is seeded, so a verify run is reproducible, on
-any number of CPUs.  `run_all` runs every criterion as one queue of calls:
-criteria 1-6, then criterion 7 drawn as one list of cases, each of which
-runs one instance's solver side and its dense-scan oracle together.
-Forked workers (one per usable CPU beyond the first) and the parent drain
-the queue together, and the parent reads every value back in queue order.
+Criteria 1-6 are the functions of `ALL_CRITERIA`, each returning a
+CriterionResult; criterion 7 is a list of cases, each of which runs one
+instance's solver side and its dense-scan oracle together.  The oracle side
+of every check (trigonometric root values, chord lengths, dense sign scans,
+brute-force fold searches) never goes through the code path it certifies.
+All randomness is seeded, so a verify run is reproducible, on any number of
+CPUs.  `run_all` is the one way any criterion runs: one queue of calls,
+criteria 1-6, then criterion 7's cases, which forked workers (one per
+usable CPU beyond the first) and the parent drain together; the parent
+reads every value back in queue order.
 Cases drawn late, when untrusted scans use up the first draw, run in the
 parent.  Each scan's samples use the grid and float operations of a plain
 per-point loop (kept in the tests as the reference), so they are that
@@ -166,13 +167,6 @@ def check_end_to_end_construction() -> CriterionResult:
         f"{worst:.3e}, |Q' - center| = {qp_dist:.12g}")
 
 
-def check_property_suites() -> CriterionResult:
-    """Reflections, Sturm counts and single-fold counts, each against an
-    oracle that does not share the code it checks."""
-    cases, problems = _property_suites()
-    return _property_verdict(_scan_pool(cases), problems)
-
-
 ALL_CRITERIA = (
     check_exact_quintic,
     check_root_census,
@@ -180,17 +174,15 @@ ALL_CRITERIA = (
     check_gamma_parameterization_identity,
     check_constructibility_table,
     check_end_to_end_construction,
-    check_property_suites,
 )
 
 
 def run_all() -> list:
-    """The result of every criterion, in order.
-
-    Criteria 1-6 and criterion 7's cases are one queue of calls, run by one
-    `_scan_pool`, so forked workers and the parent share all of them.
+    """The result of every criterion, in order: criteria 1-6, the checks of
+    `ALL_CRITERIA`, then criterion 7's verdict on its cases, queued after
+    them on the one `_scan_pool` that forked workers and the parent share.
     """
-    criteria = [(check, ()) for check in ALL_CRITERIA[:-1]]
+    criteria = [(check, ()) for check in ALL_CRITERIA]
     cases, problems = _property_suites()
     values = _scan_pool(criteria + cases)
     return [*values[:len(criteria)], _property_verdict(values[len(criteria):], problems)]
@@ -209,8 +201,9 @@ def _usable_cpus() -> int:
 
 
 def _property_suites():
-    """Criterion 7 drawn as one list of cases, and the stream the
-    two-points-onto-two-lines problems came from.
+    """Criterion 7 (reflections, Sturm counts and single-fold counts, each
+    against an oracle that shares no code with it) drawn as one list of
+    cases, and the stream the two-points-onto-two-lines problems came from.
 
     Each case is (fn, args): fn runs one instance's solver side and its
     oracle, and returns "" when they agree, the mismatch message when they

@@ -34,9 +34,9 @@ from hendecafold.verification import (
     check_constructibility_table,
     check_end_to_end_construction,
     check_exact_quintic,
-    check_property_suites,
     check_root_census,
     check_two_fold_residuals,
+    run_all,
 )
 
 QUINTIC = RatPoly.of(1, 3, -3, -4, 1, 1)
@@ -113,7 +113,7 @@ def test_criterion_6_end_to_end_construction():
 
 
 def test_criterion_7_property_suites():
-    assert _report(check_property_suites()).passed
+    assert _report(run_all()[-1]).passed
 
 
 # -- criterion 7 with forked scan workers and in-process -----------------------
@@ -126,11 +126,11 @@ def _assert_no_child_left():
 
 
 def _suites_on(monkeypatch, cpus):
-    """check_property_suites with `cpus` usable CPUs: the parent and
-    `cpus` - 1 forked workers share the scans; at 1 the parent runs them all."""
+    """Criterion 7 of `run_all` with `cpus` usable CPUs: the parent and
+    `cpus` - 1 forked workers share the queue; at 1 the parent runs it all."""
     monkeypatch.setattr(verification, "_usable_cpus", lambda: cpus)
     try:
-        return check_property_suites()
+        return run_all()[-1]
     finally:
         _assert_no_child_left()
 
@@ -266,6 +266,28 @@ def test_run_all_leaves_no_worker_when_criteria_1_to_6_raise(monkeypatch, cpus):
     _assert_no_child_left()
 
 
+def test_run_all_calls_every_entry_of_all_criteria_once_in_order(monkeypatch):
+    # run_all is the one way a criterion runs: each entry of ALL_CRITERIA,
+    # in order, then criterion 7's verdict on the cases queued after them
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)
+    calls = []
+
+    def recording(i):
+        def check():
+            calls.append(i)
+            return verification.CriterionResult(f"recorded_{i}", True, "")
+        return check
+
+    count = len(verification.ALL_CRITERIA)
+    monkeypatch.setattr(verification, "ALL_CRITERIA", tuple(map(recording, range(count))))
+    results = verification.run_all()
+    assert calls == list(range(count))
+    assert len(results) == count + 1
+    assert [r.name for r in results] == [f"recorded_{i}" for i in range(count)] + [
+        "property_suites"]
+    assert results[-1].passed
+
+
 # -- the two-points-onto-two-lines oracle against its plain reference ---------
 
 def _reference_o6_residual(u, base, direction, p1, p2, l2):
@@ -333,7 +355,7 @@ def _random_o6_problem(rng):
 def test_o6_oracle_matches_reference_on_suite_instances(monkeypatch):
     # the exact problems criterion 7 hands to the oracle, trusted or not
     seen = _record_o6_draw(monkeypatch)
-    assert check_property_suites().passed
+    assert run_all()[-1].passed
     assert len(seen) >= 50
     for problem in seen:
         assert _O6_ORACLE(problem) == _reference_oracle_count(problem), problem
@@ -504,7 +526,7 @@ def _record_scans(monkeypatch) -> list:
 def test_scan_oracles_match_reference_on_suite_instances(monkeypatch):
     with monkeypatch.context() as patch:
         seen = _record_scans(patch)
-        assert check_property_suites().passed
+        assert run_all()[-1].passed
     names = [name for name, _ in seen]
     assert names.count("sign_scan_root_count") == verification.STURM_CASES
     assert (names.count("oracle_count_point_onto_line_through_point")

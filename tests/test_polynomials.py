@@ -762,8 +762,8 @@ def test_a_square_free_multiple_builds_one_chain(monkeypatch, scale):
     integer_sturm_chain = polynomials._integer_sturm_chain
     monkeypatch.setattr(polynomials, "_integer_sturm_chain", counted)
     ivs = isolate_real_roots(p)
-    # p's chain finds p square-free, and its monic copy, the basis, builds its own
-    assert calls == [p, p._other_basis] and len(ivs) == 40
+    # p's chain finds p square-free, and its monic copy, the basis, shares it
+    assert calls == [p] and len(ivs) == 40
     monkeypatch.undo()
     assert ivs == isolate_real_roots(halved_cyclotomic(81).poly)
 

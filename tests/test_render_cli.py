@@ -644,8 +644,7 @@ def test_cli_verify_criterion_failing_in_a_worker_is_one_line_exit_1(
     # prints when a criterion raises it in the process itself
     from hendecafold import verification
     monkeypatch.setattr(verification, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(verification, "ALL_CRITERIA",
-                        (_raising_in_a_worker(),) * 6 + verification.ALL_CRITERIA[-1:])
+    monkeypatch.setattr(verification, "ALL_CRITERIA", (_raising_in_a_worker(),) * 6)
     fork, forks = os.fork, []
 
     def counting_fork():
@@ -744,6 +743,11 @@ BAD_INPUTS = [
     ("figure_zero", "script",
      _edit_step("fold_ell", lambda s: s.update(figures=[0])),
      2, "figures must be a nonempty list of positive integers"),
+    # mv is case-sensitive: an unknown value would draw with the crease
+    # dashes but the fold colour
+    ("mv_not_one_of_three", "script",
+     _edit_step("fold_ell", lambda s: s.update(mv="Mountain")),
+     2, "mv must be mountain, valley or crease, got 'Mountain'"),
     ("select_string", "script",
      _edit_step("twofold", lambda s: s["args"].update(select="0")),
      2, "select must be a nonnegative integer"),

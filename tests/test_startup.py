@@ -52,10 +52,10 @@ def test_the_scan_grids_are_built_on_first_in_process_use_only():
                   "grids = (v._scan_grid, v._o6_grid)\n"
                   "sizes = [[g.cache_info().currsize for g in grids]]\n"
                   "v._usable_cpus = lambda: 2\n"
-                  "assert v.check_property_suites().passed\n"
+                  "assert v.run_all()[-1].passed\n"
                   "sizes.append([g.cache_info().currsize for g in grids])\n"
                   "v._usable_cpus = lambda: 1\n"
-                  "assert v.check_property_suites().passed\n"
+                  "assert v.run_all()[-1].passed\n"
                   "sizes.append([g.cache_info().currsize for g in grids])\n"
                   "print(json.dumps(sizes))")
     assert json.loads(out) == [[0, 0], [1, 1], [1, 1]]
