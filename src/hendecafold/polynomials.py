@@ -17,15 +17,18 @@ Isolation starts at +-2^e, Fujiwara's bound rounded up to a power of two,
 and bisects, but splits an interval many binary orders wide at a power of
 two.  Every point it makes is dyadic, so it is held as
 an integer pair (num, k) for num / 2^k and split with shifts and compares;
-only the returned intervals are Fractions.  Refinement finds the cell
-[j, j+1] * 2^-m holding the root, 2^-m the largest power of two <= tol, on
-the grid anchored at zero: a float Newton guess, which takes value and slope
-in one Horner pass and stops at a Newton step below the square root of the
-grid step or at its third bisection, and one step from it, then Illinois
-regula falsi on the exact grid values with a bisection safeguard, then a
-short float Newton tail that evaluates g once per step.  So a refined root
-depends on the polynomial and tol alone, and it is bit-identical to an
-exact bisection's.
+only the returned intervals are Fractions.  A split of two roots reads
+the square-free part's sign alone when that settles it, and refinement
+reads its values at the returned ends from isolation (`_end_values`).
+Refinement finds the cell [j, j+1] * 2^-m holding the root, 2^-m the
+largest power of two <= tol, on the grid anchored at zero: a float Newton
+guess, which takes value and slope in one Horner pass and stops at a Newton
+step below the square root of the grid step or at its third bisection, and
+one step from it, then secants through the last two exact grid probes,
+extrapolating when both lie on one side of the root, with a bisection
+safeguard, then a short float Newton tail that evaluates g once per step.
+So a refined root depends on the polynomial and tol alone, and it is
+bit-identical to an exact bisection's.
 
 The exact kernels that `folds` and `cyclotomic` share live here: `_add` and
 `_mul` on coefficient lists and `_over_common_denominator`; `geometry`
@@ -142,6 +145,12 @@ class RatPoly:
     @cached_property
     def _grid_ints(self) -> dict:
         """`refine_root`'s integer coefficients on its grid 2^-m, by m."""
+        return {}
+
+    @cached_property
+    def _end_values(self) -> dict:
+        """den**d * self at the ends num/den of the intervals isolation
+        returned, by (num, den) in lowest terms, for `refine_root`."""
         return {}
 
     @cached_property
@@ -413,8 +422,9 @@ def _homogeneous(q: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
-def _chain_values(chain, num: int, den: int) -> list:
-    """den**deg q * q(num/den) for each element q of a chain, den > 0.
+def _chain_values(chain, num: int, den: int, head: int = None) -> list:
+    """den**deg q * q(num/den) for each element q of a chain, den > 0; the
+    first is `head` when the caller has it.
 
     An element c that `_neg_prem(a, b)` made follows from the values A and B
     of the two before it: content * c = quot * b - scale * a, multiplied by
@@ -425,8 +435,8 @@ def _chain_values(chain, num: int, den: int) -> list:
     element without a step.  Either way C is Horner's value exactly, so
     every sign variation is the same.
     """
-    values = []
-    for q in chain:
+    values = [_homogeneous(chain[0], num, den) if head is None else head]
+    for q in chain[1:]:
         step = getattr(q, "step", None)
         if step is None:
             values.append(_homogeneous(q, num, den))
@@ -536,14 +546,15 @@ def _fraction(point: tuple) -> Fraction:
     return Fraction(num, 1 << k)
 
 
-def _nonroot_between(chain, lo: tuple, hi: tuple) -> tuple:
-    """A point of (lo, hi) that is not a root of chain[0], and the sign
-    variations of the chain there.  Points are dyadic pairs (`_dyadic`), so
-    every step is an integer shift or compare, and the chain is evaluated at
-    den = 2^k.  The point is the midpoint, unless (lo, hi) lies on one side
-    of zero and the exponents of its ends differ by more than `_SPLIT_BITS`
-    (a zero end counts as 1): then it is the power of two halfway between
-    them, so isolation crosses binary orders quickly."""
+def _split_point(f: Sequence[int], lo: tuple, hi: tuple) -> tuple:
+    """The point of (lo, hi) at which isolation splits it, and den**d * f
+    there, nonzero.  Points are dyadic pairs (`_dyadic`), so every step is an
+    integer shift or compare, and f is evaluated at den = 2^k.  The point is
+    the midpoint, unless (lo, hi) lies on one side of zero and the exponents
+    of its ends differ by more than `_SPLIT_BITS` (a zero end counts as 1):
+    then it is the power of two halfway between them, so isolation crosses
+    binary orders quickly.  A root of f falls back to the next of
+    mid +- width / 2^j, j = 2, 3, ..."""
     (a, ka), (b, kb) = lo, hi
     k = max(ka, kb)
     a, b = a << (k - ka), b << (k - kb)  # both ends over 2^k
@@ -555,18 +566,25 @@ def _nonroot_between(chain, lo: tuple, hi: tuple) -> tuple:
         if high - low > _SPLIT_BITS:
             e = (low + high) // 2
             mid = (sign << e, 0) if e >= 0 else (sign, -e)
-    # fallbacks mid +- width / 2^j, j = 2, 3, ..., each over 2^top
+    # fallbacks mid +- width / 2^j, each over 2^top
     (m, km), j, cands = mid, 2, (mid,)
     while True:
         for num, kc in cands:
-            values = _chain_values(chain, num, 1 << kc)
-            if values[0] != 0:
-                return (num, kc), _variations(values)
+            value = _homogeneous(f, num, 1 << kc)
+            if value:
+                return (num, kc), value
         top = max(km, k) + j
         centre, step, shift = m << (top - km), (b - a) << (top - k - j), top - k
         cands = [_dyadic(c, top) for c in (centre + step, centre - step)
                  if a << shift < c < b << shift]
         j += 1
+
+
+def _nonroot_between(chain, lo: tuple, hi: tuple) -> tuple:
+    """`_split_point` of (lo, hi) for chain[0], and the chain's sign
+    variations there."""
+    (num, k), head = _split_point(chain[0], lo, hi)
+    return (num, k), _variations(_chain_values(chain, num, 1 << k, head))
 
 
 def _separation_bits(f: Sequence[int]) -> int:
@@ -583,14 +601,18 @@ def _separation_bits(f: Sequence[int]) -> int:
 def isolate_real_roots(p: RatPoly) -> list:
     """Disjoint isolating intervals, one per distinct real root, ascending.
 
-    The polynomial is reduced to its square-free part first, so multiple
+    The polynomial is reduced to its square-free part g first, so multiple
     roots are reported once.  Interval endpoints are never roots.  Isolation
     starts at +-2^e (`_root_bound_bits`): no root lies at or beyond it, so
     both ends take the chain's variations at infinity without an evaluation.
     Each interval holding more than one root is split at the point
-    `_nonroot_between` picks: its midpoint, or a power of two when its ends
+    `_split_point` picks: its midpoint, or a power of two when its ends
     lie many binary orders apart on one side of zero.  Interval ends are
-    dyadic pairs until they are returned.
+    dyadic pairs until they are returned.  g's roots are simple, so g has
+    the sign (-1)^r at a point with r roots above it (Sturm's theorem): a
+    split of two roots where g's sign differs from its sign at the left end
+    leaves one on each side without the chain.  g's value at each returned
+    end but +-2^e is kept in `_end_values` for `refine_root`.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -607,15 +629,18 @@ def isolate_real_roots(p: RatPoly) -> list:
     # the guard stays sound, as a kernel that never stops drives depth on.
     sep_bits = _separation_bits(chain[0])
     shallow = (e + 1 + sep_bits) // 2
-    out = []
-    stack = [((-1 << e, 0), (1 << e, 0), _variations_at_inf(chain, -1),
-              _variations_at_inf(chain, 1), 0)]
+    out, ends, vinf = [], g._end_values, _variations_at_inf(chain, 1)
+    # each entry: the ends, the variations and den**d * g at each (None at
+    # +-2^e, where nothing is evaluated), and the depth
+    stack = [((-1 << e, 0), (1 << e, 0), _variations_at_inf(chain, -1), vinf, None, None, 0)]
     while stack:
-        lo, hi, vlo, vhi, depth = stack.pop()
+        lo, hi, vlo, vhi, flo, fhi, depth = stack.pop()
         k = vlo - vhi
         if k == 0:
             continue
         if k == 1:
+            ends.update(((num, 1 << kx), fx) for (num, kx), fx in ((lo, flo), (hi, fhi))
+                        if fx is not None)
             out.append(RootInterval(_fraction(lo), _fraction(hi)))
             continue
         if depth > shallow:
@@ -624,12 +649,24 @@ def isolate_real_roots(p: RatPoly) -> list:
             if ((b << (top - kb)) - (a << (top - ka))) << sep_bits < 1 << top:
                 raise RuntimeError(f"kernel fault: count {k} near {float(_fraction(lo))!r} on "
                                    f"an interval narrower than the root separation 2^-{sep_bits}")
-        mid, vmid = _nonroot_between(chain, lo, hi)
+        if k == 2:
+            # g has the sign (-1)^(vlo - vinf) at lo, one per root above lo,
+            # so a sign change at mid puts one root on each side
+            mid, fmid = _split_point(chain[0], lo, hi)
+            if (fmid < 0) != (vlo - vinf) % 2:
+                vmid = vlo - 1
+            else:
+                vmid = _variations(_chain_values(chain, mid[0], 1 << mid[1], fmid))
+        else:
+            # `_nonroot_between` returns the variations alone, so g at mid
+            # takes one Horner pass more
+            mid, vmid = _nonroot_between(chain, lo, hi)
+            fmid = _homogeneous(chain[0], mid[0], 1 << mid[1])
         if not vhi <= vmid <= vlo:
             raise RuntimeError(f"kernel fault: count {vmid} at {_fraction(mid)} "
                                f"outside [{vhi}, {vlo}]")
-        stack.append((lo, mid, vlo, vmid, depth + 1))
-        stack.append((mid, hi, vmid, vhi, depth + 1))
+        stack.append((lo, mid, vlo, vmid, flo, fmid, depth + 1))
+        stack.append((mid, hi, vmid, vhi, fmid, fhi, depth + 1))
     # each right half is popped, and its roots found, before the left half
     out.reverse()
     return out
@@ -710,12 +747,15 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
     the largest power of two <= tol (m <= 0 when tol >= 1), or is the grid
     point j * 2^-m that is the root.  The grid is anchored at zero, so the
     result depends on the polynomial and tol alone, not on the interval.
-    The grid points a <= lo and b >= hi take the signs known at lo and hi,
-    and each probe is an exact evaluation at a grid point between them: a
-    float Newton guess of j and one step away from it, so a good guess costs
-    two probes; then Illinois regula falsi on the exact bracket values (an
-    end kept twice has its value halved).  A secant probe that fails to
-    halve the bracket is followed by a bisection, so no root takes more than
+    The grid points a <= lo and b >= hi take the signs known at lo and hi
+    (an end that `isolate_real_roots` returned has its value read from the
+    polynomial's cache, any other is evaluated), and each probe is an exact
+    evaluation at a grid point between them: a float Newton guess of j and
+    one step away from it, so a good guess costs two probes; then the secant
+    through the last two probes, which is regula falsi on the bracket when
+    they lie on opposite sides of the root and extrapolates when they lie on
+    one side.  A secant probe that fails to halve the bracket, or two probes
+    of equal value, are followed by a bisection, so no root takes more than
     2 * log2(b - a) + 2 probes.  Any search that brackets on this grid ends
     in the same cell, and it probes a grid point that is the root, so the
     result is bit-identical to exact bisection's, whatever the guess
@@ -731,8 +771,9 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
     g = _basis(p)
     ints = g._int_coeffs
     lo, hi = interval.lo, interval.hi
-    flo = _homogeneous(ints, lo.numerator, lo.denominator)
-    fhi = _homogeneous(ints, hi.numerator, hi.denominator)
+    # an end isolation returned is never a root, so its cached value is nonzero
+    flo, fhi = (g._end_values.get((x.numerator, x.denominator))
+                or _homogeneous(ints, x.numerator, x.denominator) for x in (lo, hi))
     if not lo < hi or flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
         raise ValueError(f"{interval} does not bracket a simple root of {p!r}")
     m = 1 - math.frexp(tol)[1]
@@ -753,39 +794,28 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
         j = _scaled_floor(*guess.as_integer_ratio(), m)
     except OverflowError:
         j = (a + b) // 2  # an end or a coefficient beyond the float range
-    # grid point a lies left of the root and grid point b right of it, with
-    # den**d * g there in fa and fb once the secant needs them; an end not
-    # probed yet takes the value at lo or hi
-    fa, fb = None, None
-    j, probes, moved, secant = min(max(j, a + 1), b - 1), 0, 0, False
+    # grid point a lies left of the root and grid point b right of it.  From
+    # the second probe on, each step is the secant through the last two
+    # probes, jp and j with den**d * g there in fp and f: on opposite sides
+    # of the root they are a and b, and on one side the secant extrapolates
+    j, jp, fp, secant = min(max(j, a + 1), b - 1), None, None, False
     while b - a > 1:
         f = _horner(grid_ints, j)
         if f == 0:
             return _float_at(j << lift, den)
-        width, kept = b - a, moved
+        width = b - a
         if (f > 0) == (flo > 0):
-            a, fa, moved = j, f, 1
+            a = j
         else:
-            b, fb, moved = j, f, -1
-        probes += 1
-        if probes == 1:
-            j += moved  # one step from the guess toward the root
-            continue
-        if fa is None:
-            fa = flo * den ** d // lo.denominator ** d
-        if fb is None:
-            fb = fhi * den ** d // hi.denominator ** d
-        if moved == kept:
-            # the other end is kept twice: Illinois halves its value
-            if moved > 0:
-                fb //= 2
-            else:
-                fa //= 2
-        if secant and 2 * (b - a) > width + 1:
-            # the secant did not halve the bracket: bisect
-            j, secant = (a + b) // 2, False
+            b = j
+        if fp is None:
+            step = j + (1 if a == j else -1)  # one step from the guess toward the root
+        elif secant and 2 * (b - a) > width + 1 or f == fp:
+            # the secant did not halve the bracket, or has no slope: bisect
+            step, secant = (a + b) // 2, False
         else:
-            j, secant = min(max(a + fa * (b - a) // (fa - fb), a + 1), b - 1), True
+            step, secant = min(max(jp + fp * (j - jp) // (fp - f), a + 1), b - 1), True
+        jp, fp, j = j, f, step
     x = _float_at((a + b) << lift, 2 * den)
     # the cell's ends, the one past the largest float clamped to it
     top = _FLOAT_MAX * den

@@ -905,18 +905,19 @@ def test_isolation_evaluates_no_chain_at_or_beyond_the_bound(monkeypatch):
     bound = 2 ** _bound_bits(p)
     points = []
 
-    def counted(chain, num, den):
+    def counted(chain, num, den, *head):
         points.append(Fraction(num, den))
-        return chain_values(chain, num, den)
+        return chain_values(chain, num, den, *head)
 
     chain_values = polynomials._chain_values
     monkeypatch.setattr(polynomials, "_chain_values", counted)
     assert isolate_real_roots(p) == expected
     # from Fujiwara's bound 12.49, rounded up to 16, the chain is evaluated
-    # at neither end and at 46 midpoints: +-8, +-4, +-2, and 40 inside
-    # (-2, 2), where the roots are
+    # at neither end and at 29 midpoints: +-8, +-4, +-2, and 23 inside
+    # (-2, 2), where the roots are; a two-root split whose midpoint changes
+    # p's sign takes no chain (46 and 40 when every split took one)
     assert bound == 16
-    assert len(points) == 46 and sum(-2 < x < 2 for x in points) == 40
+    assert len(points) == 29 and sum(-2 < x < 2 for x in points) == 23
     assert all(-bound < x < bound for x in points)
 
 
@@ -1013,6 +1014,152 @@ def test_isolation_matches_the_fraction_isolation_on_ngon_and_two_fold_eliminant
     polys = [halved_cyclotomic(n).poly for n in range(3, 82, 2)]
     for p in polys + list(_two_fold_eliminants(2, 300)):
         assert isolate_real_roots(p) == fraction_isolation(p)
+
+
+# -- two-root splits settled by p's sign, and the end values refinement reads ------
+
+def _product(scale, *factors):
+    """scale times the product of the factors, each a tuple of ascending
+    coefficients."""
+    p = RatPoly.of(scale)
+    for f in factors:
+        p = p * RatPoly(f)
+    return p
+
+
+def _close_pair(a, s):
+    """(x - a)(x - a - 2^-s)(x^2 + 1): two real roots 2^-s apart."""
+    return _product(1, (-a, 1), (-a - Fraction(1, 2**s), 1), (1, 0, 1))
+
+
+# a two-root interval whose midpoint leaves p's sign as at lo holds both
+# roots or neither, so each of these splits evaluates the chain, until the
+# split that falls between the pair; 3/4 and 3/4 + 2^-s are dyadic, so some
+# split points are roots and fall back
+_CLOSE_PAIRS = [(a, s) for a in (Fraction(1, 3), Fraction(-5, 7), Fraction(3, 4))
+                for s in (8, 64, 256)]
+# repeated roots and non-monic multiples: isolation and refinement work on
+# the square-free part
+_REPEATED_ROOTS = [
+    _product(7, (Fraction(-1, 3), 1), (Fraction(-1, 3), 1),
+             (Fraction(-1, 3) - Fraction(1, 2**64), 1), (1, 0, 1)),
+    _product(Fraction(-2, 9), (-1, 1), (-1, 1), (-1, 1), (Fraction(-3, 2), 1),
+             (Fraction(-3, 2), 1), (2, 1)),
+    _product(3, (Fraction(-1, 5), 1), (Fraction(-1, 5) - Fraction(1, 2**30), 1),
+             (Fraction(-1, 5) - Fraction(1, 2**30), 1), (4, 1), (4, 1), (-2, 0, 1)),
+    _product(-1, (-2, 0, 1), (-2, 0, 1), (-3, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("a, s", _CLOSE_PAIRS)
+def test_close_pairs_isolate_as_the_reference_and_fraction_isolations_do(monkeypatch, a, s):
+    p = _close_pair(a, s)
+    expected = reference_isolation(p)
+    assert fraction_isolation(p) == expected and len(expected) == 2
+    evaluations = []
+
+    def counted(chain, num, den, *head):
+        evaluations.append(num)
+        return chain_values(chain, num, den, *head)
+
+    chain_values = polynomials._chain_values
+    monkeypatch.setattr(polynomials, "_chain_values", counted)
+    assert isolate_real_roots(RatPoly(p.coeffs)) == expected
+    # one chain per binary level above the pair's separation, none for the
+    # split that separates it
+    assert s <= len(evaluations) <= s + 4
+
+
+@pytest.mark.parametrize("p", _REPEATED_ROOTS)
+def test_repeated_roots_isolate_as_the_reference_and_fraction_isolations_do(p):
+    expected = reference_isolation(p)
+    assert fraction_isolation(p) == expected
+    assert isolate_real_roots(RatPoly(p.coeffs)) == expected
+
+
+@pytest.mark.parametrize("p", [_close_pair(a, s) for a, s in _CLOSE_PAIRS] + _REPEATED_ROOTS)
+def test_refinement_reads_the_end_values_isolation_recorded(monkeypatch, p):
+    p = RatPoly(p.coeffs)  # nothing cached yet
+    intervals = isolate_real_roots(p)
+    g = polynomials._basis(p)
+    # every end but +-2^e, where isolation evaluates nothing, holds g's value
+    bound = 2 ** _bound_bits(p)
+    ends = {x for iv in intervals for x in (iv.lo, iv.hi)}
+    assert {Fraction(*key) for key in g._end_values} == ends - {-bound, bound}
+    for (num, den), value in g._end_values.items():
+        assert value == _homogeneous(g._int_coeffs, num, den)
+    evaluated = []
+
+    def counted(q, num, den):
+        evaluated.append(Fraction(num, den))
+        return homogeneous(q, num, den)
+
+    homogeneous = polynomials._homogeneous
+    for tol in (1e-9, 1e-12, 1e-15):
+        # a fresh copy has no end values, so it evaluates both ends
+        without = [refine_root(RatPoly(p.coeffs), iv, tol).hex() for iv in intervals]
+        evaluated.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(polynomials, "_homogeneous", counted)
+            with_ends = [refine_root(p, iv, tol).hex() for iv in intervals]
+        assert with_ends == without
+        assert with_ends == [bisection_refine_root(p, iv, tol).hex() for iv in intervals]
+        assert sorted(evaluated) == sorted(x for iv in intervals for x in (iv.lo, iv.hi)
+                                           if abs(x) == bound)
+
+
+def test_an_interval_that_brackets_no_simple_root_raises_after_isolation():
+    # roots -sqrt 2, 1/3, 1/3 + 2^-64 and sqrt 2
+    p = _close_pair(Fraction(1, 3), 64) * RatPoly.of(-2, 0, 1)
+    first, second, third, fourth = isolate_real_roots(p)
+    assert polynomials._basis(p)._end_values  # the ends are cached
+    for lo, hi in ((first.lo, second.hi), (second.lo, third.hi), (first.lo, fourth.hi),
+                   (second.hi, second.lo), (Fraction(1, 3), second.hi)):
+        with pytest.raises(ValueError, match="does not bracket"):
+            refine_root(p, RootInterval(lo, hi))
+
+
+def test_an_interval_with_non_dyadic_ends_refines_as_before():
+    # roots -11/13, 1/3 and 2/5, the last twice
+    p = _product(Fraction(7, 2), (Fraction(-1, 3), 1), (Fraction(-2, 5), 1),
+                 (Fraction(-2, 5), 1), (Fraction(11, 13), 1), (1, 0, 1))
+    left, middle, right = isolate_real_roots(p)  # fills the end values
+    intervals = [RootInterval(Fraction(-1), Fraction(-4, 5)),
+                 RootInterval(Fraction(3, 10), Fraction(9, 25)),
+                 RootInterval(Fraction(9, 25), Fraction(3, 7)),
+                 # a cached end beside one that is not
+                 RootInterval(Fraction(-9, 10), left.hi),
+                 RootInterval(middle.lo, Fraction(11, 30))]
+    for tol in (1e-9, 1e-12, 1e-15):
+        roots = [refine_root(p, iv, tol).hex() for iv in intervals]
+        assert roots == [refine_root(RatPoly(p.coeffs), iv, tol).hex() for iv in intervals]
+        assert roots == [bisection_refine_root(p, iv, tol).hex() for iv in intervals]
+        assert roots[3:] == [refine_root(p, iv, tol).hex() for iv in (left, middle)]
+
+
+def test_ngon_isolation_and_refinement_make_the_recorded_number_of_evaluations(monkeypatch):
+    # 1,012 chain evaluations when every split took the chain, and 3,143
+    # grid probes under Illinois regula falsi
+    polys = [RatPoly(halved_cyclotomic(n).poly.coeffs) for n in range(3, 82, 2)]
+    chain_calls, probes = [], []
+
+    def counted_chain(chain, num, den, *head):
+        chain_calls.append(num)
+        return chain_values(chain, num, den, *head)
+
+    def counted_probe(q, x):
+        probes.append(x)
+        return horner(q, x)
+
+    chain_values, horner = polynomials._chain_values, polynomials._horner
+    monkeypatch.setattr(polynomials, "_chain_values", counted_chain)
+    monkeypatch.setattr(polynomials, "_horner", counted_probe)
+    intervals = [isolate_real_roots(p) for p in polys]
+    for p, row in zip(polys, intervals):
+        for iv in row:
+            refine_root(p, iv, 1e-12)
+    assert sum(map(len, intervals)) == 820
+    assert len(chain_calls) == 683 and len(probes) == 2785
 
 
 # -- refined roots depend on the polynomial and tol alone ---------------------------

@@ -429,9 +429,9 @@ def test_cli_solve_config_spanning_the_float_range_isolates_in_few_chain_evaluat
     config.write_text(json.dumps(doc))
     evaluations = []
 
-    def counted(chain, num, den):
+    def counted(chain, num, den, *head):
         evaluations.append(num)
-        return chain_values(chain, num, den)
+        return chain_values(chain, num, den, *head)
 
     chain_values = polynomials._chain_values
     monkeypatch.setattr(polynomials, "_chain_values", counted)
