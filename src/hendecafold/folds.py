@@ -441,8 +441,9 @@ def eliminate_to_quintic(config: TwoFoldConfig) -> RatPoly:
                                         ((ell.a, ell.b, ell.c), (m.a, m.b, m.c)))
     A, B, C = _bisector_family(Q, foot, dir)
     norm = _add(_mul(A, A), _mul(B, B))
-    dot = _add(_mul(A, [-2 * ell[0]]), _mul(B, [-2 * ell[1]]))
-    gamma = [_add(_mul(norm, [e]), _mul(dot, X)) for e, X in zip(ell, (A, B, C))]
+    ka, kb = -2 * ell[0], -2 * ell[1]
+    dot = _add([ka * c for c in A], [kb * c for c in B])
+    gamma = [_add([e * c for c in norm], _mul(dot, X)) for e, X in zip(ell, (A, B, C))]
     eliminant = _monic_from_ints(_lands_on(P, gamma, m))
     if eliminant.degree <= 0:
         raise DegenerateProblem(
@@ -491,7 +492,7 @@ def solve_two_fold(config: TwoFoldConfig, tol: float = DEFAULT_TOL) -> list:
         fx, fy, dx, dy = (float(v) for v in (*foot, *dir))
     except OverflowError:
         raise ValueError("the foot of Q on n is beyond the float range") from None
-    P, Q, ell, m, n = (getattr(config, f.name).to_float() for f in fields(config))
+    P, Q, ell, m, n = (v.to_float() for v in (config.P, config.Q, config.ell, config.m, config.n))
     solutions = []
     for interval in isolate_real_roots(eliminant):
         t = refine_root(eliminant, interval, _ROOT_TOL)

@@ -5,9 +5,12 @@ mode of their inputs: exact values (ints / Fractions) stay exact, floats stay
 float, and the two are never combined silently.  Each class has one
 constructor, which works out the mode and the canonical fields and stores each
 once; every value but a stored canonical float line (`Line.from_canonical`)
-is made through it.  `mode` is not a dataclass field, so equality, hashing
-and repr see the coordinates alone.  Lines are kept in a canonical implicit
-form ``a*x + b*y + c = 0``: in exact mode, equal triples mean equal lines.
+is made through it.  It decides the mode by type first: arguments whose type
+is exactly `float` are float mode at once, and any other mix, a float
+subclass included, goes through the mode check.  `mode` is not a dataclass
+field, so equality, hashing and repr see the coordinates alone.  Lines are
+kept in a canonical implicit form ``a*x + b*y + c = 0``: in exact mode, equal
+triples mean equal lines.
 
 Metric queries (`distance`, `point_distance`) return floats in either mode,
 since a Euclidean length is irrational in general; exact callers use
@@ -75,7 +78,7 @@ class Point:
     y: Scalar
 
     def __init__(self, x: Scalar, y: Scalar) -> None:
-        mode = _common_mode(x, y)
+        mode = FLOAT if type(x) is type(y) is float else _common_mode(x, y)
         if mode == EXACT:
             x = x if type(x) is Fraction else Fraction(x)
             y = y if type(y) is Fraction else Fraction(y)
@@ -140,7 +143,7 @@ class Line:
     c: Scalar
 
     def __init__(self, a: Scalar, b: Scalar, c: Scalar) -> None:
-        mode = _common_mode(a, b, c)
+        mode = FLOAT if type(a) is type(b) is type(c) is float else _common_mode(a, b, c)
         if mode == EXACT:
             ints = _canonical_exact(*(v if isinstance(v, (int, Fraction)) else Fraction(v)
                                       for v in (a, b, c)))
@@ -205,7 +208,7 @@ def line_through(p: Point, q: Point) -> Line:
 def perpendicular_bisector(p: Point, q: Point) -> Line:
     """Locus of points equidistant from p and q; reflects p onto q."""
     _same_mode(p, q)
-    if p == q:
+    if p.x == q.x and p.y == q.y:
         raise CoincidentPoints(f"perpendicular bisector of {p} and itself")
     return Line(2 * (q.x - p.x), 2 * (q.y - p.y),
                 (p.x * p.x + p.y * p.y) - (q.x * q.x + q.y * q.y))

@@ -17,9 +17,11 @@ Isolation starts at +-2^e, Fujiwara's bound rounded up to a power of two,
 and bisects, but splits an interval many binary orders wide at a power of
 two.  Every point it makes is dyadic, so it is held as
 an integer pair (num, k) for num / 2^k and split with shifts and compares;
-only the returned intervals are Fractions.  A split of two roots reads
-the square-free part's sign alone when that settles it, and refinement
-reads its values at the returned ends from isolation (`_end_values`).
+only the returned intervals are Fractions.  Every split takes one path:
+`_split_point` picks the point and evaluates the square-free part there, a
+split of two roots reads that sign alone when it settles it, and any other
+split hands the value to the chain as its first element.  Refinement reads
+the values at the returned ends from isolation (`_end_values`).
 Refinement finds the cell [j, j+1] * 2^-m holding the root, 2^-m the
 largest power of two <= tol, on the grid anchored at zero: a float Newton
 guess, which takes value and slope in one Horner pass and stops at a Newton
@@ -40,6 +42,7 @@ eliminants, and their primitive forms, from integer coefficient lists.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,7 +147,8 @@ class RatPoly:
 
     @cached_property
     def _grid_ints(self) -> dict:
-        """`refine_root`'s integer coefficients on its grid 2^-m, by m."""
+        """`refine_root`'s integer coefficients on its grid 2^-m, and the
+        largest float times the grid's denominator, by m."""
         return {}
 
     @cached_property
@@ -435,15 +439,19 @@ def _chain_values(chain, num: int, den: int, head: int = None) -> list:
     element without a step.  Either way C is Horner's value exactly, so
     every sign variation is the same.
     """
-    values = [_homogeneous(chain[0], num, den) if head is None else head]
+    last = _homogeneous(chain[0], num, den) if head is None else head
+    values, before = [last], None
     for q in chain[1:]:
         step = getattr(q, "step", None)
         if step is None:
-            values.append(_homogeneous(q, num, den))
-            continue
-        scale, quot, content, drop = step
-        qv = quot[1] * num + quot[0] * den if len(quot) == 2 else _homogeneous(quot, num, den)
-        values.append((qv * values[-1] - scale * values[-2]) // (content * den ** drop))
+            value = _homogeneous(q, num, den)
+        else:
+            scale, quot, content, drop = step
+            qv = quot[1] * num + quot[0] * den if len(quot) == 2 else _homogeneous(quot, num, den)
+            value = (qv * last - scale * before) // (content * den if drop == 1
+                                                     else content * den ** drop)
+        values.append(value)
+        before, last = last, value
     return values
 
 
@@ -477,8 +485,8 @@ def _basis(p: RatPoly) -> RatPoly:
 
 
 def _variations(values: Sequence[int]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
+    signs = [v > 0 for v in values if v]
+    return sum(map(operator.ne, signs, signs[1:]))
 
 
 def _variations_at(int_chain, x) -> int:
@@ -489,7 +497,8 @@ def _variations_at(int_chain, x) -> int:
 
 
 def _variations_at_inf(int_chain, sign: int) -> int:
-    return _variations([q[-1] * sign ** (len(q) - 1) for q in int_chain])
+    # q's sign at -infinity is lc's negated when deg q = len(q) - 1 is odd
+    return _variations([q[-1] if sign > 0 or len(q) % 2 else -q[-1] for q in int_chain])
 
 
 def _range_end(x, unbounded: float):
@@ -580,13 +589,6 @@ def _split_point(f: Sequence[int], lo: tuple, hi: tuple) -> tuple:
         j += 1
 
 
-def _nonroot_between(chain, lo: tuple, hi: tuple) -> tuple:
-    """`_split_point` of (lo, hi) for chain[0], and the chain's sign
-    variations there."""
-    (num, k), head = _split_point(chain[0], lo, hi)
-    return (num, k), _variations(_chain_values(chain, num, 1 << k, head))
-
-
 def _separation_bits(f: Sequence[int]) -> int:
     """An e with 2^-e below Mahler's root-separation bound of the square-free
     integer polynomial f: no two of its roots lie closer than 2^-e."""
@@ -605,14 +607,16 @@ def isolate_real_roots(p: RatPoly) -> list:
     roots are reported once.  Interval endpoints are never roots.  Isolation
     starts at +-2^e (`_root_bound_bits`): no root lies at or beyond it, so
     both ends take the chain's variations at infinity without an evaluation.
-    Each interval holding more than one root is split at the point
-    `_split_point` picks: its midpoint, or a power of two when its ends
-    lie many binary orders apart on one side of zero.  Interval ends are
-    dyadic pairs until they are returned.  g's roots are simple, so g has
-    the sign (-1)^r at a point with r roots above it (Sturm's theorem): a
-    split of two roots where g's sign differs from its sign at the left end
-    leaves one on each side without the chain.  g's value at each returned
-    end but +-2^e is kept in `_end_values` for `refine_root`.
+    Each interval holding more than one root is split on one path: at the
+    point `_split_point` picks, its midpoint, or a power of two when its
+    ends lie many binary orders apart on one side of zero, with g's value
+    there.  Interval ends are dyadic pairs until they are returned.  g's
+    roots are simple, so g has the sign (-1)^r at a point with r roots above
+    it (Sturm's theorem): a split of two roots where g's sign differs from
+    its sign at the left end leaves one on each side without the chain;
+    every other split evaluates the chain with g's value as its head.  g's
+    value at each returned end but +-2^e is kept in `_end_values` for
+    `refine_root`.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -649,19 +653,13 @@ def isolate_real_roots(p: RatPoly) -> list:
             if ((b << (top - kb)) - (a << (top - ka))) << sep_bits < 1 << top:
                 raise RuntimeError(f"kernel fault: count {k} near {float(_fraction(lo))!r} on "
                                    f"an interval narrower than the root separation 2^-{sep_bits}")
-        if k == 2:
+        mid, fmid = _split_point(chain[0], lo, hi)
+        if k == 2 and (fmid < 0) != (vlo - vinf) % 2:
             # g has the sign (-1)^(vlo - vinf) at lo, one per root above lo,
             # so a sign change at mid puts one root on each side
-            mid, fmid = _split_point(chain[0], lo, hi)
-            if (fmid < 0) != (vlo - vinf) % 2:
-                vmid = vlo - 1
-            else:
-                vmid = _variations(_chain_values(chain, mid[0], 1 << mid[1], fmid))
+            vmid = vlo - 1
         else:
-            # `_nonroot_between` returns the variations alone, so g at mid
-            # takes one Horner pass more
-            mid, vmid = _nonroot_between(chain, lo, hi)
-            fmid = _homogeneous(chain[0], mid[0], 1 << mid[1])
+            vmid = _variations(_chain_values(chain, mid[0], 1 << mid[1], fmid))
         if not vhi <= vmid <= vlo:
             raise RuntimeError(f"kernel fault: count {vmid} at {_fraction(mid)} "
                                f"outside [{vhi}, {vlo}]")
@@ -774,17 +772,19 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
     # an end isolation returned is never a root, so its cached value is nonzero
     flo, fhi = (g._end_values.get((x.numerator, x.denominator))
                 or _homogeneous(ints, x.numerator, x.denominator) for x in (lo, hi))
-    if not lo < hi or flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+    if lo.numerator * hi.denominator >= hi.numerator * lo.denominator or flo == 0 \
+            or fhi == 0 or (flo > 0) == (fhi > 0):
         raise ValueError(f"{interval} does not bracket a simple root of {p!r}")
     m = 1 - math.frexp(tol)[1]
     # grid point j is (j << lift) / den, and den**d * g there is Horner in j
     # on the coefficients c_i << (lift*i + shift*(d-i)), scaled once per g and m
     shift, lift = max(m, 0), max(-m, 0)
     den, d = 1 << shift, len(ints) - 1
-    grid_ints = g._grid_ints.get(m)
-    if grid_ints is None:
-        grid_ints = g._grid_ints[m] = [c << (lift * i + shift * (d - i))
-                                       for i, c in enumerate(ints)]
+    grid = g._grid_ints.get(m)
+    if grid is None:
+        grid = g._grid_ints[m] = ([c << (lift * i + shift * (d - i)) for i, c in enumerate(ints)],
+                                  _FLOAT_MAX * den)
+    grid_ints, top = grid
     a = _scaled_floor(lo.numerator, lo.denominator, m)
     b = -_scaled_floor(-hi.numerator, hi.denominator, m)
     left_sign = 1 if flo > 0 else -1
@@ -817,8 +817,7 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
             step, secant = min(max(jp + fp * (j - jp) // (fp - f), a + 1), b - 1), True
         jp, fp, j = j, f, step
     x = _float_at((a + b) << lift, 2 * den)
-    # the cell's ends, the one past the largest float clamped to it
-    top = _FLOAT_MAX * den
+    # the cell's ends, the one past the largest float clamped to it (top)
     lo_f, hi_f = (min(max(end << lift, -top), top) / den for end in (a, b))
     dg = g.derivative()
     try:

@@ -558,10 +558,15 @@ def _construction_outcome(make, *values):
     return _bits(_fields(made)), made.mode, repr(made), hash(made), twin
 
 
+class _F(float):
+    """A float whose type is not float: the constructors decide its mode
+    through the mode check, not by type."""
+
+
 constructor_scalars = st.one_of(
     st.sampled_from((0, 1, -1, True, False, 0.0, -0.0, Fraction(0), "0", "-0",
                      10 ** 400, -(10 ** 400) + 1, 2 ** 1100 + 1, Fraction(1, 10 ** 400),
-                     math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324,
+                     math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, _F(1.5),
                      " -3/6 ", "1.5", "2e1", "x", "1/0", None)),
     st.integers(-10 ** 30, 10 ** 30),
     st.fractions(max_denominator=10 ** 12),

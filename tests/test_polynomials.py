@@ -392,21 +392,35 @@ def test_isolation_intervals_disjoint_and_certified():
             assert p(iv.lo) != 0 and p(iv.hi) != 0
 
 
+def _fault_split_counts(monkeypatch, fault, limit):
+    """Pass each count isolation takes at a split, the variations of the
+    values `_chain_values` returned, through fault; returns the list of
+    those counts, which fails past `limit` entries."""
+    calls, evaluated = [], []
+    chain_values, variations = polynomials._chain_values, polynomials._variations
+
+    def evaluate(chain, num, den, *head):
+        evaluated.append(chain_values(chain, num, den, *head))
+        return evaluated[-1]
+
+    def faulty(values):
+        if not evaluated or values is not evaluated[-1]:
+            return variations(values)  # a count at infinity
+        calls.append(values)
+        assert len(calls) <= limit, "isolation never stopped subdividing"
+        return fault(variations(values))
+
+    monkeypatch.setattr(polynomials, "_chain_values", evaluate)
+    monkeypatch.setattr(polynomials, "_variations", faulty)
+    return calls
+
+
 @pytest.mark.parametrize("fault", [lambda v: -1, lambda v: v + 6],
                          ids=["below", "above"])
 def test_isolation_raises_on_a_count_outside_its_interval(monkeypatch, fault):
     # a faulty chain kernel must fail loudly; without the guard isolation
     # keeps subdividing, so the patch gives up after 200 midpoints
-    calls = []
-    nonroot_between = polynomials._nonroot_between
-
-    def faulty(chain, lo, hi):
-        calls.append(lo)
-        assert len(calls) <= 200, "isolation never stopped subdividing"
-        mid, variations = nonroot_between(chain, lo, hi)
-        return mid, fault(variations)
-
-    monkeypatch.setattr(polynomials, "_nonroot_between", faulty)
+    calls = _fault_split_counts(monkeypatch, fault, 200)
     with pytest.raises(RuntimeError, match="outside"):
         isolate_real_roots(QUINTIC)
     assert len(calls) == 1
@@ -416,16 +430,8 @@ def test_isolation_raises_when_counts_stay_inside_their_interval(monkeypatch):
     # a faulty kernel that counts one root above every midpoint keeps each
     # left half at k - 1 >= 2 roots, so isolation would halve toward the
     # lower bound forever; below the root-separation floor it must raise
-    calls = []
-    nonroot_between = polynomials._nonroot_between
-
-    def faulty(chain, lo, hi):
-        calls.append(lo)
-        assert len(calls) <= 2000, "isolation never stopped subdividing"
-        mid, _ = nonroot_between(chain, lo, hi)
-        return mid, polynomials._variations_at_inf(chain, 1) + 1
-
-    monkeypatch.setattr(polynomials, "_nonroot_between", faulty)
+    above = polynomials._variations_at_inf(polynomials._basis(QUINTIC)._int_chain, 1) + 1
+    _fault_split_counts(monkeypatch, lambda v: above, 2000)
     with pytest.raises(RuntimeError, match="root separation"):
         isolate_real_roots(QUINTIC)
 
@@ -841,12 +847,19 @@ def test_ngon_roots_match_the_recorded_digest():
 # -- isolation from the power-of-two root bound ------------------------------------
 
 def _pair(x):
-    """A dyadic rational as the pair (num, k) that `_nonroot_between` takes,
+    """A dyadic rational as the pair (num, k) that `_split_point` takes,
     num / 2^k in lowest terms."""
     x = Fraction(x)
     k = x.denominator.bit_length() - 1
     assert x.denominator == 1 << k, f"{x} is not dyadic"
     return x.numerator, k
+
+
+def _nonroot_between(chain, lo, hi):
+    """`_split_point` of (lo, hi) for chain[0], and the chain's sign
+    variations there: a split that always evaluates the chain."""
+    (num, k), head = polynomials._split_point(chain[0], lo, hi)
+    return (num, k), polynomials._variations(_chain_values(chain, num, 1 << k, head))
 
 
 def reference_isolation(p, bound=None):
@@ -867,7 +880,7 @@ def reference_isolation(p, bound=None):
         if vlo - vhi == 1:
             out.append(RootInterval(polynomials._fraction(lo), polynomials._fraction(hi)))
         elif vlo - vhi > 1:
-            mid, vmid = polynomials._nonroot_between(chain, lo, hi)
+            mid, vmid = _nonroot_between(chain, lo, hi)
             stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
     return sorted(out, key=lambda iv: iv.lo)
 
@@ -950,12 +963,12 @@ def test_power_of_two_bound_holds_every_root(p):
 ])
 def test_an_interval_is_split_in_the_exponent_only_on_one_side_of_zero(lo, hi, point):
     chain = RatPoly.of(1, 0, 1)._int_chain  # x^2 + 1: no real root
-    assert polynomials._nonroot_between(chain, _pair(lo), _pair(hi))[0] == _pair(point)
+    assert _nonroot_between(chain, _pair(lo), _pair(hi))[0] == _pair(point)
 
 
 def test_a_split_point_that_is_a_root_falls_back_to_a_nonroot():
     p = RatPoly.of(-2**50, 1)
-    mid, _ = polynomials._nonroot_between(p._int_chain, _pair(0), _pair(2**100))
+    mid, _ = _nonroot_between(p._int_chain, _pair(0), _pair(2**100))
     mid = polynomials._fraction(mid)
     assert 0 < mid < 2**100 and p(mid) != 0
     assert isolate_real_roots(p) == reference_isolation(p)
@@ -1160,6 +1173,23 @@ def test_ngon_isolation_and_refinement_make_the_recorded_number_of_evaluations(m
             refine_root(p, iv, 1e-12)
     assert sum(map(len, intervals)) == 820
     assert len(chain_calls) == 683 and len(probes) == 2785
+
+
+def test_ngon_isolation_makes_the_recorded_number_of_horner_passes(monkeypatch):
+    # every split takes p's value from `_split_point` and hands it to the
+    # chain as its head, so no split evaluates p twice (2,349 passes when
+    # splits of three or more roots evaluated p again for the end value)
+    polys = [RatPoly(halved_cyclotomic(n).poly.coeffs) for n in range(3, 82, 2)]
+    passes = []
+
+    def counted(q, num, den):
+        passes.append(num)
+        return homogeneous(q, num, den)
+
+    homogeneous = polynomials._homogeneous
+    monkeypatch.setattr(polynomials, "_homogeneous", counted)
+    assert sum(len(isolate_real_roots(p)) for p in polys) == 820
+    assert len(passes) == 1695
 
 
 # -- refined roots depend on the polynomial and tol alone ---------------------------
