@@ -9,6 +9,7 @@ returns prints each warning it raised as one `warning:` line.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import warnings
@@ -37,9 +38,15 @@ def _fmt_point(p: Point) -> str:
 
 
 def _read_input(path: str) -> str:
-    """The text of an input file; an unreadable file is an input error."""
+    """The text of an input file, decoded as `Path.read_text` does; an
+    unreadable file, or one over MAX_INPUT_BYTES, is an input error."""
+    from .scriptio import MAX_INPUT_BYTES, FormatError
     try:
-        return Path(path).read_text()
+        with open(path, "rb") as f:
+            data = f.read(MAX_INPUT_BYTES + 1)
+        if len(data) > MAX_INPUT_BYTES:
+            raise FormatError(f"{path} is over the input cap of {MAX_INPUT_BYTES} bytes")
+        return io.TextIOWrapper(io.BytesIO(data)).read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(str(exc)) from exc
 
@@ -103,7 +110,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_construct(args) -> int:
     from .construction import hendecagon_script, polygon_vertices, run_script, verify_hendecagon
-    from .render import DiagramSpec, IoFailure, emit_svg, overwrite_text, write_svgs
+    from .render import (MAX_OUTPUT_BYTES, DiagramSpec, IoFailure, _utf8_size, emit_svg,
+                         overwrite_text, write_svgs)
     from .scriptio import decode_script
     if args.script:
         script = decode_script(_read_input(args.script))
@@ -111,12 +119,16 @@ def _cmd_construct(args) -> int:
         script = hendecagon_script()
     state = run_script(script, args.tol)
     out_dir = Path(args.out)
-    paths = write_svgs(emit_svg(state, DiagramSpec()), out_dir)
+    docs = emit_svg(state, DiagramSpec())
     report_lines = [f"{name} {residual:.6e}" for name, residual in state.residual_log]
     report_lines.append(f"max_residual {state.max_residual():.6e}")
+    report = "\n".join(report_lines) + "\n"
+    if sum(_utf8_size(text) for _, text in docs) + _utf8_size(report) > MAX_OUTPUT_BYTES:
+        raise InputError(f"the output passes the cap of {MAX_OUTPUT_BYTES} bytes")
+    paths = write_svgs(docs, out_dir)
     residuals = out_dir / "residuals.txt"
     try:
-        overwrite_text(residuals, "\n".join(report_lines) + "\n")
+        overwrite_text(residuals, report)
     except OSError as exc:
         raise IoFailure(f"cannot write {residuals}: {exc}") from exc
     print(f"steps executed: {len(script.steps)}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from . import DEFAULT_TOL, _checked_tol
@@ -186,24 +187,33 @@ def polygon_vertices(state: ConstructionState) -> dict | None:
     return None
 
 
-def landmark_params(kind: str, args: Mapping) -> dict:
-    """The landmark arguments a step reads: argument name -> Point or Line.
+def _params(cls) -> Mapping:
+    return MappingProxyType({f.name: f.type for f in fields(cls)})
+
+
+# the tables `landmark_params` returns, made once at import
+_VARIANT_PARAMS = {variant: _params(cls) for variant, (cls, _) in SINGLE_FOLDS.items()}
+_KIND_PARAMS = {"two_fold": _params(TwoFoldConfig),
+                "mark_point": MappingProxyType({"l1": Line, "l2": Line}),
+                "rotate_length": MappingProxyType({"center": Point, "frm": Point, "axis": Line})}
+_ALONG, _ENDS = MappingProxyType({"along": Line}), MappingProxyType({"p": Point, "q": Point})
+
+
+def landmark_params(kind: str, args: Mapping) -> Mapping:
+    """The landmark arguments a step reads: argument name -> Point or Line,
+    as a read-only table shared by every step of that kind and variant.
 
     Raises ValueError for an unknown step kind or single-fold variant.
     """
     if kind == "single_fold":
         variant = args.get("variant")
-        if not isinstance(variant, str) or variant not in SINGLE_FOLDS:
+        if not isinstance(variant, str) or variant not in _VARIANT_PARAMS:
             raise ValueError(f"unknown single_fold variant {variant!r}")
-        return {f.name: f.type for f in fields(SINGLE_FOLDS[variant][0])}
-    if kind == "two_fold":
-        return {f.name: f.type for f in fields(TwoFoldConfig)}
-    if kind == "mark_point":
-        return {"l1": Line, "l2": Line}
+        return _VARIANT_PARAMS[variant]
     if kind == "crease_segment":
-        return {"along": Line} if "along" in args else {"p": Point, "q": Point}
-    if kind == "rotate_length":
-        return {"center": Point, "frm": Point, "axis": Line}
+        return _ALONG if "along" in args else _ENDS
+    if isinstance(kind, str) and kind in _KIND_PARAMS:
+        return _KIND_PARAMS[kind]
     raise ValueError(f"unknown step kind {kind!r}")
 
 

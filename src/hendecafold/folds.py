@@ -301,6 +301,8 @@ SINGLE_FOLDS = {
 SingleFoldProblem = Union[tuple(cls for cls, _ in SINGLE_FOLDS.values())]
 
 _SOLVERS = dict(SINGLE_FOLDS.values())
+# each problem class's field names, in the order its solver takes them
+_ARG_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _SOLVERS}
 
 
 def solve_single_fold(problem: SingleFoldProblem) -> list:
@@ -313,7 +315,7 @@ def solve_single_fold(problem: SingleFoldProblem) -> list:
     solve = _SOLVERS.get(type(problem))
     if solve is None:
         raise TypeError(f"not a single-fold problem: {problem!r}")
-    folds = solve(*(getattr(problem, f.name).to_float() for f in fields(problem)))
+    folds = solve(*[getattr(problem, name).to_float() for name in _ARG_NAMES[type(problem)]])
     return sorted(folds, key=lambda l: (l.a, l.b, l.c))
 
 

@@ -5,10 +5,11 @@ mode of their inputs: exact values (ints / Fractions) stay exact, floats stay
 float, and the two are never combined silently.  Each class has one
 constructor, which works out the mode and the canonical fields and stores each
 once; every value but a stored canonical float line (`Line.from_canonical`)
-is made through it.  It decides the mode by type first: arguments whose type
-is exactly `float` are float mode at once, and any other mix, a float
-subclass included, goes through the mode check.  `mode` is not a dataclass
-field, so equality, hashing and repr see the coordinates alone.  Lines are
+is made through it, a float line's `to_float` twin too, made once.  It
+decides the mode by type first: arguments whose type is exactly `float` are
+float mode at once, and any other mix, a float subclass included, goes
+through the mode check.  `mode` and a line's `_float` are no dataclass
+fields, so equality, hashing and repr see the coordinates alone.  Lines are
 kept in a canonical implicit form ``a*x + b*y + c = 0``: in exact mode, equal
 triples mean equal lines.
 
@@ -167,11 +168,15 @@ class Line:
         _set(self, "mode", mode)
 
     def to_float(self) -> "Line":
-        """The float line: the one made with an exact line, and a float line
-        canonicalized again (float canonicalization is not idempotent)."""
-        if self.mode == EXACT:
+        """The float line: the one made with an exact line; for a float line,
+        the line canonicalized again (float canonicalization is not
+        idempotent), made on the first call and kept as `_float`."""
+        try:
             return self._float
-        return Line(self.a, self.b, self.c)
+        except AttributeError:
+            twin = Line(self.a, self.b, self.c)
+            _set(self, "_float", twin)
+            return twin
 
     @classmethod
     def from_canonical(cls, a: Scalar, b: Scalar, c: Scalar) -> "Line":
@@ -282,13 +287,27 @@ def distance(p: Point, l: Line) -> float:
     return abs(float(line_residual(p, l))) / math.hypot(float(l.a), float(l.b))
 
 
+def _unit_triple(l: Line) -> tuple:
+    """`l.to_float()`'s triple, made without a Line (see `line_defect`)."""
+    if l.mode == EXACT:
+        return l._float.a, l._float.b, l._float.c
+    norm = math.hypot(l.a, l.b)
+    if not math.isfinite(c := l.c / norm):
+        raise ValueError(f"non-finite line offset {l.c}")
+    return l.a / norm, l.b / norm, c
+
+
 def line_defect(l1: Line, l2: Line) -> float:
     """Coefficient-wise disagreement of two lines after normalization.
 
     Zero iff the lines coincide; insensitive to the sign ambiguity of the
-    normal, so it is a usable float-mode equality residual.
+    normal, so it is a usable float-mode equality residual.  Its bits are
+    those of the `to_float` lines: a float line is divided by its norm again,
+    which moves bits, as a unit normal may be an ulp off.  The sign flip and
+    the zero squash need not run: negating a triple is exact and
+    (-x) - (-y) = -(x - y), so a flip only swaps `same` and `flip`.
     """
-    f1, f2 = l1.to_float(), l2.to_float()
-    same = max(abs(f1.a - f2.a), abs(f1.b - f2.b), abs(f1.c - f2.c))
-    flip = max(abs(f1.a + f2.a), abs(f1.b + f2.b), abs(f1.c + f2.c))
+    (a1, b1, c1), (a2, b2, c2) = _unit_triple(l1), _unit_triple(l2)
+    same = max(abs(a1 - a2), abs(b1 - b2), abs(c1 - c2))
+    flip = max(abs(a1 + a2), abs(b1 + b2), abs(c1 + c2))
     return min(same, flip)

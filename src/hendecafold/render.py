@@ -19,6 +19,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import InputError
 from .construction import RADIUS, ConstructionState, Sheet, polygon_vertices
 from .geometry import Line, Point
 
@@ -31,6 +32,14 @@ def escape(text: str) -> str:
 
 class IoFailure(OSError):
     """Could not write a diagram to disk."""
+
+
+# what `construct` may write for one script, plates and residuals.txt together
+MAX_OUTPUT_BYTES = 100_000_000
+
+
+def _utf8_size(text: str) -> int:
+    return len(text) if text.isascii() else len(text.encode())
 
 
 # blank border around the sheet, world units
@@ -196,6 +205,7 @@ def emit_svg(state: ConstructionState, spec: DiagramSpec = None) -> list:
     spec.figures selects the plates; None draws every figure that some step
     names plus the final polygon plate (appended whenever the last figure is
     included and the state has vertices; WrongLandmarkKind if one is a line).
+    Raises InputError once the plates made so far pass MAX_OUTPUT_BYTES.
     """
     spec = spec or DiagramSpec()
     box = _viewport(state.sheet)
@@ -211,12 +221,15 @@ def emit_svg(state: ConstructionState, spec: DiagramSpec = None) -> list:
                     captions[figure].append(step.annotation)
     frame = _frame(state.sheet, box)
     parts = _landmark_parts(state, box)
-    docs = []
+    docs, size = [], 0
     for figure, caption in captions.items():
         body = "".join([later if first < figure else new
                         for first, later, new in parts if first <= figure])
         docs.append((f"step_{figure:02d}",
                      _document(frame, f"Figure {figure}", " ".join(caption), body)))
+        size += _utf8_size(docs[-1][1])
+        if size > MAX_OUTPUT_BYTES:  # stop before the plates fill memory
+            raise InputError(f"the plates pass the output cap of {MAX_OUTPUT_BYTES} bytes")
     if figures and max(figures) >= state.script.max_figure() and \
             (vertices := polygon_vertices(state)):
         docs.append(("final", _final_doc(state, vertices, frame)))

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +31,7 @@ from hendecafold import InputError, geometry
 from hendecafold.cyclotomic import InvalidN
 from hendecafold.geometry import (CoincidentPoints, Line, MixedModes, ParallelLines, Point,
                                   line_through, point_distance)
-from hendecafold.render import IoFailure
+from hendecafold.render import DiagramSpec, IoFailure, emit_svg
 from hendecafold.scriptio import (
     FormatError,
     decode_number,
@@ -403,10 +404,126 @@ def test_decode_two_fold_config_matches_the_golden_digest():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "fec0e56f5a144e70c1e2c93ce4ce6e5974dcc18d2ff9868f1549ee896b99ffb7"
 
+SCRIPT_FILE = Path(__file__).parents[1] / "perfbench" / "data" / "hendecagon_script.json"
+
+
+def _step_mutations():
+    """(field, value or _DROP) single-field edits of a script step: missing
+    and wrong-typed required fields, unknown kinds and variants, bad mv and
+    select, and expectations that are not a point or a line."""
+    drop = object()
+    edits = [(key, drop) for key in ("id", "kind", "args", "outputs", "figures")]
+    edits += [("id", v) for v in (3, None, ["fold_ell"])]
+    edits += [("kind", v) for v in (3, None, ["single_fold"], "fold", "Single_fold", "")]
+    edits += [("args", v) for v in ([], "moving", None, 0)]
+    edits += [("outputs", v) for v in ("ell", [], [1], None, ["ell", 2], {"ell": 1})]
+    edits += [("figures", v) for v in ([0], [1.0], [True], "1", [], None, [-2], [1, "2"])]
+    edits += [("annotation", v) for v in (None, 5, ["text"])]
+    edits += [("mv", v) for v in ("Mountain", None, 1, "fold", "")]
+    edits += [("expect", v) for v in ([], "ell", None)]
+    edits += [("args.variant", v) for v in ("line_onto_lines", None, 7, "")]
+    edits += [("args.select", v) for v in (-1, 1.0, "0", True, None, 2)]
+    edits += [("args.ref", v) for v in (None, 4, ["Q"])]
+    edits += [("expect.value", v) for v in (
+        {"point": ["1", "2", "3"]}, {"line": ["1", "0"]}, {"circle": ["1"]}, [1, 2],
+        {"point": ["0.5", "1"]}, {"line": ["1.0", "0", "0"]}, {"line": ["0", "0", "1"]},
+        {"point": ["abc", "1"]}, {"point": ["1e400", "0.0"]}, {"point": [1, 2]},
+        {"line": ["1/1" + "0" * 400, "0", "2"]}, {"point": ["1", "2"], "line": ["1", "0", "0"]},
+        {"line": ["-0.6", "-0.8", "1.25"]}, {"line": ["0.6", "0.8", "1.25"]},
+        {"point": ["3/7", "-2"]}, {"line": ["3", "4", "-5/2"]})]
+    return drop, edits
+
+
+def _decode_script_documents():
+    """The committed script and 360 seeded single-field mutants of its steps."""
+    rng = random.Random(39)
+    base = json.loads(SCRIPT_FILE.read_text())
+    drop, edits = _step_mutations()
+    docs = [base]
+    for _ in range(360):
+        doc = json.loads(json.dumps(base))
+        step = rng.choice(doc["steps"])
+        key, value = rng.choice(edits)
+        if key == "args.ref":
+            refs = sorted(k for k, v in step["args"].items()
+                          if k not in ("variant", "select") and isinstance(v, str))
+            step["args"][rng.choice(refs)] = value
+        elif key == "expect.value":
+            step.setdefault("expect", {})[rng.choice(step["outputs"])] = value
+        elif "." in key:
+            step["args"][key.split(".")[1]] = value
+        elif value is drop:
+            step.pop(key)
+        else:
+            step[key] = value
+        docs.append(doc)
+    return [json.dumps(doc) for doc in docs]
+
+
+def _decode_script_record(text):
+    """One line: every decoded step's fields, each expectation with its
+    mode and float bits in hex, or the FormatError message."""
+    try:
+        script = decode_script(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+    parts = [repr(script.frame)]
+    for step in script.steps:
+        expect = [f"{name}={value!r} {value.mode} "
+                  + " ".join(getattr(value, f.name).hex() for f in dataclasses.fields(value)
+                             if type(getattr(value, f.name)) is float)
+                  for name, value in step.expect.items()]
+        parts.append(f"{step.id!r} {step.kind!r} {json.dumps(step.args, sort_keys=True)} "
+                     f"{step.outputs!r} {step.figures!r} {step.annotation!r} {step.mv!r} "
+                     + "; ".join(expect))
+    return " | ".join(parts)
+
+
+def test_decode_script_matches_the_golden_digest():
+    # every decoded step, and the message of every refused one, of the
+    # committed script and 360 single-field mutants: a leaner step decoder
+    # must leave this digest as it is
+    lines = [_decode_script_record(text) for text in _decode_script_documents()]
+    assert 200 < sum(line.startswith("FormatError") for line in lines) < 340
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e97fac12168219f5e0696cd0c7b73f6c0db60671fcea096b0fd295e002bfa25b"
+
+
 def test_committed_script_file_is_the_built_in_script():
     # the benchmark decodes this file; it must stay the built-in script
     path = Path(__file__).parents[1] / "perfbench" / "data" / "hendecagon_script.json"
     assert json.loads(path.read_text()) == json.loads(encode_script(hendecagon_script()))
+
+
+def test_the_script_path_makes_few_lines_and_walks_no_fields(monkeypatch):
+    # decoding, running and drawing the committed script once: landmarks
+    # keep their float twins, line_defect makes no line, and the step
+    # parameters are tables made at import (151 lines and 59 walks before)
+    text = SCRIPT_FILE.read_text()
+
+    def once():
+        emit_svg(run_script(decode_script(text)), DiagramSpec())
+
+    once()
+    lines, walks = [], []
+    line_init, fields = Line.__init__, dataclasses.fields
+
+    def counting_init(self, *args):
+        lines.append(args)
+        line_init(self, *args)
+
+    def counting_fields(*args):
+        walks.append(args)
+        return fields(*args)
+
+    monkeypatch.setattr(Line, "__init__", counting_init)
+    monkeypatch.setattr(dataclasses, "fields", counting_fields)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hendecafold") and getattr(module, "fields", None) is fields:
+            monkeypatch.setattr(module, "fields", counting_fields)
+    once()
+    assert 0 < len(lines) <= 70
+    assert walks == []
 
 
 def test_script_roundtrip_lossless():

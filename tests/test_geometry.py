@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hendecafold import geometry
 from hendecafold.geometry import (
@@ -332,6 +332,95 @@ def test_line_defect_sign_insensitive():
     assert line_defect(l1, l2) < 1e-15
 
 
+def _line_defect_through_to_float(l1, l2):
+    """`line_defect` as it was defined on two `to_float` lines, each made
+    anew: an exact line's stored float line, a float line canonicalized
+    again by the constructor, sign flip and signed-zero squash included."""
+    def to_float(l):
+        return l._float if l.mode == geometry.EXACT else Line(l.a, l.b, l.c)
+    f1, f2 = to_float(l1), to_float(l2)
+    same = max(abs(f1.a - f2.a), abs(f1.b - f2.b), abs(f1.c - f2.c))
+    flip = max(abs(f1.a + f2.a), abs(f1.b + f2.b), abs(f1.c + f2.c))
+    return min(same, flip)
+
+
+def _defect_outcome(defect, l1, l2):
+    try:
+        return defect(l1, l2).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_BIG = 1.7976931348623157e308
+_offsets = st.one_of(
+    st.floats(-10, 10),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, _BIG, -_BIG]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_normal_parts = st.one_of(
+    st.floats(-10, 10), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _made(make, *values):
+    try:
+        return make(*values)
+    except ValueError:
+        return None
+
+
+@st.composite
+def _any_lines(draw):
+    """Float lines from the constructor, stored unit normals an ulp or a few
+    off (`from_canonical`), axis-aligned and nearly axis-aligned lines with
+    either normal, and exact lines; tiny and huge offsets throughout."""
+    kind = draw(st.sampled_from(("float", "unit", "axis", "exact")))
+    c = draw(_offsets)
+    if kind == "float":
+        line = _made(Line, draw(_normal_parts), draw(_normal_parts), c)
+    elif kind == "unit":
+        angle = draw(st.floats(-math.pi / 2, math.pi / 2))
+        a, b = math.cos(angle), math.sin(angle)
+        for _ in range(draw(st.integers(0, 4))):
+            b = math.nextafter(b, draw(st.sampled_from((-math.inf, math.inf))))
+        line = _made(Line.from_canonical, a, b, c)
+    elif kind == "axis":
+        a, b = draw(st.sampled_from(((1.0, 0.0), (0.0, 1.0), (-0.0, 1.0), (5e-324, 1.0),
+                                     (5e-324, -1.0), (1e-300, -1.0))))
+        line = _made(Line.from_canonical, a, b, c)
+    else:
+        line = _made(Line, draw(wide_exact), draw(wide_exact), draw(wide_exact))
+    assume(line is not None)
+    return line
+
+
+def _flipped_twin(line):
+    """The same line with its normal negated where the sign convention
+    allows it (a zero or tiny first entry), else the line itself negated."""
+    twin = _made(Line.from_canonical, line.a, -line.b, -line.c) \
+        if line.mode == geometry.FLOAT and line.a < 1e-290 else None
+    return twin or _made(Line, -line.a, -line.b, -line.c) or line
+
+
+_line_pairs = st.one_of(st.tuples(_any_lines(), _any_lines()),
+                        _any_lines().map(lambda l: (l, _flipped_twin(l))))
+
+
+@settings(max_examples=400)
+@given(_line_pairs)
+# hypot(a, b) is 1 - 2**-53 here, so the offset leaves the floats on division
+@example((Line.from_canonical(0.9358968236779348, 0.35227423327508994, _BIG),
+          Line(1.0, 0.0, 0.0)))
+@example((Line.from_canonical(-0.0, 1.0, -0.0), Line.from_canonical(5e-324, -1.0, 0.0)))
+@example((Line(Fraction(3), 4, Fraction(-5, 2)), Line.from_canonical(0.6, 0.8, -0.5)))
+def test_line_defect_matches_its_to_float_definition_bit_for_bit(pair):
+    # no Line is made, and no sign is flipped: the bits, and any error,
+    # are those of the two to_float lines
+    l1, l2 = pair
+    for first, second in ((l1, l2), (l2, l1), (l1, l1)):
+        assert _defect_outcome(line_defect, first, second) == \
+            _defect_outcome(_line_defect_through_to_float, first, second)
+
+
 # -- the integer kernels against their Fraction forms ------------------
 
 wide_fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
@@ -423,6 +512,17 @@ def test_the_stored_mode_survives_pickle_and_copy(value):
         assert twin.mode == value.mode
         if isinstance(value, Line) and value.mode == geometry.EXACT:
             assert twin.to_float() == value.to_float()
+    if isinstance(value, Line):
+        # a float line keeps the twin its first to_float made: the same bits
+        # on every call, and pickles and copies carry it
+        def bits(line):
+            return [v.hex() for v in (line.a, line.b, line.c)]
+        first = bits(value.to_float())
+        assert value.to_float() is value.to_float() and bits(value.to_float()) == first
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert "_float" in vars(twin) and bits(twin.to_float()) == first
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+            assert [f.name for f in dataclasses.fields(twin)] == ["a", "b", "c"]
 
 
 @pytest.mark.parametrize("value", _stored_mode_values(), ids=repr)

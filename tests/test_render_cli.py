@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hendecafold
-from hendecafold import polynomials, render
+from hendecafold import polynomials, render, scriptio
 from hendecafold.cli import main
 from hendecafold.construction import (
     VERTEX_IDS,
@@ -453,11 +453,12 @@ def test_cli_construct_writes_outputs(tmp_path, capsys):
 def test_cli_construct_matches_golden_digest(tmp_path, capsys):
     # sha256 over sorted file names and bytes, as the benchmark's oracle
     # hashes the 21 plates and residuals.txt; a rerun into the same directory
-    # writes over longer files and must leave the same bytes
-    out = tmp_path / "golden"
+    # writes over longer files and must leave the same bytes.  Both the
+    # built-in script and the committed file the benchmark decodes
     golden = Path(__file__).parents[1] / "perfbench" / "data" / "construct.sha256"
+    script = Path(__file__).parents[1] / "perfbench" / "data" / "hendecagon_script.json"
 
-    def digest():
+    def digest(out):
         h = hashlib.sha256()
         for path in sorted(out.iterdir()):
             h.update(path.name.encode() + b"\0")
@@ -465,12 +466,14 @@ def test_cli_construct_matches_golden_digest(tmp_path, capsys):
             h.update(b"\0")
         return h.hexdigest()
 
-    assert main(["construct", "--out", str(out)]) == 0
-    assert digest() == golden.read_text().split()[0]
-    for path in out.iterdir():
-        path.write_bytes(path.read_bytes() + b"junk past the old end\n" * 50)
-    assert main(["construct", "--out", str(out)]) == 0
-    assert digest() == golden.read_text().split()[0]
+    for label, source in (("built_in", []), ("decoded", ["--script", str(script)])):
+        out = tmp_path / label
+        assert main(["construct", *source, "--out", str(out)]) == 0
+        assert digest(out) == golden.read_text().split()[0]
+        for path in out.iterdir():
+            path.write_bytes(path.read_bytes() + b"junk past the old end\n" * 50)
+        assert main(["construct", *source, "--out", str(out)]) == 0
+        assert digest(out) == golden.read_text().split()[0]
 
 
 def test_cli_construct_custom_script(tmp_path, capsys):
@@ -847,6 +850,84 @@ def test_cli_bad_input_is_one_line_and_exit_code(tmp_path, capsys, case, kind,
     if case == "vertices_are_lines":
         # the run fails before any plate is written, the final one included
         assert not list((tmp_path / "out").glob("*.svg"))
+
+
+# -- what one input may make construct write ----------------------------------
+
+def _crease_script(steps: int) -> str:
+    """`steps` creases along the left edge, all in figure 1, in compact JSON."""
+    return json.dumps({
+        "format": "fold-script", "version": 1,
+        "frame": {"center": ["0.0", "-1.0"], "side": "8.0"},
+        "steps": [{"id": f"s{k}", "kind": "crease_segment", "args": {"along": "sheet_left"},
+                   "outputs": [f"c{k}"], "figures": [1]} for k in range(steps)]},
+        separators=(",", ":"))
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at_the_cap", "one_byte_over"])
+@pytest.mark.parametrize("command, option", [("construct", "--script"),
+                                             ("solve", "--config")])
+def test_cli_reads_an_input_file_up_to_the_byte_cap(tmp_path, capsys, command, option, over):
+    # a valid document padded with spaces to the cap runs; one byte more is
+    # refused before it is decoded, and construct writes nothing
+    text = json.dumps(_script_doc() if command == "construct" else _config_doc()).encode()
+    path = tmp_path / "input.json"
+    path.write_bytes(text + b" " * (scriptio.MAX_INPUT_BYTES - len(text) + over))
+    out = tmp_path / "out"
+    argv = [command, option, str(path)] + (["--out", str(out)] if command == "construct" else [])
+    assert main(argv) == 2 * over
+    err = capsys.readouterr().err
+    if over:
+        [line] = err.splitlines()
+        assert line == (f"error: {path} is over the input cap of "
+                        f"{scriptio.MAX_INPUT_BYTES} bytes")
+        assert not out.exists()
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at_the_cap", "one_step_over"])
+def test_cli_runs_a_script_up_to_the_step_cap(tmp_path, capsys, over):
+    # every crease is drawn on one plate, so the run at the cap is small
+    path = tmp_path / "creases.json"
+    path.write_text(_crease_script(scriptio.MAX_STEPS + over))
+    assert path.stat().st_size < scriptio.MAX_INPUT_BYTES
+    out = tmp_path / "out"
+    assert main(["construct", "--script", str(path), "--out", str(out)]) == 2 * over
+    captured = capsys.readouterr()
+    if over:
+        [line] = captured.err.splitlines()
+        assert line == (f"error: a script has at most {scriptio.MAX_STEPS} steps, "
+                        f"got {scriptio.MAX_STEPS + 1}")
+        assert not out.exists()
+    else:
+        assert f"steps executed: {scriptio.MAX_STEPS}" in captured.out
+        assert sorted(p.name for p in out.iterdir()) == ["residuals.txt", "step_01.svg"]
+
+
+@pytest.mark.parametrize("cap, message", [
+    (lambda size: size, None),
+    (lambda size: size - 1, "the output passes the cap of"),
+    (lambda size: 1000, "the plates pass the output cap of"),
+], ids=["at_the_cap", "one_byte_under", "under_the_first_plate"])
+def test_cli_construct_writes_up_to_the_output_cap_and_nothing_past_it(
+        tmp_path, capsys, monkeypatch, cap, message):
+    # measured, not computed: the cap set to the built-in run's own output
+    # (21 plates and residuals.txt) lets it all be written; one byte less and
+    # nothing is, and a cap below one plate stops emission at that plate
+    assert main(["construct", "--out", str(tmp_path / "full")]) == 0
+    size = sum(p.stat().st_size for p in (tmp_path / "full").iterdir())
+    assert size > 5 * 10**4
+    monkeypatch.setattr(render, "MAX_OUTPUT_BYTES", cap(size))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["construct", "--out", str(out)]) == (2 if message else 0)
+    err = capsys.readouterr().err
+    if message:
+        assert err == f"error: {message} {cap(size)} bytes\n"
+        assert not out.exists()
+    else:
+        assert err == "" and sum(p.stat().st_size for p in out.iterdir()) == size
 
 
 @pytest.mark.parametrize("what", ["missing", "directory"])
