@@ -231,10 +231,11 @@ def _lands_on(point: tuple, crease: tuple, target: tuple) -> list:
     the target line (a, b, c): (A^2+B^2)*target(point) - 2*crease(point)*(A*a + B*b).
     Integer inputs, integer polynomial out."""
     (x, y), (A, B, C), (a, b, c) = point, crease, target
+    ka, kb, on_target = -2 * a, -2 * b, a * x + b * y + c
     norm = _add(_mul(A, A), _mul(B, B))
-    at_point = _add(_add(_mul(A, [x]), _mul(B, [y])), C)
-    dot = _add(_mul(A, [-2 * a]), _mul(B, [-2 * b]))
-    return _add(_mul(norm, [a * x + b * y + c]), _mul(at_point, dot))
+    at_point = _add(_add([x * v for v in A], [y * v for v in B]), C)
+    dot = _add([ka * v for v in A], [kb * v for v in B])
+    return _add([on_target * v for v in norm], _mul(at_point, dot))
 
 
 def _o6_cubic(p1: Point, l1: Line, p2: Point, l2: Line) -> RatPoly:

@@ -5,10 +5,11 @@ mode of their inputs: exact values (ints / Fractions) stay exact, floats stay
 float, and the two are never combined silently.  Each class has one
 constructor, which works out the mode and the canonical fields and stores each
 once; every value but a stored canonical float line (`Line.from_canonical`)
-is made through it, a float line's `to_float` twin too, made once.  It
+is made through it, each `to_float` twin too, made once: an exact line's
+with the line, a float line's and an exact point's on the first call.  It
 decides the mode by type first: arguments whose type is exactly `float` are
 float mode at once, and any other mix, a float subclass included, goes
-through the mode check.  `mode` and a line's `_float` are no dataclass
+through the mode check.  `mode` and the twin `_float` are no dataclass
 fields, so equality, hashing and repr see the coordinates alone.  Lines are
 kept in a canonical implicit form ``a*x + b*y + c = 0``: in exact mode, equal
 triples mean equal lines.
@@ -73,7 +74,7 @@ def _same_mode(first: "Point | Line", second: "Point | Line") -> str:
 @dataclass(frozen=True, init=False)
 class Point:
     """A point; exact coordinates are stored as Fractions.  The constructor
-    stores each field and `mode` once."""
+    stores each field and `mode` once, and `to_float` an exact point's twin."""
 
     x: Scalar
     y: Scalar
@@ -90,11 +91,13 @@ class Point:
         _set(self, "mode", mode)
 
     def to_float(self) -> "Point":
-        if self.mode == FLOAT:
-            return self
-        # float(Fraction) is this division: one correctly rounded quotient
-        x, y = self.x, self.y
-        return Point(x.numerator / x.denominator, y.numerator / y.denominator)
+        twin = self if self.mode == FLOAT else self.__dict__.get("_float")
+        if twin is None:
+            # float(Fraction) is this division: one correctly rounded quotient
+            x, y = self.x, self.y
+            twin = Point(x.numerator / x.denominator, y.numerator / y.denominator)
+            _set(self, "_float", twin)
+        return twin
 
     def __repr__(self) -> str:
         return f"Point({self.x!r}, {self.y!r})"
@@ -146,8 +149,10 @@ class Line:
     def __init__(self, a: Scalar, b: Scalar, c: Scalar) -> None:
         mode = FLOAT if type(a) is type(b) is type(c) is float else _common_mode(a, b, c)
         if mode == EXACT:
-            ints = _canonical_exact(*(v if isinstance(v, (int, Fraction)) else Fraction(v)
-                                      for v in (a, b, c)))
+            if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))
+                    and isinstance(c, (int, Fraction))):
+                a, b, c = Fraction(a), Fraction(b), Fraction(c)
+            ints = _canonical_exact(a, b, c)
             # made now, not on first use: a line beyond the float range fails here
             _set(self, "_float", _float_line(*ints))
             a, b, c = Fraction(ints[0]), Fraction(ints[1]), Fraction(ints[2])

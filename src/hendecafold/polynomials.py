@@ -28,9 +28,10 @@ guess, which takes value and slope in one Horner pass and stops at a Newton
 step below the square root of the grid step or at its third bisection, and
 one step from it, then secants through the last two exact grid probes,
 extrapolating when both lie on one side of the root, with a bisection
-safeguard, then a short float Newton tail that evaluates g once per step.
-So a refined root depends on the polynomial and tol alone, and it is
-bit-identical to an exact bisection's.
+safeguard, then a short float Newton tail that evaluates g once per step
+and g' in one pass over a tuple of floats k * num / den, made with no
+Fraction (`_float_derivative_desc`).  So a refined root depends on the
+polynomial and tol alone, and it is bit-identical to an exact bisection's.
 
 The exact kernels that `folds` and `cyclotomic` share live here: `_add` and
 `_mul` on coefficient lists and `_over_common_denominator`; `geometry`
@@ -137,6 +138,12 @@ class RatPoly:
         # not k * c, which takes Fraction.__rmul__'s ABC checks
         return RatPoly(Fraction(k * c.numerator, c.denominator)
                        for k, c in enumerate(self.coeffs) if k > 0)
+
+    @cached_property
+    def _float_derivative_desc(self) -> tuple:
+        """float(c) for each c in self', leading one first: k * num / den, the
+        quotient that float(Fraction(k * num, den)) rounds, with no Fraction."""
+        return tuple(k * c.numerator / c.denominator for k, c in enumerate(self.coeffs) if k)[::-1]
 
     @cached_property
     def _int_chain(self) -> list:
@@ -643,8 +650,10 @@ def isolate_real_roots(p: RatPoly) -> list:
         if k == 0:
             continue
         if k == 1:
-            ends.update(((num, 1 << kx), fx) for (num, kx), fx in ((lo, flo), (hi, fhi))
-                        if fx is not None)
+            if flo is not None:
+                ends[lo[0], 1 << lo[1]] = flo
+            if fhi is not None:
+                ends[hi[0], 1 << hi[1]] = fhi
             out.append(RootInterval(_fraction(lo), _fraction(hi)))
             continue
         if depth > shallow:
@@ -759,11 +768,13 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
     result is bit-identical to exact bisection's, whatever the guess
     (`_float_root_guess` stops at a Newton step below
     max(2^-m, sqrt(2^-m)) or at its third bisection).  At most three float
-    Newton steps then polish the cell midpoint, each evaluating g' at x and
-    g at the new point, whose value the next step reuses as g(x); a step
-    that leaves the cell or fails to shrink |p| is rejected.  A guess or
-    polish that would overflow the float range is skipped, and a root
-    beyond it raises ValueError.
+    Newton steps then polish the cell midpoint, each evaluating g' at x,
+    in one Horner pass over the float tuple `_float_derivative_desc`
+    (float(Fraction)'s bits, with no derivative `RatPoly` made), and g at
+    the new point, whose value the next step reuses as g(x); a step that
+    leaves the cell or fails to shrink |p| is rejected.  A guess or polish
+    that would overflow the float range is skipped, and a root beyond it
+    raises ValueError.
     """
     _checked_tol(tol)
     g = _basis(p)
@@ -819,11 +830,12 @@ def refine_root(p: RatPoly, interval: RootInterval, tol: float = 1e-12) -> float
     x = _float_at((a + b) << lift, 2 * den)
     # the cell's ends, the one past the largest float clamped to it (top)
     lo_f, hi_f = (min(max(end << lift, -top), top) / den for end in (a, b))
-    dg = g.derivative()
     try:
-        fx = g(x)
+        fx, dcoeffs = g(x), g._float_derivative_desc
         for _ in range(3):
-            dfx = dg(x)
+            dfx = 0.0
+            for c in dcoeffs:
+                dfx = dfx * x + c
             if dfx == 0.0:
                 break
             nx = x - fx / dfx

@@ -25,6 +25,7 @@ FORMAT_VERSION = 1
 # 14 times the built-in script's 18.5 KB and 21 times its 48 steps; 1,000
 # one-figure creases write 72 MB, under `render.MAX_OUTPUT_BYTES`
 MAX_INPUT_BYTES, MAX_STEPS = 256 * 1024, 1000
+_CONFIG_FIELDS = tuple((f.name, f.type) for f in fields(TwoFoldConfig))  # (name, Point or Line)
 
 
 class FormatError(InputError):
@@ -43,7 +44,11 @@ def decode_number(text: str) -> Scalar:
         raise FormatError(f"numbers must be encoded as strings, got {text!r}")
     try:
         if "/" in text:
-            value = Fraction(text)
+            # p/q as int() reads each: the sign on p alone, no space at the "/"
+            num, _, den = text.strip().partition("/")
+            if not (num[-1:].isdecimal() and den[:1].isdecimal()):
+                raise ValueError
+            value = Fraction(int(num), int(den))
         elif "." in text or "e" in text or "E" in text:
             value = float(text)
         else:
@@ -202,20 +207,20 @@ def decode_script(text: str) -> FoldScript:
 
 def encode_two_fold_config(config: TwoFoldConfig) -> str:
     doc = {"format": CONFIG_FORMAT, "version": FORMAT_VERSION}
-    for f in fields(TwoFoldConfig):
-        doc[f.name] = _encode_value(getattr(config, f.name))
+    for name, _ in _CONFIG_FIELDS:
+        doc[name] = _encode_value(getattr(config, name))
     return json.dumps(doc, indent=1)
 
 
 def decode_two_fold_config(text: str) -> TwoFoldConfig:
     doc = _document(text, CONFIG_FORMAT)
     values = {}
-    for f in fields(TwoFoldConfig):
-        value = _decode_value(_field(doc, f.name, "config"))
-        if not isinstance(value, f.type):
-            raise FormatError(f"config {f.name} must be a "
-                              f"{f.type.__name__.lower()}, got {value!r}")
-        values[f.name] = value
+    for name, kind in _CONFIG_FIELDS:
+        value = _decode_value(_field(doc, name, "config"))
+        if not isinstance(value, kind):
+            raise FormatError(f"config {name} must be a "
+                              f"{kind.__name__.lower()}, got {value!r}")
+        values[name] = value
     try:
         return TwoFoldConfig(**values)
     except DegenerateProblem as exc:

@@ -12,6 +12,7 @@ including that FAIL, is pinned in test_render_cli.py.
 import math
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -226,11 +227,15 @@ class _Interrupt(BaseException):
 
 
 def _interrupted_in_the_parent(scan):
+    """The scan, raising _Interrupt in this process; a forked worker's copy
+    blocks until it is killed (60 s at most), so each worker holds one case
+    and the parent always takes one of the others."""
     parent = os.getpid()
 
     def interrupted(*args):
         if os.getpid() == parent:
             raise _Interrupt("planted interrupt")
+        time.sleep(60)
         return scan(*args)
     return interrupted
 
@@ -238,7 +243,8 @@ def _interrupted_in_the_parent(scan):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_property_suites_leave_no_worker_when_the_parents_share_is_interrupted(
         monkeypatch, cpus):
-    # raised in the parent's own share of the scans, while the workers scan
+    # raised in the parent's own share of the scans, while the workers block
+    # in theirs: only the kill in `_scan_pool` ends them
     name = "oracle_count_point_onto_line_through_point"
     monkeypatch.setattr(verification, name,
                         _interrupted_in_the_parent(getattr(verification, name)))

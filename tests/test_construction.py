@@ -328,6 +328,38 @@ def test_decode_number_table(text, kind, value):
 
 
 
+# one grammar for p/q on every Python: int()'s digits and underscores on each
+# side, the sign on p alone, no space at the "/", space around the whole text
+@pytest.mark.parametrize("text, value", [
+    ("1_0/3", Fraction(10, 3)),
+    (" -1/2\n", Fraction(-1, 2)),
+    ("+1_000/2_0", Fraction(50)),
+    ("4/6", Fraction(2, 3)),
+    ("1 / 2", None),
+    ("1 /2", None),
+    ("1/ 2", None),
+    ("1/+2", None),
+    ("1/-2", None),
+    ("1__0/3", None),
+    ("1_/3", None),
+    ("1/_3", None),
+    ("1.5/2", None),
+    ("/2", None),
+    ("1/", None),
+    ("-/2", None),
+    ("1/2/3", None),
+    ("- 1/2", None),
+])
+def test_decode_number_reads_p_over_q_by_one_grammar(text, value):
+    if value is None:
+        with pytest.raises(FormatError) as err:
+            decode_number(text)
+        assert str(err.value) == f"unreadable number {text!r}"
+    else:
+        decoded = decode_number(text)
+        assert type(decoded) is Fraction and decoded == value
+
+
 def _decode_golden_documents():
     """A seeded stream of two-fold config documents: canonical-family exact,
     tilted exact with non-unit denominators, float with unit-normal lines

@@ -512,17 +512,24 @@ def test_the_stored_mode_survives_pickle_and_copy(value):
         assert twin.mode == value.mode
         if isinstance(value, Line) and value.mode == geometry.EXACT:
             assert twin.to_float() == value.to_float()
-    if isinstance(value, Line):
-        # a float line keeps the twin its first to_float made: the same bits
-        # on every call, and pickles and copies carry it
-        def bits(line):
-            return [v.hex() for v in (line.a, line.b, line.c)]
+    if isinstance(value, Line) or value.mode == geometry.EXACT:
+        # a line or an exact point keeps the twin its first to_float made:
+        # the same bits on every call, and pickles and copies carry it
+        names = [f.name for f in dataclasses.fields(value)]
+
+        def bits(flat):
+            return [getattr(flat, name).hex() for name in names]
+        fresh = type(value)(*(getattr(value, name) for name in names))
         first = bits(value.to_float())
         assert value.to_float() is value.to_float() and bits(value.to_float()) == first
+        # the kept twin is no field: equality, hash and repr see the coordinates
+        assert "_float" in vars(value)
+        assert value == fresh and hash(value) == hash(fresh) and repr(value) == repr(fresh)
         for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
             assert "_float" in vars(twin) and bits(twin.to_float()) == first
+            assert twin.to_float() is twin.to_float()
             assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
-            assert [f.name for f in dataclasses.fields(twin)] == ["a", "b", "c"]
+            assert [f.name for f in dataclasses.fields(twin)] == names
 
 
 @pytest.mark.parametrize("value", _stored_mode_values(), ids=repr)

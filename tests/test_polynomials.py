@@ -3,12 +3,13 @@ import importlib.util
 import itertools
 import math
 import pickle
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hendecafold import polynomials
 from hendecafold.cyclotomic import halved_cyclotomic
@@ -725,8 +726,9 @@ def test_filled_caches_leave_equality_and_hash_alone():
     for iv in isolate_real_roots(p):
         refine_root(p, iv)
     p(0.5)
-    assert {"_float_coeffs_desc", "_int_coeffs", "_derivative", "_int_chain",
-            "_other_basis"} <= vars(p).keys()
+    p.derivative()  # refinement reads g' from `_float_derivative_desc`, not the RatPoly
+    assert {"_float_coeffs_desc", "_float_derivative_desc", "_int_coeffs", "_derivative",
+            "_int_chain", "_other_basis"} <= vars(p).keys()
     # monic and square-free, p is its own basis, which is not cached on p
     assert p._other_basis is None
     fresh = RatPoly(p.coeffs)
@@ -1328,9 +1330,19 @@ def test_no_ngon_root_takes_a_long_float_guess():
     assert len(passes) == 820 and sum(passes) <= 3500 and max(passes) <= 12
 
 
+class _RecordedPasses(tuple):
+    """g''s float derivative coefficients, recording each Horner pass over
+    them in `calls` as "g'"."""
+
+    def __iter__(self):
+        self.calls.append("g'")
+        return super().__iter__()
+
+
 def test_the_polish_evaluates_g_once_per_newton_step(monkeypatch):
     # g at x once, then per step g' at x and g at the new point: g there is
-    # the next step's g(x), carried over, not evaluated again
+    # the next step's g(x), carried over, not evaluated again.  A step reads
+    # g' in one pass over its float tuple, and no polynomial but g is called
     cases = [(QUINTIC, 1e-12), (QUINTIC, 1e-6)]
     cases += [(halved_cyclotomic(n).poly, 1e-12) for n in (11, 41, 81)]
     cases += [(p, 1e-13) for p in _two_fold_eliminants(1, 30)]
@@ -1344,14 +1356,17 @@ def test_the_polish_evaluates_g_once_per_newton_step(monkeypatch):
     most_steps = 0
     for p, tol in cases:
         g = polynomials._basis(p)
+        derivative = _RecordedPasses(g._float_derivative_desc)
+        derivative.calls = calls
+        monkeypatch.setitem(vars(g), "_float_derivative_desc", derivative)
         for iv in isolate_real_roots(p):
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(RatPoly, "__call__", counted)
                 refine_root(p, iv, tol)
-            steps = sum(q is g.derivative() for q in calls)
+            steps = calls.count("g'")
             assert steps <= 3 and len(calls) <= 1 + 2 * steps
-            assert all(q is g or q is g.derivative() for q in calls)
+            assert all(q is g or q == "g'" for q in calls)
             most_steps = max(most_steps, steps)
     assert most_steps >= 2
 
@@ -1541,6 +1556,29 @@ def test_float_coeffs_desc_converts_as_float_does(coeffs):
             p._float_coeffs_desc
         return
     assert [c.hex() for c in p._float_coeffs_desc] == [c.hex() for c in want]
+
+
+# coefficients near the largest float, where k * c may overflow though c does not
+_NEAR_FLOAT_MAX = st.builds(Fraction, st.integers(-2 ** 1026, 2 ** 1026), st.integers(1, 2 ** 8))
+
+
+@given(st.lists(st.fractions() | st.integers(-10 ** 400, 10 ** 400) | _NEAR_FLOAT_MAX,
+                max_size=6))
+@example([0, 2 ** 1023])                        # 1 * 2^1023 fits
+@example([0, 0, 2 ** 1023])                     # 2 * 2^1023 is 2^1024
+@example([0, 0, 2 ** 1023 - 2 ** 969])          # 2c is a tie that rounds up to 2^1024
+@example([0, 0, 2 ** 1023 - 2 ** 970])          # 2c is the largest float
+@example([1, Fraction(-7, 3), 0, Fraction(5, 6)])
+def test_float_derivative_desc_converts_as_float_does(coeffs):
+    # the polish's g' coefficients have float(Fraction)'s bits, or its error
+    p = RatPoly(coeffs)
+    try:
+        want = tuple(float(c) for c in reversed(p.derivative().coeffs))
+    except OverflowError as exc:
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(exc))}$"):
+            p._float_derivative_desc
+        return
+    assert [c.hex() for c in p._float_derivative_desc] == [c.hex() for c in want]
 
 
 def test_float_coeffs_desc_overflows_beyond_the_float_range():
